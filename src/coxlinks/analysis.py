@@ -93,14 +93,9 @@ def log_concavity_check(p: IntPolynomial) -> bool:
     return all(m[i] * m[i] > m[i - 1] * m[i + 1] for i in range(1, len(m) - 1))
 
 
-def _reflected(p: IntPolynomial) -> IntPolynomial:
-    """p(-t); its roots are the negated roots of p."""
-    return IntPolynomial(-c if k % 2 else c for k, c in enumerate(p.coeffs))
-
-
 def _real_negative_spectrum(p: IntPolynomial) -> bool:
     """All roots real and strictly negative (Sturm-certified)."""
-    return is_real_stable(_reflected(p))
+    return is_real_stable(p.mirror())
 
 
 def _radius_witness(c: IntPolynomial,
@@ -333,9 +328,11 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
     """Run every certified check over all alternating trees with at most
     n_max vertices, plus seeded random extension and inclusion pairs.
 
-    dedup folds label-isomorphic trees together; every check depends only
-    on the isomorphism class, so the verdict is unchanged while the tree
-    count drops from Cayley to the unlabeled census.
+    dedup generates one tree per isomorphism class directly (Wright,
+    Richmond, Odlyzko and McKay) instead of walking every labeled tree;
+    every check depends only on the isomorphism class, so the verdict is
+    unchanged while the tree count drops from Cayley to the unlabeled
+    census.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")

@@ -37,15 +37,21 @@ _GRAPH_ARG_HELP = "graph file path, built-in example name, or - for stdin"
 
 
 def _load_graph(spec: str) -> MixedSignCoxeterGraph:
-    if spec == "-":
-        return parse_graph(sys.stdin.read())
-    if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            return parse_graph(fh.read())
     try:
-        return parse_graph(fixture_text(spec))
+        if spec == "-":
+            text = sys.stdin.read()
+        elif os.path.exists(spec):
+            with open(spec, encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = fixture_text(spec)
     except KeyError:
         raise GraphParseError(f"no such file or built-in example: {spec!r}") from None
+    except UnicodeDecodeError:
+        raise GraphParseError(f"{spec!r} is not UTF-8 text") from None
+    except OSError as e:
+        raise GraphParseError(f"cannot read {spec!r}: {e.strerror}") from None
+    return parse_graph(text)
 
 
 def _fraction_arg(text: str) -> Fraction:

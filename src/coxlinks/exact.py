@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -443,12 +443,3 @@ def fraction_to_decimal(x: Fraction, digits: int = 12) -> str:
     scaled = num * 10 ** digits // den
     whole, frac = divmod(scaled, 10 ** digits)
     return f"{sign}{whole}.{str(frac).zfill(digits)}"
-
-
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
-def iter_signs(values: Iterable[int]) -> Iterator[int]:
-    for v in values:
-        yield _sign(v)

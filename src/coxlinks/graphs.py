@@ -2,8 +2,8 @@
 
 A graph here is finite, simple, connected, with a sign (+1 or -1)
 attached to every vertex.  The text format, sign-induced bipartitions,
-vertex extensions and the labeled-tree enumeration used by the theorem
-sweeps all live in this module.
+vertex extensions and the tree enumerations used by the theorem sweeps
+all live in this module.
 """
 
 from __future__ import annotations
@@ -208,23 +208,14 @@ def sign_bipartition(g: MixedSignCoxeterGraph) -> Bipartition:
 
 
 def two_coloring(g: MixedSignCoxeterGraph) -> Bipartition:
-    """Proper 2-coloring by breadth-first search; vertex 0 lands in
-    part_plus.  Raises NotBipartiteError on an odd cycle."""
-    color = [-1] * g.n
-    color[0] = 0
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v in g.neighbors[u]:
-            if color[v] == -1:
-                color[v] = 1 - color[u]
-                queue.append(v)
-            elif color[v] == color[u]:
-                raise NotBipartiteError(
-                    f"graph is not bipartite: odd cycle through {g.names[u]!r}")
-    plus = frozenset(i for i in range(g.n) if color[i] == 0)
+    """Proper 2-coloring; vertex 0 lands in part_plus.  Raises
+    NotBipartiteError on an odd cycle."""
+    signs = _bipartite_signs(g.n, g.edges)
+    for i, j in g.edges:
+        if signs[i] == signs[j]:
+            raise NotBipartiteError(
+                f"graph is not bipartite: odd cycle through {g.names[i]!r}")
+    plus = frozenset(i for i in range(g.n) if signs[i] == PLUS)
     return Bipartition(plus, frozenset(range(g.n)) - plus)
 
 
@@ -310,7 +301,7 @@ def _prufer_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
 
 
 def _bipartite_signs(n: int, edges: Sequence[tuple[int, int]]) -> tuple[Sign, ...]:
-    # trees are bipartite; vertex 0 is + by convention
+    # vertex 0 is + by convention; an odd cycle leaves an edge with equal signs
     adj: list[list[int]] = [[] for _ in range(n)]
     for i, j in edges:
         adj[i].append(j)
@@ -334,38 +325,47 @@ def _tree_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> MixedSignCoxet
         tuple(sorted(edges)))
 
 
-def tree_canonical_key(n: int, edges: Sequence[tuple[int, int]]):
-    """Isomorphism-invariant key for an unlabeled tree (AHU, rooted at
-    the center; minimum over both centers when there are two)."""
-    if n == 1:
-        return (1, 0)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    degree = [len(a) for a in adj]
-    alive = n
-    removed = [False] * n
-    layer = [v for v in range(n) if degree[v] == 1]
-    while alive > 2:
-        nxt = []
-        for v in layer:
-            removed[v] = True
-            alive -= 1
-            for u in adj[v]:
-                if not removed[u]:
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    centers = [v for v in range(n) if not removed[v]]
+def _free_tree_level_sequences(n: int) -> Iterator[list[int]]:
+    """One level sequence per unlabeled tree on n >= 2 vertices, rooted at
+    a center (Wright, Richmond, Odlyzko and McKay, SIAM J. Comput. 15,
+    1986).  The yielded list is overwritten by the next tree.
 
-    def canon(root: int) -> tuple:
-        def rec(v: int, parent: int) -> tuple:
-            return tuple(sorted(rec(u, v) for u in adj[v] if u != parent))
-        return rec(root, -1)
+    The walk starts at the path rooted at its center and steps through
+    rooted trees as Beyer and Hedetniemi do.  A tree is kept when the
+    root's first subtree is lower than the rest of the tree, or as high
+    but smaller, or as high and as large but not lexicographically later;
+    otherwise the walk jumps straight to the next tree that is kept.
+    """
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
 
-    return (n, min(canon(c) for c in centers))
+    def second_subtree() -> int:
+        return levels.index(1, 2) if 1 in levels[2:] else n
+
+    def step(p: int) -> None:
+        # vertex p moves up a level; the rest repeats the stretch from its parent q
+        q = p - 1
+        while levels[q] != levels[p] - 1:
+            q -= 1
+        for i in range(p, n):
+            levels[i] = levels[i - p + q]
+
+    while True:
+        m = second_subtree()
+        left = [x - 1 for x in levels[1:m]]
+        rest = [0] + levels[m:]
+        if (max(left), len(left), left) > (max(rest), len(rest), rest):
+            jump_high = levels[m - 1] > 2
+            step(m - 1)
+            if jump_high:
+                height = max(levels[1:second_subtree()])
+                levels[n - height:] = range(1, height + 1)
+        yield levels
+        p = n - 1
+        while levels[p] == 1:
+            p -= 1
+        if p == 0:
+            return
+        step(p)
 
 
 def enumerate_alternating_trees(n: int, dedup: bool = False) -> Iterator[MixedSignCoxeterGraph]:
@@ -373,25 +373,32 @@ def enumerate_alternating_trees(n: int, dedup: bool = False) -> Iterator[MixedSi
     alternating signs (vertex 0 positive).
 
     Enumeration walks the n**(n-2) Pruefer sequences in lexicographic
-    order.  With dedup=True only the first representative of each
-    isomorphism class is yielded; Coxeter spectra are invariant under
-    relabeling and under the global sign flip, so deduplication is a
-    pure optimization for spectra-level sweeps.
+    order.  With dedup=True the trees are generated directly one per
+    isomorphism class, as the level sequences of the Wright-Richmond-
+    Odlyzko-McKay free-tree generator rooted at a center: vertex i joins
+    the last earlier vertex one level up, and even levels are positive.
+    Coxeter spectra are invariant under relabeling and under the global
+    sign flip, so deduplication is a pure optimization for spectra-level
+    sweeps.
     """
     if n < 1:
         raise GraphError("tree size must be at least 1")
     if n == 1:
         yield MixedSignCoxeterGraph(("v0",), (PLUS,), ())
         return
-    seen: set = set()
+    if dedup:
+        names = tuple(f"v{i}" for i in range(n))
+        for levels in _free_tree_level_sequences(n):
+            last = [0] * n
+            edges = []
+            for i in range(1, n):
+                last[levels[i]] = i
+                edges.append((last[levels[i] - 1], i))
+            yield MixedSignCoxeterGraph(
+                names, tuple(MINUS if x % 2 else PLUS for x in levels), tuple(edges))
+        return
     for seq in itertools.product(range(n), repeat=n - 2):
-        edges = _prufer_edges(seq, n)
-        if dedup:
-            key = tree_canonical_key(n, edges)
-            if key in seen:
-                continue
-            seen.add(key)
-        yield _tree_from_edges(n, edges)
+        yield _tree_from_edges(n, _prufer_edges(seq, n))
 
 
 def random_alternating_tree(n: int, rng: random.Random) -> MixedSignCoxeterGraph:

@@ -85,6 +85,17 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "no such file or built-in example" in err
 
+    def test_unreadable_input_is_parse_error(self, capsys, tmp_path):
+        latin1 = tmp_path / "latin1.graph"
+        latin1.write_bytes("vertex \xe9 +\n".encode("latin-1"))
+        for spec, fragment in ((str(tmp_path), "cannot read"),
+                               (str(latin1), "not UTF-8")):
+            code, out, err = run_cli(capsys, "analyze", spec)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and fragment in err
+            assert err.count("\n") == 1
+
     def test_malformed_file_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.graph"
         path.write_text("vertex a +\nvertex b\nedge a b\n")

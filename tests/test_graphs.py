@@ -24,7 +24,6 @@ from coxlinks.graphs import (
     random_vertex_extension,
     remove_vertex,
     sign_bipartition,
-    tree_canonical_key,
     two_coloring,
     vertex_extension,
 )
@@ -32,6 +31,42 @@ from coxlinks.graphs import (
 A2 = "vertex a +\nvertex b -\nedge a b\n"
 P3 = "vertex a +\nvertex b -\nvertex c +\nedge a b\nedge b c\n"
 TRIANGLE = "vertex a +\nvertex b +\nvertex c +\nedge a b\nedge b c\nedge a c\n"
+
+# Unlabeled trees on n = 1, 2, ... vertices (OEIS A000055).
+FREE_TREE_CENSUS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551)
+
+
+def tree_canonical_key(n, edges):
+    """Isomorphism-invariant key for an unlabeled tree (AHU, rooted at
+    the center; minimum over both centers when there are two).  The
+    reference the direct class generator is checked against."""
+    if n == 1:
+        return (1, 0)
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    degree = [len(a) for a in adj]
+    alive = n
+    removed = [False] * n
+    layer = [v for v in range(n) if degree[v] == 1]
+    while alive > 2:
+        nxt = []
+        for v in layer:
+            removed[v] = True
+            alive -= 1
+            for u in adj[v]:
+                if not removed[u]:
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        nxt.append(u)
+        layer = nxt
+    centers = [v for v in range(n) if not removed[v]]
+
+    def canon(v, parent):
+        return tuple(sorted(canon(u, v) for u in adj[v] if u != parent))
+
+    return (n, min(canon(c, -1) for c in centers))
 
 
 class TestParsing:
@@ -161,15 +196,18 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_alternating_trees(5)) == 125
 
     def test_unlabeled_tree_counts(self):
-        for n, count in ((2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11)):
-            assert sum(1 for _ in enumerate_alternating_trees(n, dedup=True)) == count
+        counts = tuple(sum(1 for _ in enumerate_alternating_trees(n, dedup=True))
+                       for n in range(1, len(FREE_TREE_CENSUS) + 1))
+        assert counts == FREE_TREE_CENSUS
 
     def test_enumerated_trees_are_alternating_trees(self):
-        for g in enumerate_alternating_trees(4):
-            assert g.n == 4
-            assert g.edge_count == 3
-            assert is_alternating_sign(g)
-            assert g.signs[0] == PLUS
+        for n, dedup in ((4, False), (1, True), (2, True), (5, True), (8, True), (10, True)):
+            for g in enumerate_alternating_trees(n, dedup=dedup):
+                assert g.n == n
+                assert g.edge_count == n - 1
+                assert is_alternating_sign(g)
+                assert g.signs[0] == PLUS
+                assert g.names == tuple(f"v{i}" for i in range(n))
 
     def test_enumeration_is_deterministic(self):
         a = [graph_to_text(g) for g in enumerate_alternating_trees(4)]
@@ -184,12 +222,25 @@ class TestEnumeration:
         assert path != star
 
     def test_dedup_yields_representatives_of_every_class(self):
-        keys_all = {tree_canonical_key(5, g.edges)
-                    for g in enumerate_alternating_trees(5)}
-        keys_dedup = [tree_canonical_key(5, g.edges)
-                      for g in enumerate_alternating_trees(5, dedup=True)]
-        assert set(keys_dedup) == keys_all
-        assert len(keys_dedup) == len(keys_all)
+        for n in range(2, 8):
+            keys_all = {tree_canonical_key(n, g.edges)
+                        for g in enumerate_alternating_trees(n)}
+            keys_dedup = [tree_canonical_key(n, g.edges)
+                          for g in enumerate_alternating_trees(n, dedup=True)]
+            assert set(keys_dedup) == keys_all
+            assert len(keys_dedup) == len(keys_all)
+
+    def test_dedup_matches_networkx_nonisomorphic_trees(self):
+        nx = pytest.importorskip("networkx")
+        for n in range(1, 11):
+            ours = []
+            for g in enumerate_alternating_trees(n, dedup=True):
+                ours.append(nx.empty_graph(n))
+                ours[-1].add_edges_from(g.edges)
+            theirs = list(nx.nonisomorphic_trees(n))
+            assert len(ours) == len(theirs)
+            for t in theirs:
+                assert sum(nx.is_isomorphic(t, g) for g in ours) == 1
 
 
 class TestRandomGenerators:
