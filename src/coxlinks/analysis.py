@@ -15,12 +15,12 @@ from fractions import Fraction
 
 from .coxeter import (
     CoxeterSystem,
-    alexander_polynomial,
+    _alexander_from_coxeter,
     coxeter_polynomial,
     homological_monodromy,
     verify_proof_identities,
 )
-from .exact import IntPolynomial, fraction_to_decimal, mat_charpoly, squarefree_part
+from .exact import IntPolynomial, fraction_to_decimal, squarefree_part
 from .graphs import (
     MixedSignCoxeterGraph,
     enumerate_alternating_trees,
@@ -34,11 +34,12 @@ from .graphs import (
 from .spectra import (
     DEFAULT_EPSILON,
     RationalInterval,
+    _mirror_chain,
+    _radius_cell,
     _SturmChain,
     cauchy_bound,
     compare_isolated_roots,
     interlace_check,
-    is_real_rooted,
     is_real_stable,
     max_real_root,
     spectral_radius_enclosure,
@@ -103,10 +104,9 @@ def _radius_witness(c: IntPolynomial,
     """Squarefree polynomial together with an interval isolating its largest
     real root, which for a real-rooted c equals max |root of c|.  The pair
     feeds compare_isolated_roots, so radius comparisons can be settled
-    exactly even when enclosures overlap."""
-    sf = squarefree_part(c)
-    folded = squarefree_part(sf * sf.mirror())
-    return folded, max_real_root(folded, eps)
+    exactly even when enclosures overlap.  When every root of c is
+    negative the polynomial is c(-t) made squarefree."""
+    return _radius_cell(*_mirror_chain(c), eps)
 
 
 _WITNESS_EPS = Fraction(1, 1 << 10)
@@ -239,15 +239,18 @@ def analyze(g: MixedSignCoxeterGraph,
             proof_identities_ok=None, spectral_radius=None, max_real_root=mrr)
 
     system = CoxeterSystem.build(g)
-    c = mat_charpoly(system.c_bipartite)
-    delta = alexander_polynomial(g)
+    c = system.c_bipartite.charpoly()
+    delta = _alexander_from_coxeter(g, c)
     real_stable = is_real_stable(delta)
     sign_alt = sign_alternation_check(delta)
     trap, plateau_k = trapezoidal_check(delta)
     log_conc = log_concavity_check(delta)
-    biorderable = is_real_stable(mat_charpoly(homological_monodromy(g)))
+    biorderable = is_real_stable(homological_monodromy(g).charpoly())
     identities_ok = bool(verify_proof_identities(g))
-    radius = spectral_radius_enclosure(c, eps) if is_real_rooted(c) else None
+    try:
+        radius = spectral_radius_enclosure(c, eps)
+    except ValueError:  # c is not real-rooted
+        radius = None
     try:
         mrr = max_real_root(c, eps)
     except ValueError:
@@ -361,13 +364,13 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
         for g in enumerate_alternating_trees(n, dedup=dedup):
             graphs += 1
             system = CoxeterSystem.build(g)
-            c = mat_charpoly(system.c_bipartite)
-            delta = alexander_polynomial(g)
+            c = system.c_bipartite.charpoly()
+            delta = _alexander_from_coxeter(g, c)
             record("symmetry", system.c_bipartite.is_symmetric(), g)
             record("real-negative-spectrum", _real_negative_spectrum(c), g)
             record("proof-identities", bool(verify_proof_identities(g)), g)
-            monodromy_cp = mat_charpoly(homological_monodromy(g))
-            negated_cp = mat_charpoly(-system.c_bipartite)
+            monodromy_cp = homological_monodromy(g).charpoly()
+            negated_cp = (-system.c_bipartite).charpoly()
             record("monodromy-charpoly",
                    monodromy_cp == delta and negated_cp == delta, g)
             record("reciprocality", c.coeffs == tuple(reversed(c.coeffs)), g)
@@ -380,11 +383,11 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
             base = random_alternating_tree(n, rng)
             ext = random_vertex_extension(base, rng)
             graphs += 2
-            record("coxeter-interlacing",
-                   safe_interlace(coxeter_polynomial(base), coxeter_polynomial(ext)),
-                   ext)
+            c_base, c_ext = coxeter_polynomial(base), coxeter_polynomial(ext)
+            record("coxeter-interlacing", safe_interlace(c_base, c_ext), ext)
             record("alexander-interlacing",
-                   safe_interlace(alexander_polynomial(base), alexander_polynomial(ext)),
+                   safe_interlace(_alexander_from_coxeter(base, c_base),
+                                  _alexander_from_coxeter(ext, c_ext)),
                    ext)
 
             small = random_alternating_tree(n, rng)

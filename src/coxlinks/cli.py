@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .analysis import _interval_json, analyze, min_dilatation_search, verify_theorems
-from .coxeter import alexander_polynomial, coxeter_polynomial
+from .coxeter import _alexander_from_coxeter, coxeter_polynomial
 from .fixtures import fixture_names, fixture_text
 from .graphs import (
     GraphError,
@@ -86,8 +86,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ValueError(
             f"vertex counts must differ by one (got {small.n} and {large.n})")
     extension = is_vertex_extension(small, large)
-    cox = interlace_check(coxeter_polynomial(small), coxeter_polynomial(large))
-    alex = interlace_check(alexander_polynomial(small), alexander_polynomial(large))
+    c_small, c_large = coxeter_polynomial(small), coxeter_polynomial(large)
+    cox = interlace_check(c_small, c_large)
+    alex = interlace_check(_alexander_from_coxeter(small, c_small),
+                           _alexander_from_coxeter(large, c_large))
     if args.json:
         print(json.dumps({
             "vertex_extension": extension,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .exact import IntMatrix, IntPolynomial
 from .graphs import (Bipartition, MixedSignCoxeterGraph, NotAlternatingError,
-                     adjacency_matrix, is_alternating_sign, sign_bipartition,
-                     two_coloring)
+                     adjacency_matrix, graph_to_text, is_alternating_sign,
+                     sign_bipartition, two_coloring)
 
 
 def bilinear_form(g: MixedSignCoxeterGraph) -> IntMatrix:
@@ -108,19 +108,30 @@ def seifert_matrix(g: MixedSignCoxeterGraph) -> IntMatrix:
 
 def homological_monodromy(g: MixedSignCoxeterGraph) -> IntMatrix:
     """(M^T)^-1 M for the Seifert matrix M; integer because M^T is
-    unimodular, and conjugate to -C+- via M^T."""
+    unimodular, and conjugate to -C+- via M^T.
+
+    M = -C+ and C+ is an involution, so (M^T)^-1 = M^T and the monodromy
+    is M^T M.  The involution is checked exactly, since the shortcut
+    rests on it.
+    """
     m = seifert_matrix(g)
-    return m.transpose().inverse_unimodular() @ m
+    if m @ m != IntMatrix.identity(g.n):
+        raise RuntimeError("C+ is not an involution\n" + graph_to_text(g))
+    return m.transpose() @ m
+
+
+def _alexander_from_coxeter(g: MixedSignCoxeterGraph, c: IntPolynomial) -> IntPolynomial:
+    """Alexander polynomial (-1)^n c(-t) of g from its Coxeter
+    polynomial c, for callers that already hold c."""
+    _require_alternating(g, "alexander_polynomial")
+    return c.mirror() if c.degree % 2 == 0 else -c.mirror()
 
 
 def alexander_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
     """Monic normalization (-1)^n c(-t) of the Coxeter polynomial; equal
     to the characteristic polynomial of the homological monodromy."""
     _require_alternating(g, "alexander_polynomial")
-    c = coxeter_polynomial(g)
-    n = g.n
-    return IntPolynomial((c.coefficient(k) if (n + k) % 2 == 0 else -c.coefficient(k))
-                         for k in range(n + 1))
+    return _alexander_from_coxeter(g, coxeter_polynomial(g))
 
 
 @dataclass(frozen=True)

@@ -159,10 +159,6 @@ class IntPolynomial:
         return f"IntPolynomial({self.pretty()!r})"
 
 
-def poly_eval(p: IntPolynomial, x: Scalar) -> Scalar:
-    return p.eval(x)
-
-
 def _pseudo_rem_positive(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Remainder of a by b scaled by a positive constant.
 
@@ -211,26 +207,29 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
 
 
 def poly_divexact(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Exact quotient a/b in Z[t]; raises if b does not divide a."""
+    """Exact quotient a/b in Z[t] by integer long division; raises if b
+    does not divide a."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero:
         return IntPolynomial()
-    num = [Fraction(c) for c in a.coeffs]
-    den = b.coeffs
     dq = a.degree - b.degree
     if dq < 0:
         raise ValueError("inexact polynomial division")
-    out = [Fraction(0)] * (dq + 1)
+    num = list(a.coeffs)
+    den = b.coeffs
+    out = [0] * (dq + 1)
     for k in range(dq, -1, -1):
-        c = num[k + b.degree] / den[-1]
+        c, r = divmod(num[k + b.degree], den[-1])
+        if r:
+            raise ValueError("inexact polynomial division")
         out[k] = c
         if c:
             for i, bc in enumerate(den):
                 num[k + i] -= c * bc
-    if any(num) or any(c.denominator != 1 for c in out):
+    if any(num):
         raise ValueError("inexact polynomial division")
-    return IntPolynomial(int(c) for c in out)
+    return IntPolynomial(out)
 
 
 def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
@@ -430,10 +429,6 @@ class IntMatrix:
     def __repr__(self) -> str:
         body = ", ".join(str(list(r)) for r in self.rows)
         return f"IntMatrix([{body}])"
-
-
-def mat_charpoly(m: IntMatrix) -> IntPolynomial:
-    return m.charpoly()
 
 
 def fraction_to_decimal(x: Fraction, digits: int = 12) -> str:

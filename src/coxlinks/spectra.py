@@ -125,6 +125,17 @@ def sturm_count(p: IntPolynomial, interval: RationalInterval) -> int:
     return _SturmChain(squarefree_part(p)).count(interval.lo, interval.hi)
 
 
+def _root_gap(chain: _SturmChain, lo: Fraction, hi: Fraction, mid: Fraction) -> Fraction:
+    """Half-width w, at most (hi - lo) / 4, such that [mid - w, mid + w]
+    holds no root but the root mid and its ends are not roots."""
+    sf = chain.poly
+    w = (hi - lo) / 4
+    while (chain.count(mid - w, mid + w) != 1
+           or sf.eval_sign(mid - w) == 0 or sf.eval_sign(mid + w) == 0):
+        w /= 2
+    return w
+
+
 def _isolate_squarefree(chain: _SturmChain) -> list[RationalInterval]:
     """Disjoint intervals, one distinct root each, ascending.  Non-point
     endpoints are never roots, so each bracket carries a sign change."""
@@ -142,10 +153,7 @@ def _isolate_squarefree(chain: _SturmChain) -> list[RationalInterval]:
             return
         mid = (lo + hi) / 2
         if sf.eval_sign(mid) == 0:
-            w = (hi - lo) / 4
-            while (chain.count(mid - w, mid + w) != 1
-                   or sf.eval_sign(mid - w) == 0 or sf.eval_sign(mid + w) == 0):
-                w /= 2
+            w = _root_gap(chain, lo, hi, mid)
             explore(lo, mid - w, chain.count(lo, mid - w))
             out.append(RationalInterval(mid, mid))
             explore(mid + w, hi, chain.count(mid + w, hi))
@@ -156,6 +164,32 @@ def _isolate_squarefree(chain: _SturmChain) -> list[RationalInterval]:
 
     explore(-bound, bound, chain.count(-bound, bound))
     return out
+
+
+def _top_cell(chain: _SturmChain, lo: Fraction, hi: Fraction) -> RationalInterval | None:
+    """The cell of the largest root in (lo, hi], or None when there is no
+    root there.  Follows _isolate_squarefree's bisection but keeps only
+    the sub-cell holding the largest root, so with (lo, hi] = (-bound,
+    bound] it returns exactly the last interval that function returns."""
+    sf = chain.poly
+    cnt = chain.count(lo, hi)
+    if cnt == 0:
+        return None
+    while cnt > 1:
+        mid = (lo + hi) / 2
+        if sf.eval_sign(mid) == 0:
+            w = _root_gap(chain, lo, hi, mid)
+            right = chain.count(mid + w, hi)
+            if right == 0:
+                return RationalInterval(mid, mid)
+            lo, cnt = mid + w, right
+        else:
+            right = chain.count(mid, hi)
+            if right == 0:
+                hi = mid
+            else:
+                lo, cnt = mid, right
+    return RationalInterval(lo, hi)
 
 
 def _refine(sf: IntPolynomial, iv: RationalInterval, eps: Fraction) -> RationalInterval:
@@ -248,26 +282,57 @@ def max_real_root(p: IntPolynomial, eps: Fraction = DEFAULT_EPSILON) -> Rational
     if p.is_zero:
         raise ValueError("zero polynomial")
     sf = squarefree_part(p)
-    chain = _SturmChain(sf)
-    intervals = _isolate_squarefree(chain)
-    if not intervals:
+    bound = cauchy_bound(sf)
+    cell = _top_cell(_SturmChain(sf), -bound, bound) if sf.degree > 0 else None
+    if cell is None:
         raise ValueError("polynomial has no real roots")
-    return _refine(sf, intervals[-1], eps)
+    return _refine(sf, cell, eps)
+
+
+def _mirror_chain(p: IntPolynomial) -> tuple[_SturmChain, Fraction]:
+    """Sturm chain of m = sf(-t), for sf the squarefree part of p, and
+    the root bound of sf(t) * sf(-t)."""
+    sf = squarefree_part(p)
+    m = sf.mirror()
+    return _SturmChain(m), cauchy_bound(sf * m)
+
+
+def _radius_cell(chain: _SturmChain, bound: Fraction,
+                 eps: Fraction) -> tuple[IntPolynomial, RationalInterval]:
+    """(g, cell) for the chain and bound of _mirror_chain: g is squarefree
+    and cell, of width <= eps, isolates its largest real root, which is
+    max |real root| of sf.
+
+    When sf has no root >= 0, g is m and the cell comes from descending
+    on m from (0, bound].  For a real-rooted sf that is exactly the cell
+    max_real_root gives on sf(t) * sf(-t), at half the degree: that
+    isolation bisects at 0 first, the product's positive roots are m's,
+    and sf keeps one sign on [0, bound].
+    """
+    m = chain.poly
+    if chain.count(-bound, _ZERO) == 0:
+        cell = _top_cell(chain, _ZERO, bound)
+        if cell is None:
+            raise ValueError("polynomial has no real roots")
+        return m, _refine(m, cell, eps)
+    folded = squarefree_part(m.mirror() * m)
+    return folded, max_real_root(folded, eps)
 
 
 def spectral_radius_enclosure(p: IntPolynomial,
                               eps: Fraction = DEFAULT_EPSILON) -> RationalInterval:
     """Enclosure of max |root| for a real-rooted polynomial.
 
-    Works on sf(t) * sf(-t), whose largest real root is the radius; this
-    sidesteps any need to break ties between the extreme roots of p.
+    The radius is the largest real root of sf(t) * sf(-t), which
+    sidesteps any need to break ties between the extreme roots of p;
+    when every root is negative it is found on sf(-t) alone.
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("spectral radius needs a nonconstant polynomial")
-    if not is_real_rooted(p):
+    chain, bound = _mirror_chain(p)
+    if chain.count(-bound, bound) != chain.poly.degree:
         raise ValueError("spectral radius enclosure needs a real-rooted polynomial")
-    sf = squarefree_part(p)
-    iv = max_real_root(sf * sf.mirror(), eps)
+    _, iv = _radius_cell(chain, bound, eps)
     return RationalInterval(max(_ZERO, iv.lo), max(_ZERO, iv.hi))
 
 

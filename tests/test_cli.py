@@ -3,9 +3,12 @@ schemas, and byte-for-byte determinism."""
 
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -292,6 +295,34 @@ class TestDeterminism:
         assert "no counterexamples" in full
         assert "no counterexamples" in deduped
         assert full != deduped
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """(argv, expected stdout) for each `$ coxlinks ...` line in a fenced
+    block of README.md; the output runs to the end of the block."""
+    examples = []
+    for block in re.findall(r"^```\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                            flags=re.S | re.M):
+        lines = block.splitlines()
+        if lines and lines[0].startswith("$ coxlinks "):
+            argv = shlex.split(lines[0])[2:]
+            examples.append(pytest.param(argv, "\n".join(lines[1:]) + "\n",
+                                         id=" ".join(argv)))
+    return examples
+
+
+@pytest.mark.parametrize("argv,expected", readme_examples())
+def test_readme_example_output_is_byte_identical(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
+
+
+def test_readme_has_examples():
+    assert len(readme_examples()) >= 3
 
 
 def test_module_entry_point():

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from coxlinks import coxeter
 from coxlinks.coxeter import (
     CoxeterSystem,
     IdentityMismatch,
@@ -17,11 +18,12 @@ from coxlinks.coxeter import (
     seifert_matrix,
     verify_proof_identities,
 )
-from coxlinks.exact import IntMatrix, mat_charpoly
+from coxlinks.exact import IntMatrix
 from coxlinks.fixtures import fixture_graph
 from coxlinks.graphs import (
     Bipartition,
     NotAlternatingError,
+    enumerate_alternating_trees,
     parse_graph,
     sign_bipartition,
 )
@@ -164,7 +166,23 @@ class TestSeifertData:
     def test_monodromy_charpoly_is_alexander_polynomial(self):
         for name in ("a2", "p3-alt", "paper-5", "p5", "k33"):
             g = fixture_graph(name)
-            assert mat_charpoly(homological_monodromy(g)) == alexander_polynomial(g)
+            assert homological_monodromy(g).charpoly() == alexander_polynomial(g)
+
+    def test_monodromy_agrees_with_gauss_jordan_inverse(self):
+        # the monodromy is M^T M because C+ is an involution; check it
+        # against (M^T)^-1 M with the inverse taken by Gauss-Jordan
+        graphs = [fixture_graph(name) for name in ("a2", "p3-alt", "paper-5", "p5", "k33")]
+        graphs += [g for n in range(2, 7) for g in enumerate_alternating_trees(n)]
+        graphs += list(enumerate_alternating_trees(7, dedup=True))
+        for g in graphs:
+            m = seifert_matrix(g)
+            assert homological_monodromy(g) == m.transpose().inverse_unimodular() @ m
+
+    def test_monodromy_refuses_a_non_involution(self, monkeypatch):
+        g = fixture_graph("a2")
+        monkeypatch.setattr(coxeter, "seifert_matrix", lambda _: IntMatrix([[1, 1], [0, 1]]))
+        with pytest.raises(RuntimeError, match="involution"):
+            homological_monodromy(g)
 
     def test_seifert_requires_alternating(self):
         g = fixture_graph("e10-classical")

@@ -10,7 +10,6 @@ from coxlinks.exact import (
     IntMatrix,
     IntPolynomial,
     fraction_to_decimal,
-    mat_charpoly,
     poly_divexact,
     poly_gcd,
     squarefree_decomposition,
@@ -20,6 +19,25 @@ from coxlinks.exact import (
 
 def P(*coeffs):
     return IntPolynomial(coeffs)
+
+
+def rational_quotient(a, b):
+    """Reference for poly_divexact: long division over Fraction; the
+    quotient when it is exact and integral, else None."""
+    if a.is_zero:
+        return IntPolynomial()
+    dq = a.degree - b.degree
+    if dq < 0:
+        return None
+    num = [Fraction(c) for c in a.coeffs]
+    out = [Fraction(0)] * (dq + 1)
+    for k in range(dq, -1, -1):
+        out[k] = num[k + b.degree] / b.lead
+        for i, bc in enumerate(b.coeffs):
+            num[k + i] -= out[k] * bc
+    if any(num) or any(c.denominator != 1 for c in out):
+        return None
+    return IntPolynomial(int(c) for c in out)
 
 
 class TestIntPolynomial:
@@ -101,6 +119,31 @@ class TestPolyGcd:
         with pytest.raises(ValueError):
             poly_divexact(P(1, 0, 1), P(1, 1))
 
+    def test_divexact_rejects_lead_that_does_not_divide(self):
+        with pytest.raises(ValueError):
+            poly_divexact(P(1, 2), P(1, 3))        # quotient 2/3
+        with pytest.raises(ValueError):
+            poly_divexact(P(3, 2, 0, 1), P(1, -2))
+        assert poly_divexact(P(6, -4, -2), P(-3, -1)).coeffs == (-2, 2)
+        with pytest.raises(ZeroDivisionError):
+            poly_divexact(P(1), P())
+
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+           st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+           st.lists(st.integers(-3, 3), max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_divexact_matches_rational_division(self, a, b, r):
+        dividend, divisor = IntPolynomial(a) * IntPolynomial(b), IntPolynomial(b)
+        dividend = dividend + IntPolynomial(r)
+        if divisor.is_zero:
+            return
+        expected = rational_quotient(dividend, divisor)
+        if expected is None:
+            with pytest.raises(ValueError):
+                poly_divexact(dividend, divisor)
+        else:
+            assert poly_divexact(dividend, divisor) == expected
+
     @given(st.lists(st.integers(-6, 6), min_size=1, max_size=5),
            st.lists(st.integers(-6, 6), min_size=1, max_size=5),
            st.lists(st.integers(-6, 6), min_size=2, max_size=4))
@@ -166,13 +209,13 @@ class TestIntMatrix:
         assert M([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det() == -1
 
     def test_charpoly_known(self):
-        assert mat_charpoly(M([[0, 1], [1, 0]])).coeffs == (-1, 0, 1)
-        assert mat_charpoly(IntMatrix.identity(3)).coeffs == (-1, 3, -3, 1)
-        assert mat_charpoly(M([[2]])).coeffs == (-2, 1)
+        assert M([[0, 1], [1, 0]]).charpoly().coeffs == (-1, 0, 1)
+        assert IntMatrix.identity(3).charpoly().coeffs == (-1, 3, -3, 1)
+        assert M([[2]]).charpoly().coeffs == (-2, 1)
 
     def test_charpoly_trace_and_det(self):
         a = M([[3, 1, 0], [2, -1, 4], [0, 5, 2]])
-        c = mat_charpoly(a)
+        c = a.charpoly()
         assert c.lead == 1
         assert c.coefficient(2) == -a.trace()
         assert c.coefficient(0) == -a.det()   # (-1)^n det, n = 3
@@ -197,7 +240,7 @@ class TestIntMatrix:
         a = IntMatrix(rows)
         shifted = IntMatrix([[x * (1 if i == j else 0) - rows[i][j]
                               for j in range(3)] for i in range(3)])
-        assert mat_charpoly(a).eval(x) == shifted.det()
+        assert a.charpoly().eval(x) == shifted.det()
 
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2),
                     min_size=2, max_size=2),
@@ -212,7 +255,7 @@ class TestIntMatrix:
             [0, 0, rb[0][0], rb[0][1]],
             [0, 0, rb[1][0], rb[1][1]],
         ])
-        assert mat_charpoly(block) == mat_charpoly(a) * mat_charpoly(b)
+        assert block.charpoly() == a.charpoly() * b.charpoly()
 
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4),
                     min_size=4, max_size=4))

@@ -1,13 +1,20 @@
 """Sturm chains, root isolation, interlacing, spectral enclosures."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coxlinks import spectra
+from coxlinks.analysis import _radius_witness
 from coxlinks.coxeter import alexander_polynomial, coxeter_polynomial
-from coxlinks.exact import IntPolynomial, mat_charpoly
-from coxlinks.fixtures import fixture_graph
-from coxlinks.graphs import adjacency_matrix, parse_graph
+from coxlinks.exact import IntPolynomial, squarefree_part
+from coxlinks.fixtures import fixture_graph, fixture_names
+from coxlinks.graphs import (adjacency_matrix, enumerate_alternating_trees,
+                             random_alternating_tree, random_edge_augmentation,
+                             random_vertex_extension)
 from coxlinks.spectra import (
     DEFAULT_EPSILON,
     RationalInterval,
@@ -162,6 +169,125 @@ class TestMaxRootAndRadius:
         assert abs(float(iv.midpoint) - (-2.618033988749895)) < 2e-6
 
 
+def full_isolation_max_root(p, eps):
+    """Reference for max_real_root: isolate every root, refine the top one."""
+    sf = squarefree_part(p)
+    intervals = spectra._isolate_squarefree(spectra._SturmChain(sf))
+    if not intervals:
+        raise ValueError("polynomial has no real roots")
+    return spectra._refine(sf, intervals[-1], eps)
+
+
+def fold_witness(p, eps):
+    """Reference radius witness: the top root of sf(t) * sf(-t), isolated
+    in full."""
+    sf = squarefree_part(p)
+    folded = squarefree_part(sf * sf.mirror())
+    return folded, full_isolation_max_root(folded, eps)
+
+
+def fold_radius_enclosure(p, eps):
+    """Reference for spectral_radius_enclosure: the fold route."""
+    if not is_real_rooted(p):
+        raise ValueError("spectral radius enclosure needs a real-rooted polynomial")
+    sf = squarefree_part(p)
+    iv = full_isolation_max_root(sf * sf.mirror(), eps)
+    return RationalInterval(max(F(0), iv.lo), max(F(0), iv.hi))
+
+
+def dyadic_product(factors):
+    """Product of (2^k t - a) over (a, k): real-rooted, roots a / 2^k."""
+    p = P(1)
+    for a, k in factors:
+        p = p * P(-a, 1 << k)
+    return p
+
+
+DYADIC_FACTORS = st.lists(st.tuples(st.integers(-12, 12), st.integers(0, 3)),
+                          min_size=1, max_size=6)
+EPSILONS = st.sampled_from([F(1, 2), F(1, 1 << 10), F(1, 3), DEFAULT_EPSILON])
+
+
+def sample_coxeter_polynomials():
+    """Alternating trees with n <= 8, one per class, and seeded random
+    graphs with cycles and vertex extensions up to n = 14."""
+    polys = [coxeter_polynomial(g) for n in range(2, 9)
+             for g in enumerate_alternating_trees(n, dedup=True)]
+    rng = random.Random(2015)
+    for _ in range(30):
+        g = random_alternating_tree(rng.randint(3, 12), rng)
+        g = random_edge_augmentation(g, rng)
+        if rng.random() < 0.5:
+            g = random_vertex_extension(random_edge_augmentation(g, rng), rng)
+        polys.append(coxeter_polynomial(g))
+    return polys
+
+
+class TestFastPathsAgainstOracles:
+    """The top-down descent and the half-degree radius route against the
+    full-isolation routes they replace."""
+
+    @given(DYADIC_FACTORS, st.sampled_from([P(1), P(1, 0, 1), P(-2, 0, 1), P(1, 3, 1)]),
+           EPSILONS)
+    @settings(max_examples=150, deadline=None)
+    def test_descent_matches_full_isolation_on_dyadic_products(self, factors, extra, eps):
+        # dyadic roots land on bisection midpoints, so the branch that
+        # steps around a midpoint root runs as well
+        p = dyadic_product(factors) * extra
+        assert max_real_root(p, eps) == full_isolation_max_root(p, eps)
+        witness, cell = _radius_witness(p, eps)
+        folded, fold_cell = fold_witness(p, eps)
+        if is_real_rooted(p):
+            assert cell == fold_cell
+            assert spectral_radius_enclosure(p, eps) == fold_radius_enclosure(p, eps)
+        else:
+            # complex roots shared by sf(t) and sf(-t) change the fold's
+            # root bound, so only the enclosed root is the same
+            assert compare_isolated_roots(witness, cell, folded, fold_cell) == 0
+            with pytest.raises(ValueError):
+                spectral_radius_enclosure(p, eps)
+
+    def test_max_real_root_matches_full_isolation_on_fixtures(self):
+        polys = [coxeter_polynomial(fixture_graph(name)) for name in fixture_names()]
+        polys += [P(0, 1), P(0, -1, 0, 1), P(-1, 1) * P(-1, 1) * P(0, 1)]
+        for p in polys:
+            for eps in (DEFAULT_EPSILON, F(1, 4), F(8)):
+                assert max_real_root(p, eps) == full_isolation_max_root(p, eps)
+        with pytest.raises(ValueError):
+            max_real_root(P(7))
+
+    def test_radius_matches_fold_on_graphs(self):
+        for c in sample_coxeter_polynomials():
+            for eps in (DEFAULT_EPSILON, F(1, 1 << 10)):
+                assert spectral_radius_enclosure(c, eps) == fold_radius_enclosure(c, eps)
+                witness, cell = _radius_witness(c, eps)
+                assert cell == fold_witness(c, eps)[1]
+                assert spectra._root_in(witness, cell)
+
+    def test_radius_with_nonnegative_roots_keeps_fold(self):
+        for p in (P(-1, 1), P(0, 1), P(0, 0, 1), P(-4, 0, 1), P(1, 3, 1) * P(0, 1),
+                  P(-3, 1) * P(5, 1) * P(2, 1)):
+            for eps in (DEFAULT_EPSILON, F(1, 2), F(4)):
+                assert spectral_radius_enclosure(p, eps) == fold_radius_enclosure(p, eps)
+                assert _radius_witness(p, eps) == fold_witness(p, eps)
+
+    def test_negative_spectrum_radius_builds_no_double_degree_chain(self, monkeypatch):
+        degrees = []
+
+        class SpyChain(spectra._SturmChain):
+            def __init__(self, sf):
+                degrees.append(sf.degree)
+                super().__init__(sf)
+
+        monkeypatch.setattr(spectra, "_SturmChain", SpyChain)
+        for c in [P(1, 3, 1), P(2, 1) * P(3, 1) * P(5, 1)] + [
+                coxeter_polynomial(fixture_graph(name))
+                for name in ("a2", "p3-alt", "paper-5", "p5", "k33")]:
+            degrees.clear()
+            spectral_radius_enclosure(c, DEFAULT_EPSILON)
+            assert degrees and max(degrees) <= c.degree
+
+
 class TestInterlacing:
     def test_fixture_extensions_interlace(self):
         a2, p3 = fixture_graph("a2"), fixture_graph("p3-alt")
@@ -169,8 +295,8 @@ class TestInterlacing:
         assert interlace_check(alexander_polynomial(a2), alexander_polynomial(p3)) is True
 
     def test_adjacency_remark_pair_does_not_interlace(self):
-        p5 = mat_charpoly(adjacency_matrix(fixture_graph("p5")))
-        k33 = mat_charpoly(adjacency_matrix(fixture_graph("k33")))
+        p5 = adjacency_matrix(fixture_graph("p5")).charpoly()
+        k33 = adjacency_matrix(fixture_graph("k33")).charpoly()
         assert interlace_check(p5, k33) is False
 
     def test_shared_root_allowed(self):
@@ -220,7 +346,6 @@ class TestCorrespondence:
             assert correspondence_check(fixture_graph(name)) is True
 
     def test_exhaustive_small_trees(self):
-        from coxlinks.graphs import enumerate_alternating_trees
         for n in (2, 3, 4):
             for g in enumerate_alternating_trees(n):
                 assert correspondence_check(g) is True
