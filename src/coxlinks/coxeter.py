@@ -167,6 +167,40 @@ def verify_proof_identities(g: MixedSignCoxeterGraph):
     return True
 
 
+def correspondence_check(g: MixedSignCoxeterGraph) -> bool:
+    """Certify the eigenvalue correspondence 2 + lam + 1/lam = -alpha^2
+    between the adjacency spectrum and the bipartite Coxeter spectrum of
+    an alternating-sign graph, in its exact form (A'Campo, Invent. Math.
+    33, 1976).
+
+    With s the size of the smaller sign class S, B the s x (n - s)
+    biadjacency matrix and q = det(yI - B B^T), where B B^T is A^2 on S,
+    two polynomial identities are checked:
+        chi_A(x) = x^(n-2s) q(x^2),
+        c(t) = (-1)^s (t+1)^(n-2s) sum_k q_k (-(t+1)^2)^k t^(s-k).
+    The exact matrix identities are checked first.
+    """
+    if verify_proof_identities(g) is not True:
+        return False
+    bip = sign_bipartition(g)
+    small = sorted(min(bip.part_plus, bip.part_minus, key=len))
+    n, s = g.n, len(small)
+    a = adjacency_matrix(g)
+    a2 = (a @ a).rows
+    q = IntMatrix([[a2[i][j] for j in small] for i in small]).charpoly().coeffs
+    chi = [0] * (n + 1)
+    chi[n - 2 * s::2] = q
+    # homogeneous Horner: acc = sum_k q_k u^k t^(s-k) with u = -(t+1)^2
+    u = IntPolynomial([-1, -2, -1])
+    acc = IntPolynomial([q[s]])
+    for k in range(s - 1, -1, -1):
+        acc = acc * u + IntPolynomial([0] * (s - k) + [q[k]])
+    for _ in range(n - 2 * s):
+        acc = acc * IntPolynomial([1, 1])
+    c = -acc if s % 2 else acc
+    return a.charpoly() == IntPolynomial(chi) and coxeter_polynomial(g) == c
+
+
 @dataclass(frozen=True)
 class CoxeterSystem:
     """Graph together with its derived exact matrices."""

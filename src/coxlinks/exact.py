@@ -113,10 +113,6 @@ class IntPolynomial:
         """Return p(-t)."""
         return IntPolynomial(c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs))
 
-    def reversed_coeffs(self) -> "IntPolynomial":
-        """Return t**deg * p(1/t), the coefficient-reversed polynomial."""
-        return IntPolynomial(reversed(self.coeffs))
-
     def content(self) -> int:
         """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
         g = 0

@@ -100,12 +100,6 @@ class MixedSignCoxeterGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self._edge_set
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise GraphError(f"unknown vertex {name!r}") from None
-
     def edge_names(self) -> frozenset[frozenset[str]]:
         return frozenset(frozenset((self.names[i], self.names[j])) for i, j in self.edges)
 

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .exact import (IntPolynomial, _pseudo_rem_positive, poly_divexact,
                     poly_gcd, squarefree_decomposition, squarefree_part)
-from .graphs import MixedSignCoxeterGraph, adjacency_matrix
-from .coxeter import coxeter_transformation, verify_proof_identities
 
 _ZERO = Fraction(0)
 DEFAULT_EPSILON = Fraction(1, 10 ** 9)
@@ -44,16 +41,6 @@ class RationalInterval:
 
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
-
-    def intersects(self, other: "RationalInterval") -> bool:
-        return not (self.hi < other.lo or other.hi < self.lo)
-
-    def abs(self) -> "RationalInterval":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return RationalInterval(-self.hi, -self.lo)
-        return RationalInterval(_ZERO, max(-self.lo, self.hi))
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -437,113 +424,3 @@ def min_root_interval(p: IntPolynomial, eps: Fraction | None = None) -> tuple[In
         iv = _refine(sf, iv, eps)
     return sf, iv
 
-
-def _sqrt_lower(x: Fraction, bits: int) -> Fraction:
-    n = 1 << bits
-    return Fraction(isqrt(x.numerator * n * n // x.denominator), n)
-
-
-def _sqrt_upper(x: Fraction, bits: int) -> Fraction:
-    n = 1 << bits
-    m = -((-x.numerator * n * n) // x.denominator)  # ceil
-    r = isqrt(m)
-    if r * r < m:
-        r += 1
-    return Fraction(r, n)
-
-
-def _deflate(p: IntPolynomial, r: Fraction) -> IntPolynomial:
-    # divide by (den*t - num) and drop the content
-    return poly_divexact(p, IntPolynomial([-r.numerator, r.denominator])).primitive()
-
-
-def correspondence_check(g: MixedSignCoxeterGraph, max_rounds: int = 80) -> bool:
-    """Certify the eigenvalue correspondence 2 + lam + 1/lam = -alpha^2
-    between the adjacency spectrum and the bipartite Coxeter spectrum of
-    an alternating-sign graph.
-
-    Interval route: each adjacency enclosure [alpha] is pushed through
-    the quadratic lam^2 + (2 + alpha^2) lam + 1 = 0 with outward-rounded
-    rational arithmetic and matched to exactly one Coxeter enclosure of
-    the same multiplicity.  The exact matrix identities are checked
-    first as the algebraic backstop.
-    """
-    if verify_proof_identities(g) is not True:
-        return False
-    a = adjacency_matrix(g).charpoly()
-    c = coxeter_transformation(g).charpoly()
-    n = g.n
-    # bipartite adjacency spectrum is symmetric
-    if a.mirror() != (a if n % 2 == 0 else -a):
-        return False
-    if not is_real_rooted(a) or not is_real_rooted(c):
-        return False
-    iso_a = isolate_real_roots(a, Fraction(1, 1 << 8))
-    iso_c = isolate_real_roots(c, Fraction(1, 1 << 8))
-    if iso_a.total_multiplicity != n or iso_c.total_multiplicity != n:
-        return False
-    c_ivs = [iv for iv, _ in iso_c.roots]
-    c_mults = [m for _, m in iso_c.roots]
-    consumed = [0] * len(c_ivs)
-
-    zero_mult = next(i for i, coef in enumerate(a.coeffs) if coef != 0)
-    if zero_mult:
-        if c.eval(-1) != 0 or _rational_root_multiplicity(c, Fraction(-1)) != zero_mult:
-            return False
-        idx = next((k for k, iv in enumerate(c_ivs) if iv.contains(Fraction(-1))), None)
-        if idx is None or c_mults[idx] != zero_mult:
-            return False
-        consumed[idx] += zero_mult
-
-    sf_a = iso_a.squarefree
-    sf_c = iso_c.squarefree
-    for iv, mult in iso_a.roots:
-        if _root_is_zero(sf_a, iv):
-            continue
-        while iv.contains(_ZERO):
-            iv = _halve(sf_a, iv)
-        if iv.hi < 0:
-            continue  # negative partner of a positive root; counted once below
-        alpha = iv
-        bits = 32
-        for _ in range(max_rounds):
-            lam_minus, lam_plus = _lambda_intervals(alpha, bits)
-            hit_minus = [k for k, civ in enumerate(c_ivs) if civ.intersects(lam_minus)]
-            hit_plus = [k for k, civ in enumerate(c_ivs) if civ.intersects(lam_plus)]
-            if len(hit_minus) == 1 and len(hit_plus) == 1:
-                km, kp = hit_minus[0], hit_plus[0]
-                if km == kp or c_mults[km] != mult or c_mults[kp] != mult:
-                    return False
-                consumed[km] += mult
-                consumed[kp] += mult
-                break
-            alpha = _halve(sf_a, alpha)
-            c_ivs = [_halve(sf_c, civ) for civ in c_ivs]
-            bits += 16
-        else:
-            raise RuntimeError("correspondence refinement did not converge")
-    return consumed == c_mults
-
-
-def _root_is_zero(sf: IntPolynomial, iv: RationalInterval) -> bool:
-    return sf.eval_sign(_ZERO) == 0 and iv.contains(_ZERO)
-
-
-def _rational_root_multiplicity(p: IntPolynomial, r: Fraction) -> int:
-    m = 0
-    while not p.is_zero and p.eval(r) == 0:
-        p = _deflate(p, r)
-        m += 1
-    return m
-
-
-def _lambda_intervals(alpha: RationalInterval, bits: int) -> tuple[RationalInterval, RationalInterval]:
-    """Outward-rounded solutions of lam^2 + (2 + alpha^2) lam + 1 = 0
-    over a positive interval for alpha."""
-    lo2, hi2 = alpha.lo ** 2, alpha.hi ** 2
-    b_lo, b_hi = 2 + lo2, 2 + hi2
-    s_lo = _sqrt_lower(b_lo * b_lo - 4, bits)
-    s_hi = _sqrt_upper(b_hi * b_hi - 4, bits)
-    lam_minus = RationalInterval((-b_hi - s_hi) / 2, (-b_lo - s_lo) / 2)
-    lam_plus = RationalInterval((-b_hi + s_lo) / 2, min((-b_lo + s_hi) / 2, _ZERO))
-    return lam_minus, lam_plus

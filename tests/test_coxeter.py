@@ -1,6 +1,7 @@
 """Reflections, Coxeter transformations, Seifert data, proof identities."""
 
 import itertools
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from coxlinks.coxeter import (
     alexander_polynomial,
     bilinear_form,
     bipartite_factors,
+    correspondence_check,
     coxeter_polynomial,
     coxeter_transformation,
     homological_monodromy,
@@ -18,13 +20,17 @@ from coxlinks.coxeter import (
     seifert_matrix,
     verify_proof_identities,
 )
-from coxlinks.exact import IntMatrix
+from coxlinks.exact import IntMatrix, IntPolynomial
 from coxlinks.fixtures import fixture_graph
 from coxlinks.graphs import (
     Bipartition,
     NotAlternatingError,
+    adjacency_matrix,
     enumerate_alternating_trees,
     parse_graph,
+    random_alternating_tree,
+    random_edge_augmentation,
+    random_vertex_extension,
     sign_bipartition,
 )
 
@@ -52,6 +58,23 @@ C_BIPARTITE_5 = -1 * IntMatrix([
 ])
 
 LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+
+ALTERNATING_FIXTURES = ("a2", "p3-alt", "paper-5", "p5", "k33")
+
+
+def seeded_graphs_with_cycles(count: int = 60, seed: int = 2015):
+    """Alternating graphs with at least one cycle and 3 <= n <= 17: random
+    trees with random opposite-sign edges added, half of them then
+    extended by a vertex."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = random_edge_augmentation(random_alternating_tree(rng.randint(3, 16), rng), rng)
+        if rng.random() < 0.5:
+            g = random_vertex_extension(g, rng)
+        if g.edge_count >= g.n:
+            out.append(g)
+    return out
 
 
 class TestBilinearAndReflections:
@@ -216,3 +239,58 @@ class TestCoxeterSystem:
         assert s.c_bipartite == C_BIPARTITE_5
         assert s.bilinear == bilinear_form(g)
         assert s.bipartition == sign_bipartition(g)
+
+
+class TestCorrespondence:
+    def test_fixtures(self):
+        for name in ALTERNATING_FIXTURES:
+            assert correspondence_check(fixture_graph(name)) is True
+
+    def test_exhaustive_small_trees(self):
+        for n in range(2, 6):
+            for g in enumerate_alternating_trees(n):
+                assert correspondence_check(g) is True
+
+    def test_every_tree_class_through_eight_vertices(self):
+        for n in range(2, 9):
+            for g in enumerate_alternating_trees(n, dedup=True):
+                assert correspondence_check(g) is True
+
+    def test_seeded_graphs_with_cycles(self):
+        graphs = seeded_graphs_with_cycles()
+        assert max(g.n for g in graphs) == 17
+        for g in graphs:
+            assert correspondence_check(g) is True
+
+    def test_any_wrong_coxeter_coefficient_fails(self, monkeypatch):
+        g = fixture_graph("paper-5")
+        coeffs = list(coxeter_polynomial(g).coeffs)
+        for k in range(len(coeffs)):
+            wrong = IntPolynomial(coeffs[:k] + [coeffs[k] + 1] + coeffs[k + 1:])
+            monkeypatch.setattr(coxeter, "coxeter_polynomial", lambda _, p=wrong: p)
+            assert correspondence_check(g) is False
+
+    def test_contract(self):
+        with pytest.raises(NotAlternatingError):
+            correspondence_check(fixture_graph("e10-classical"))
+        with pytest.raises(ValueError):
+            correspondence_check(parse_graph("vertex a +\n"))
+
+
+class TestCharpolyAgainstSympy:
+    """Berkowitz against sympy's Matrix.charpoly on every matrix whose
+    characteristic polynomial the package certifies."""
+
+    def test_berkowitz_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        graphs = [fixture_graph(name) for name in ALTERNATING_FIXTURES]
+        for g in graphs + seeded_graphs_with_cycles():
+            bip = sign_bipartition(g)
+            small, large = sorted((sorted(bip.part_plus), sorted(bip.part_minus)), key=len)
+            b = sympy.Matrix([[int(g.has_edge(i, j)) for j in large] for i in small])
+            system = CoxeterSystem.build(g)
+            for m in (adjacency_matrix(g), system.c_plus, system.c_minus,
+                      system.c_bipartite, homological_monodromy(g),
+                      IntMatrix((b * b.T).tolist())):
+                expect = sympy.Matrix(m.rows).charpoly().all_coeffs()
+                assert m.charpoly().coeffs == tuple(int(x) for x in reversed(expect))

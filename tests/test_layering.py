@@ -1,0 +1,48 @@
+"""Layering: the polynomial layers import no graph-level module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import coxlinks
+
+PACKAGE = Path(coxlinks.__file__).parent
+GRAPH_LEVEL = {"graphs", "coxeter", "analysis", "cli"}
+
+
+def imported_submodules(path: Path) -> set[str]:
+    """Names of the coxlinks modules a source file imports, relative or
+    absolute."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "coxlinks":
+                    found.update(parts[1:2])
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "coxlinks":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("module", ["exact.py", "spectra.py"])
+def test_polynomial_layer_imports_no_graph_module(module):
+    assert not imported_submodules(PACKAGE / module) & GRAPH_LEVEL
+
+
+def test_import_parser_sees_every_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("import os\nimport coxlinks.cli\nfrom . import graphs\n"
+                   "from .coxeter import x\nfrom coxlinks.analysis import y\n"
+                   "from coxlinks import exact\n")
+    assert imported_submodules(src) == {"cli", "graphs", "coxeter", "analysis", "exact"}
+    assert {"exact", "graphs"} <= imported_submodules(PACKAGE / "coxeter.py")

@@ -20,7 +20,6 @@ from coxlinks.spectra import (
     RationalInterval,
     cauchy_bound,
     compare_isolated_roots,
-    correspondence_check,
     interlace_check,
     is_real_rooted,
     is_real_stable,
@@ -338,17 +337,6 @@ class TestCompareIsolatedRoots:
         ia = max_real_root(a, F(1, 4))
         ib = max_real_root(b, F(1, 4))
         assert compare_isolated_roots(a, ia, b, ib) == 1
-
-
-class TestCorrespondence:
-    def test_fixtures(self):
-        for name in ("a2", "p3-alt", "paper-5", "p5", "k33"):
-            assert correspondence_check(fixture_graph(name)) is True
-
-    def test_exhaustive_small_trees(self):
-        for n in (2, 3, 4):
-            for g in enumerate_alternating_trees(n):
-                assert correspondence_check(g) is True
 
 
 class TestRationalInterval:
