@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxeter import (
-    CoxeterSystem,
     _alexander_from_coxeter,
     coxeter_polynomial,
+    coxeter_transformation,
     homological_monodromy,
     verify_proof_identities,
 )
-from .exact import IntPolynomial, fraction_to_decimal, squarefree_part
+from .exact import IntPolynomial, fraction_to_decimal
 from .graphs import (
     MixedSignCoxeterGraph,
     enumerate_alternating_trees,
@@ -36,8 +36,6 @@ from .spectra import (
     RationalInterval,
     _mirror_chain,
     _radius_cell,
-    _SturmChain,
-    cauchy_bound,
     compare_isolated_roots,
     interlace_check,
     is_real_stable,
@@ -221,8 +219,8 @@ def analyze(g: MixedSignCoxeterGraph,
     if eps <= 0:
         raise ValueError("epsilon must be positive")
 
+    c = coxeter_polynomial(g)
     if not is_alternating_sign(g):
-        c = coxeter_polynomial(g)
         try:
             mrr = max_real_root(c, eps)
         except ValueError:
@@ -233,8 +231,6 @@ def analyze(g: MixedSignCoxeterGraph,
             plateau_k=None, log_concave=None, biorderable_implied=None,
             proof_identities_ok=None, spectral_radius=None, max_real_root=mrr)
 
-    system = CoxeterSystem.build(g)
-    c = system.c_bipartite.charpoly()
     delta = _alexander_from_coxeter(g, c)
     real_stable = is_real_stable(delta)
     sign_alt = sign_alternation_check(delta)
@@ -349,27 +345,21 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
         if not ok and counterexample is None:
             counterexample = f"# failed check: {name}\n{graph_to_text(g)}"
 
-    def safe_interlace(p: IntPolynomial, q: IntPolynomial) -> bool:
-        try:
-            return interlace_check(p, q)
-        except ValueError:
-            return False
-
     rng = random.Random(seed)
     for n in range(2, n_max + 1):
         for g in enumerate_alternating_trees(n, dedup=dedup):
             graphs += 1
-            system = CoxeterSystem.build(g)
-            c = system.c_bipartite.charpoly()
+            c_bipartite = coxeter_transformation(g)
+            c = c_bipartite.charpoly()
             delta = _alexander_from_coxeter(g, c)
             # Delta = +-c(-t): every root of c real and negative iff Delta
             # is real stable, so one computation serves both checks
             real_stable = is_real_stable(delta)
-            record("symmetry", system.c_bipartite.is_symmetric(), g)
+            record("symmetry", c_bipartite.is_symmetric(), g)
             record("real-negative-spectrum", real_stable, g)
             record("proof-identities", bool(verify_proof_identities(g)), g)
             monodromy_cp = homological_monodromy(g).charpoly()
-            negated_cp = (-system.c_bipartite).charpoly()
+            negated_cp = (-c_bipartite).charpoly()
             record("monodromy-charpoly",
                    monodromy_cp == delta and negated_cp == delta, g)
             record("reciprocality", c.coeffs == tuple(reversed(c.coeffs)), g)
@@ -382,12 +372,15 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
             base = random_alternating_tree(n, rng)
             ext = random_vertex_extension(base, rng)
             graphs += 2
-            c_base, c_ext = coxeter_polynomial(base), coxeter_polynomial(ext)
-            record("coxeter-interlacing", safe_interlace(c_base, c_ext), ext)
-            record("alexander-interlacing",
-                   safe_interlace(_alexander_from_coxeter(base, c_base),
-                                  _alexander_from_coxeter(ext, c_ext)),
-                   ext)
+            # Delta = +-c(-t), so the Coxeter verdict is also the
+            # Alexander one (see interlace_check)
+            try:
+                interlaced = interlace_check(coxeter_polynomial(base),
+                                             coxeter_polynomial(ext))
+            except ValueError:
+                interlaced = False
+            record("coxeter-interlacing", interlaced, ext)
+            record("alexander-interlacing", interlaced, ext)
 
             small = random_alternating_tree(n, rng)
             large = random_edge_augmentation(small, rng)
@@ -428,18 +421,6 @@ class MinSearchResult:
         return "\n".join(lines)
 
 
-def _radius_at_least(c: IntPolynomial, bound: Fraction) -> bool:
-    """True when some root of c has |root| >= bound, by two Sturm counts
-    on one chain.  A root exactly at +bound is missed, which only ever
-    skips the pruning shortcut, never a potential new minimum."""
-    sf = squarefree_part(c)
-    chain = _SturmChain(sf)
-    b = cauchy_bound(sf)
-    if bound > b:
-        return False
-    return chain.count(-b, -bound) + chain.count(bound, b) >= 1
-
-
 _SPOT_ASSERTS_PER_SIZE = 5
 
 
@@ -448,11 +429,16 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
     """Exhaustive minimum of the spectral radius over alternating trees
     with 2..n_max vertices.
 
-    Ties keep the earliest tree in enumeration order.  Trees whose radius
-    provably cannot beat the current best are pruned by a Sturm count;
-    survivors are compared exactly, so overlapping enclosures never
-    misrank candidates.  Along the way a few leaf-removal pairs per size
-    spot-check radius monotonicity and raise on any violation.
+    Ties keep the earliest tree in enumeration order.  Each tree gets one
+    Sturm chain, of sf(-t) for sf the squarefree part of c.  A tree with
+    a root of modulus at least hi, the upper end of the best enclosure,
+    cannot beat the best and is pruned by two counts on that chain.  A
+    root at exactly -hi is missed, which only skips the shortcut: such a
+    tree at best ties, and a tie never replaces the best.  Survivors
+    descend on the same chain and are compared exactly, so overlapping
+    enclosures never misrank candidates.  Along the way a few
+    leaf-removal pairs per size spot-check radius monotonicity and raise
+    on any violation.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -467,10 +453,14 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
         for g in enumerate_alternating_trees(n, dedup=dedup):
             examined += 1
             c = coxeter_polynomial(g)
-            if best is not None and _radius_at_least(c, best[1].hi):
+            chain, bound = _mirror_chain(c)
+            # roots of chain.poly in (-bound, -hi] or (hi, bound] are the
+            # roots r of c with r >= hi or r < -hi
+            if best is not None and (chain.count(-bound, -best[1].hi)
+                                     + chain.count(best[1].hi, bound)) >= 1:
                 pruned += 1
             else:
-                folded, iv = _radius_witness(c, eps)
+                folded, iv = _radius_cell(chain, bound, eps)
                 if best is None or compare_isolated_roots(
                         folded, iv, best[0], best[1]) < 0:
                     best = (folded, iv, g)
@@ -478,7 +468,9 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
                 spot_left -= 1
                 leaf = next(i for i in range(g.n) if len(g.neighbors[i]) == 1)
                 sub = remove_vertex(g, leaf)
-                if not _radius_leq(coxeter_polynomial(sub), c):
+                if compare_isolated_roots(
+                        *_radius_witness(coxeter_polynomial(sub), _WITNESS_EPS),
+                        *_radius_cell(chain, bound, _WITNESS_EPS)) > 0:
                     raise RuntimeError(
                         "radius monotonicity violated by leaf removal\n"
                         + graph_to_text(g))

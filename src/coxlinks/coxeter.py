@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import IntMatrix, IntPolynomial
-from .graphs import (Bipartition, MixedSignCoxeterGraph, NotAlternatingError,
-                     adjacency_matrix, graph_to_text, is_alternating_sign,
-                     sign_bipartition, two_coloring)
+from .graphs import (MixedSignCoxeterGraph, NotAlternatingError, adjacency_matrix,
+                     graph_to_text, is_alternating_sign, sign_bipartition,
+                     two_coloring)
 
 
 def bilinear_form(g: MixedSignCoxeterGraph) -> IntMatrix:
@@ -43,15 +43,6 @@ def reflection(g: MixedSignCoxeterGraph, i: int) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def _validate_bipartition(g: MixedSignCoxeterGraph, bip: Bipartition) -> None:
-    allv = frozenset(range(g.n))
-    if bip.part_plus | bip.part_minus != allv or bip.part_plus & bip.part_minus:
-        raise ValueError("bipartition must split the vertex set")
-    for i, j in g.edges:
-        if (i in bip.part_plus) == (j in bip.part_plus):
-            raise ValueError("bipartition has an edge inside a part")
-
-
 def _part_product(g: MixedSignCoxeterGraph, part: frozenset[int]) -> IntMatrix:
     # The reflections of an independent set commute and each one touches
     # only its own row, so their product is assembled in a single pass.
@@ -65,33 +56,27 @@ def _part_product(g: MixedSignCoxeterGraph, part: frozenset[int]) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def bipartite_factors(g: MixedSignCoxeterGraph,
-                      bipartition: Bipartition | None = None) -> tuple[IntMatrix, IntMatrix]:
-    """(C+, C-): products of the reflections over the two parts.
-
-    Defaults to the sign bipartition for alternating-sign graphs and to
-    a breadth-first 2-coloring otherwise (the classical case).
-    """
-    if bipartition is None:
-        bipartition = sign_bipartition(g) if is_alternating_sign(g) else two_coloring(g)
-    else:
-        _validate_bipartition(g, bipartition)
-    return _part_product(g, bipartition.part_plus), _part_product(g, bipartition.part_minus)
+def bipartite_factors(g: MixedSignCoxeterGraph) -> tuple[IntMatrix, IntMatrix]:
+    """(C+, C-): products of the reflections over the two parts of the
+    sign bipartition for alternating-sign graphs, and of a breadth-first
+    2-coloring otherwise (the classical case)."""
+    bip = sign_bipartition(g) if is_alternating_sign(g) else two_coloring(g)
+    return _part_product(g, bip.part_plus), _part_product(g, bip.part_minus)
 
 
-def coxeter_transformation(g: MixedSignCoxeterGraph,
-                           bipartition: Bipartition | None = None) -> IntMatrix:
-    c_plus, c_minus = bipartite_factors(g, bipartition)
+def coxeter_transformation(g: MixedSignCoxeterGraph) -> IntMatrix:
+    c_plus, c_minus = bipartite_factors(g)
     return c_plus @ c_minus
 
 
-def coxeter_polynomial(g: MixedSignCoxeterGraph,
-                       bipartition: Bipartition | None = None) -> IntPolynomial:
+def coxeter_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
     """Characteristic polynomial of the bipartite Coxeter transformation."""
-    return coxeter_transformation(g, bipartition).charpoly()
+    return coxeter_transformation(g).charpoly()
 
 
-def _require_alternating(g: MixedSignCoxeterGraph, what: str) -> None:
+def require_alternating(g: MixedSignCoxeterGraph, what: str) -> None:
+    """Contract of every alternating-only construction: raises
+    NotAlternatingError, or ValueError below two vertices, naming what."""
     if not is_alternating_sign(g):
         raise NotAlternatingError(f"{what} needs an alternating-sign graph")
     if g.n < 2:
@@ -101,7 +86,7 @@ def _require_alternating(g: MixedSignCoxeterGraph, what: str) -> None:
 def seifert_matrix(g: MixedSignCoxeterGraph) -> IntMatrix:
     """Seifert matrix -C+ of the link associated with an
     alternating-sign graph."""
-    _require_alternating(g, "seifert_matrix")
+    require_alternating(g, "seifert_matrix")
     c_plus, _ = bipartite_factors(g)
     return -c_plus
 
@@ -123,14 +108,14 @@ def homological_monodromy(g: MixedSignCoxeterGraph) -> IntMatrix:
 def _alexander_from_coxeter(g: MixedSignCoxeterGraph, c: IntPolynomial) -> IntPolynomial:
     """Alexander polynomial (-1)^n c(-t) of g from its Coxeter
     polynomial c, for callers that already hold c."""
-    _require_alternating(g, "alexander_polynomial")
+    require_alternating(g, "alexander_polynomial")
     return c.mirror() if c.degree % 2 == 0 else -c.mirror()
 
 
 def alexander_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
     """Monic normalization (-1)^n c(-t) of the Coxeter polynomial; equal
     to the characteristic polynomial of the homological monodromy."""
-    _require_alternating(g, "alexander_polynomial")
+    require_alternating(g, "alexander_polynomial")
     return _alexander_from_coxeter(g, coxeter_polynomial(g))
 
 
@@ -151,7 +136,7 @@ def verify_proof_identities(g: MixedSignCoxeterGraph):
     Returns True, or an IdentityMismatch naming the first identity that
     fails (which would falsify the spectral correspondence).
     """
-    _require_alternating(g, "verify_proof_identities")
+    require_alternating(g, "verify_proof_identities")
     c_plus, c_minus = bipartite_factors(g)
     c = c_plus @ c_minus
     s = c_plus + c_minus
@@ -199,25 +184,3 @@ def correspondence_check(g: MixedSignCoxeterGraph) -> bool:
         acc = acc * IntPolynomial([1, 1])
     c = -acc if s % 2 else acc
     return a.charpoly() == IntPolynomial(chi) and coxeter_polynomial(g) == c
-
-
-@dataclass(frozen=True)
-class CoxeterSystem:
-    """Graph together with its derived exact matrices."""
-
-    graph: MixedSignCoxeterGraph
-    bipartition: Bipartition
-    bilinear: IntMatrix
-    c_plus: IntMatrix
-    c_minus: IntMatrix
-    c_bipartite: IntMatrix
-
-    @classmethod
-    def build(cls, g: MixedSignCoxeterGraph,
-              bipartition: Bipartition | None = None) -> "CoxeterSystem":
-        if bipartition is None:
-            bipartition = sign_bipartition(g) if is_alternating_sign(g) else two_coloring(g)
-        else:
-            _validate_bipartition(g, bipartition)
-        c_plus, c_minus = bipartite_factors(g, bipartition)
-        return cls(g, bipartition, bilinear_form(g), c_plus, c_minus, c_plus @ c_minus)

@@ -213,28 +213,24 @@ def two_coloring(g: MixedSignCoxeterGraph) -> Bipartition:
     return Bipartition(plus, frozenset(range(g.n)) - plus)
 
 
-def vertex_extension(g: MixedSignCoxeterGraph, sign: Sign, neighbors: Iterable[int],
-                     name: str | None = None,
-                     require_alternating: bool = True) -> MixedSignCoxeterGraph:
-    """Attach one new vertex with the given sign and neighbor set."""
+def vertex_extension(g: MixedSignCoxeterGraph, sign: Sign,
+                     neighbors: Iterable[int]) -> MixedSignCoxeterGraph:
+    """Attach one new vertex with the given sign and neighbor set, named
+    v<k> for the least k >= n not yet taken."""
     nbrs = sorted(set(neighbors))
     if not nbrs:
         raise GraphError("vertex extension needs a nonempty neighbor set")
     if any(not 0 <= v < g.n for v in nbrs):
         raise GraphError("extension neighbor out of range")
-    if require_alternating and any(g.signs[v] == sign for v in nbrs):
+    if any(g.signs[v] == sign for v in nbrs):
         raise NotAlternatingError(
             "extension would join two vertices of equal sign")
-    if name is None:
-        k = g.n
-        while f"v{k}" in g.names:
-            k += 1
-        name = f"v{k}"
-    elif name in g.names:
-        raise GraphError(f"duplicate vertex name {name!r}")
+    k = g.n
+    while f"v{k}" in g.names:
+        k += 1
     new = g.n
     return MixedSignCoxeterGraph(
-        g.names + (name,),
+        g.names + (f"v{k}",),
         g.signs + (sign,),
         g.edges + tuple((v, new) for v in nbrs))
 
@@ -414,15 +410,14 @@ def random_vertex_extension(g: MixedSignCoxeterGraph, rng: random.Random) -> Mix
     return vertex_extension(g, sign, rng.sample(candidates, k))
 
 
-def random_edge_augmentation(g: MixedSignCoxeterGraph, rng: random.Random,
-                             max_new: int = 3) -> MixedSignCoxeterGraph:
-    """Add up to max_new random opposite-sign non-edges; the result
+def random_edge_augmentation(g: MixedSignCoxeterGraph, rng: random.Random) -> MixedSignCoxeterGraph:
+    """Add up to three random opposite-sign non-edges; the result
     contains g as a label-preserving subgraph on the same vertex set."""
     candidates = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
                   if g.signs[i] != g.signs[j] and not g.has_edge(i, j)]
     if not candidates:
         return g
-    k = rng.randint(0, min(max_new, len(candidates)))
+    k = rng.randint(0, min(3, len(candidates)))
     out = g
     for i, j in rng.sample(candidates, k):
         out = add_edge(out, i, j)

@@ -219,6 +219,15 @@ def _root_in(factor: IntPolynomial, iv: RationalInterval) -> bool:
     return factor.eval_sign(iv.lo) * factor.eval_sign(iv.hi) < 0
 
 
+def _factor_product(decomp: list[tuple[IntPolynomial, int]]) -> IntPolynomial:
+    """The squarefree part, as the product of Yun factors already in
+    hand, so no further gcd is taken."""
+    sf = IntPolynomial([1])
+    for f, _ in decomp:
+        sf = sf * f
+    return sf
+
+
 def isolate_real_roots(p: IntPolynomial, eps: Fraction = DEFAULT_EPSILON) -> RootIsolation:
     """Isolate every distinct real root of p with multiplicity, each in
     an interval of width <= eps."""
@@ -227,9 +236,7 @@ def isolate_real_roots(p: IntPolynomial, eps: Fraction = DEFAULT_EPSILON) -> Roo
     if eps <= 0:
         raise ValueError("eps must be positive")
     decomp = squarefree_decomposition(p)
-    sf = IntPolynomial([1])
-    for f, _ in decomp:
-        sf = sf * f
+    sf = _factor_product(decomp)
     chain = _SturmChain(sf)
     intervals = _separate(sf, [_refine(sf, iv, eps) for iv in _isolate_squarefree(chain)])
     roots = []
@@ -240,28 +247,21 @@ def isolate_real_roots(p: IntPolynomial, eps: Fraction = DEFAULT_EPSILON) -> Roo
 
 
 def is_real_rooted(p: IntPolynomial) -> bool:
-    """True when every complex root of p is real (counted with
-    multiplicity, so: the real roots exhaust the degree)."""
+    """True when every complex root of p is real.  Only distinct roots
+    matter, so one chain of the squarefree part decides it."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    for f, _ in squarefree_decomposition(p):
-        chain = _SturmChain(f)
-        b = cauchy_bound(f)
-        if chain.count(-b, b) != f.degree:
-            return False
-    return True
+    sf = squarefree_part(p)
+    b = cauchy_bound(sf)
+    return _SturmChain(sf).count(-b, b) == sf.degree
 
 
 def is_real_stable(p: IntPolynomial) -> bool:
     """True when every root of p is real and strictly positive."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    for f, _ in squarefree_decomposition(p):
-        chain = _SturmChain(f)
-        b = cauchy_bound(f)
-        if chain.count(_ZERO, b) != f.degree:
-            return False
-    return True
+    sf = squarefree_part(p)
+    return _SturmChain(sf).count(_ZERO, cauchy_bound(sf)) == sf.degree
 
 
 def max_real_root(p: IntPolynomial, eps: Fraction = DEFAULT_EPSILON) -> RationalInterval:
@@ -333,8 +333,8 @@ def _merged_root_indices(p: IntPolynomial, q: IntPolynomial):
     """
     dec_p = squarefree_decomposition(p)
     dec_q = squarefree_decomposition(q)
-    sfp = squarefree_part(p)
-    sfq = squarefree_part(q)
+    sfp = _factor_product(dec_p)
+    sfq = _factor_product(dec_q)
     g = poly_gcd(sfp, sfq)
     q_only = poly_divexact(sfq, g) if g.degree > 0 else sfq
     union = sfp * q_only
@@ -357,15 +357,23 @@ def interlace_check(p: IntPolynomial, q: IntPolynomial) -> bool:
     checks beta_1 <= alpha_1 <= beta_2 <= ... <= alpha_s <= beta_{s+1}.
 
     Shared roots are handled exactly through the gcd; distinct roots are
-    separated by bisection, so the verdict is certified either way.
+    separated by bisection, so the verdict is certified either way.  A
+    polynomial is real-rooted iff its isolated real roots, counted with
+    multiplicity, exhaust its degree.
+
+    Mirroring both inputs, t -> -t, negates every root and reverses both
+    root lists, which maps the chain onto itself; real-rootedness and the
+    degrees are unchanged.  So interlace_check(p.mirror(), q.mirror())
+    gives the same verdict, or raises the same ValueError, and callers
+    decide the Alexander pair Delta = +-c(-t) on the Coxeter pair.
     """
     if p.is_zero or q.is_zero:
         raise ValueError("interlacing needs nonzero polynomials")
     if q.degree != p.degree + 1:
         raise ValueError("degree mismatch: expected deg q = deg p + 1")
-    if not is_real_rooted(p) or not is_real_rooted(q):
-        raise ValueError("interlacing is defined for real-rooted polynomials")
     alpha, beta = _merged_root_indices(p, q)
+    if len(alpha) != p.degree or len(beta) != q.degree:
+        raise ValueError("interlacing is defined for real-rooted polynomials")
     return all(beta[i] <= alpha[i] <= beta[i + 1] for i in range(len(alpha)))
 
 
@@ -410,17 +418,3 @@ def compare_isolated_roots(p_sf: IntPolynomial, ip: RationalInterval,
                 return 0
         ip = _halve(p_sf, ip)
         iq = _halve(q_sf, iq)
-
-
-def min_root_interval(p: IntPolynomial, eps: Fraction | None = None) -> tuple[IntPolynomial, RationalInterval]:
-    """(squarefree part, enclosure of the smallest real root)."""
-    sf = squarefree_part(p)
-    chain = _SturmChain(sf)
-    intervals = _isolate_squarefree(chain)
-    if not intervals:
-        raise ValueError("polynomial has no real roots")
-    iv = intervals[0]
-    if eps is not None:
-        iv = _refine(sf, iv, eps)
-    return sf, iv
-

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxlinks import analysis, spectra
 from coxlinks.analysis import (
     analyze,
     log_concavity_check,
@@ -12,9 +13,11 @@ from coxlinks.analysis import (
     trapezoidal_check,
     verify_theorems,
 )
+from coxlinks.coxeter import coxeter_polynomial
 from coxlinks.exact import IntPolynomial
 from coxlinks.fixtures import fixture_graph
-from coxlinks.graphs import parse_graph
+from coxlinks.graphs import enumerate_alternating_trees, parse_graph
+from coxlinks.spectra import RationalInterval, cauchy_bound, sturm_count
 
 F = Fraction
 
@@ -171,6 +174,19 @@ class TestVerifyTheorems:
         assert a.render_text() == b.render_text()
         assert a.graphs_examined == b.graphs_examined
 
+    def test_one_interlacing_per_extension_trial(self, monkeypatch):
+        calls = []
+
+        def counting(p, q):
+            calls.append((p, q))
+            return spectra.interlace_check(p, q)
+
+        monkeypatch.setattr(analysis, "interlace_check", counting)
+        s = verify_theorems(4, extension_trials=3, seed=5)
+        assert len(calls) == 3 * 3
+        counters = dict((name, (p, f)) for name, p, f in s.counters)
+        assert counters["coxeter-interlacing"] == counters["alexander-interlacing"] == (9, 0)
+
     def test_contract_checks(self):
         with pytest.raises(ValueError):
             verify_theorems(1)
@@ -192,6 +208,45 @@ class TestMinSearch:
         b = min_dilatation_search(5, dedup=True)
         assert a.enclosure == b.enclosure
         assert b.trees_examined == 1 + 1 + 2 + 3
+
+    @pytest.mark.parametrize("dedup", [False, True])
+    def test_one_squarefree_part_per_tree(self, monkeypatch, dedup):
+        # every examined tree, and every leaf-removal subtree of the
+        # spot checks, takes one squarefree part, not one per step
+        calls = []
+        real_part = spectra.squarefree_part
+
+        def counting(p):
+            calls.append(p)
+            return real_part(p)
+
+        monkeypatch.setattr(spectra, "squarefree_part", counting)
+        monkeypatch.setattr(analysis, "squarefree_part", counting, raising=False)
+        r = min_dilatation_search(6, dedup=dedup)
+        spot_subtrees = sum(min(5, sum(1 for _ in enumerate_alternating_trees(n, dedup=dedup)))
+                            for n in range(3, 7))
+        assert r.trees_pruned > 0
+        assert len(calls) == r.trees_examined + spot_subtrees
+        assert not hasattr(analysis, "_radius_at_least")
+
+    @pytest.mark.parametrize("eps", [F(8), F(1, 10**9)])
+    def test_prunes_exactly_the_trees_that_cannot_win(self, eps):
+        # the 2-vertex tree is the minimum and comes first, so hi is fixed;
+        # at eps = 8 it is 4, above the radius of a few trees, which must
+        # then be kept
+        r = min_dilatation_search(5, eps=eps)
+        hi = r.enclosure.hi
+        expected = 0
+        trees = [g for n in range(2, 6) for g in enumerate_alternating_trees(n)]
+        for g in trees[1:]:
+            c = coxeter_polynomial(g)
+            assert c.eval(hi) != 0 and c.eval(-hi) != 0
+            b = cauchy_bound(c)
+            expected += (sturm_count(c, RationalInterval(-b, -hi))
+                         + sturm_count(c, RationalInterval(hi, b))) > 0
+        assert r.trees_pruned == expected
+        if eps > 1:
+            assert expected < len(trees) - 1
 
     def test_n2_baseline(self):
         r = min_dilatation_search(2)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from coxlinks import cli, spectra
 from coxlinks.analysis import VerificationSummary
 from coxlinks.cli import main
 from coxlinks.fixtures import fixture_names, fixture_text
@@ -157,6 +158,33 @@ class TestCompareCommand:
         assert "vertex extension: no" in out
         assert "coxeter interlacing: no" in out
         assert "alexander interlacing: no" in out
+
+    @pytest.mark.parametrize("small,large", [("a2", "p3-alt"), ("p5", "k33")])
+    def test_one_interlacing_per_pair(self, capsys, monkeypatch, small, large):
+        calls = []
+
+        def counting(p, q):
+            calls.append((p, q))
+            return spectra.interlace_check(p, q)
+
+        monkeypatch.setattr(cli, "interlace_check", counting)
+        code, out, _ = run_cli(capsys, "compare", small, large)
+        assert code == 0 and len(calls) == 1
+        lines = out.splitlines()
+        assert lines[1].split(": ")[1] == lines[2].split(": ")[1]
+
+    def test_alexander_contract_checked_after_interlacing(self, capsys, tmp_path):
+        single = tmp_path / "single.txt"
+        single.write_text("vertex v0 +\n")
+        code, out, err = run_cli(capsys, "compare", str(single), "a2")
+        assert code == 3 and out == ""
+        assert "alexander_polynomial needs at least two vertices" in err
+        # real-rooted Coxeter polynomials, but classical signs
+        path = tmp_path / "path.txt"
+        path.write_text("vertex a +\nvertex b -\nvertex c -\nedge a b\nedge b c\n")
+        code, out, err = run_cli(capsys, "compare", "a2", str(path))
+        assert code == 3 and out == ""
+        assert "alexander_polynomial needs an alternating-sign graph" in err
 
     def test_size_mismatch(self, capsys):
         code, _, err = run_cli(capsys, "compare", "a2", "a2")

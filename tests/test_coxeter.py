@@ -7,7 +7,6 @@ import pytest
 
 from coxlinks import coxeter
 from coxlinks.coxeter import (
-    CoxeterSystem,
     IdentityMismatch,
     alexander_polynomial,
     bilinear_form,
@@ -23,7 +22,6 @@ from coxlinks.coxeter import (
 from coxlinks.exact import IntMatrix, IntPolynomial
 from coxlinks.fixtures import fixture_graph
 from coxlinks.graphs import (
-    Bipartition,
     NotAlternatingError,
     adjacency_matrix,
     enumerate_alternating_trees,
@@ -126,12 +124,6 @@ class TestBipartiteFactors:
         for name in ("a2", "p3-alt", "paper-5", "p5", "k33"):
             assert coxeter_transformation(fixture_graph(name)).is_symmetric()
 
-    def test_rejects_invalid_bipartition(self):
-        g = fixture_graph("p3-alt")
-        bad = Bipartition(frozenset({0, 1}), frozenset({2}))
-        with pytest.raises(ValueError):
-            bipartite_factors(g, bad)
-
 
 class TestPolynomials:
     def test_five_vertex_coxeter_polynomial(self):
@@ -230,17 +222,6 @@ class TestProofIdentities:
             verify_proof_identities(fixture_graph("e10-classical"))
 
 
-class TestCoxeterSystem:
-    def test_build_bundles_consistent_matrices(self):
-        g = fixture_graph("paper-5")
-        s = CoxeterSystem.build(g)
-        assert s.c_plus == C_PLUS_5
-        assert s.c_minus == C_MINUS_5
-        assert s.c_bipartite == C_BIPARTITE_5
-        assert s.bilinear == bilinear_form(g)
-        assert s.bipartition == sign_bipartition(g)
-
-
 class TestCorrespondence:
     def test_fixtures(self):
         for name in ALTERNATING_FIXTURES:
@@ -288,9 +269,9 @@ class TestCharpolyAgainstSympy:
             bip = sign_bipartition(g)
             small, large = sorted((sorted(bip.part_plus), sorted(bip.part_minus)), key=len)
             b = sympy.Matrix([[int(g.has_edge(i, j)) for j in large] for i in small])
-            system = CoxeterSystem.build(g)
-            for m in (adjacency_matrix(g), system.c_plus, system.c_minus,
-                      system.c_bipartite, homological_monodromy(g),
+            c_plus, c_minus = bipartite_factors(g)
+            for m in (adjacency_matrix(g), c_plus, c_minus,
+                      c_plus @ c_minus, homological_monodromy(g),
                       IntMatrix((b * b.T).tolist())):
                 expect = sympy.Matrix(m.rows).charpoly().all_coeffs()
                 assert m.charpoly().coeffs == tuple(int(x) for x in reversed(expect))

@@ -1,4 +1,5 @@
-"""Layering: the polynomial layers import no graph-level module."""
+"""Layering: the polynomial layers import no graph-level module, and
+the front ends reach the lower layers through their public names."""
 
 import ast
 from pathlib import Path
@@ -34,6 +35,22 @@ def imported_submodules(path: Path) -> set[str]:
     return found
 
 
+def imported_names(path: Path) -> set[tuple[str, str]]:
+    """(coxlinks module, name) for every `from ... import name` of a
+    coxlinks module in a source file."""
+    found: set[tuple[str, str]] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "coxlinks":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.update((parts[0], alias.name) for alias in node.names)
+    return found
+
+
 @pytest.mark.parametrize("module", ["exact.py", "spectra.py"])
 def test_polynomial_layer_imports_no_graph_module(module):
     assert not imported_submodules(PACKAGE / module) & GRAPH_LEVEL
@@ -46,3 +63,21 @@ def test_import_parser_sees_every_form(tmp_path):
                    "from coxlinks import exact\n")
     assert imported_submodules(src) == {"cli", "graphs", "coxeter", "analysis", "exact"}
     assert {"exact", "graphs"} <= imported_submodules(PACKAGE / "coxeter.py")
+
+
+def test_cli_imports_no_private_name_from_coxeter_or_spectra():
+    private = {(mod, name) for mod, name in imported_names(PACKAGE / "cli.py")
+               if mod in {"coxeter", "spectra"} and name.startswith("_")}
+    assert not private
+
+
+def test_analysis_builds_no_sturm_chain_of_its_own():
+    assert ("spectra", "_SturmChain") not in imported_names(PACKAGE / "analysis.py")
+
+
+def test_name_parser_sees_relative_and_absolute_forms(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from .spectra import _SturmChain, x\nfrom coxlinks.coxeter import _y\n"
+                   "from os.path import join\nfrom . import graphs\n")
+    assert imported_names(src) == {("spectra", "_SturmChain"), ("spectra", "x"),
+                                   ("coxeter", "_y")}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from coxlinks import spectra
 from coxlinks.analysis import _radius_witness
 from coxlinks.coxeter import alexander_polynomial, coxeter_polynomial
-from coxlinks.exact import IntPolynomial, squarefree_part
+from coxlinks.exact import IntPolynomial, squarefree_decomposition, squarefree_part
 from coxlinks.fixtures import fixture_graph, fixture_names
 from coxlinks.graphs import (adjacency_matrix, enumerate_alternating_trees,
                              random_alternating_tree, random_edge_augmentation,
@@ -25,10 +25,11 @@ from coxlinks.spectra import (
     is_real_stable,
     isolate_real_roots,
     max_real_root,
-    min_root_interval,
     spectral_radius_enclosure,
     sturm_count,
 )
+
+from test_coxeter import seeded_graphs_with_cycles
 
 F = Fraction
 
@@ -164,7 +165,7 @@ class TestMaxRootAndRadius:
             spectral_radius_enclosure(P(1, 0, 1))
 
     def test_min_root_interval(self):
-        sf, iv = min_root_interval(P(1, 3, 1), F(1, 10**6))
+        iv, _ = isolate_real_roots(P(1, 3, 1), F(1, 10**6)).roots[0]
         assert abs(float(iv.midpoint) - (-2.618033988749895)) < 2e-6
 
 
@@ -285,6 +286,166 @@ class TestFastPathsAgainstOracles:
             degrees.clear()
             spectral_radius_enclosure(c, DEFAULT_EPSILON)
             assert degrees and max(degrees) <= c.degree
+
+
+def yun_loop_real_rooted(p):
+    """Reference for is_real_rooted: one Sturm chain per Yun factor."""
+    for f, _ in squarefree_decomposition(p):
+        b = cauchy_bound(f)
+        if spectra._SturmChain(f).count(-b, b) != f.degree:
+            return False
+    return True
+
+
+def yun_loop_real_stable(p):
+    """Reference for is_real_stable: one Sturm chain per Yun factor."""
+    for f, _ in squarefree_decomposition(p):
+        if spectra._SturmChain(f).count(F(0), cauchy_bound(f)) != f.degree:
+            return False
+    return True
+
+
+# factors without real roots, or with irrational ones, of degree 0 or 2
+EXTRA_FACTORS = (P(1), P(1, 0, 1), P(1, 1, 1), P(5, -2, 1), P(-2, 0, 1), P(1, 3, 1))
+
+
+@st.composite
+def polynomials_with_repeats(draw):
+    """Dyadic products (repeated roots are common) times factors with
+    complex or irrational roots."""
+    p = dyadic_product(draw(DYADIC_FACTORS))
+    for extra in draw(st.lists(st.sampled_from(EXTRA_FACTORS), max_size=2)):
+        p = p * extra
+    return p
+
+
+@st.composite
+def interlacing_candidates(draw):
+    """(p, q) with deg q = deg p + 1, often interlacing.  Either p has
+    repeated and complex roots and q is p times one more dyadic root, or
+    the roots of q are drawn in eighths, each root of p from between two
+    neighbouring roots of q, a root of p may be moved outside, and both
+    sides may pick up factors of equal degree with complex or irrational
+    roots."""
+    if draw(st.booleans()):
+        p = draw(polynomials_with_repeats())
+        return p, p * dyadic_product([draw(st.tuples(st.integers(-12, 12), st.integers(0, 3)))])
+    q_roots = sorted(draw(st.lists(st.integers(-24, 24), min_size=1, max_size=6)))
+    p_roots = [draw(st.integers(a, b)) for a, b in zip(q_roots, q_roots[1:])]
+    if p_roots and draw(st.booleans()):
+        p_roots[draw(st.integers(0, len(p_roots) - 1))] = draw(st.integers(-30, 30))
+    p = dyadic_product((r, 3) for r in p_roots)
+    q = dyadic_product((r, 3) for r in q_roots)
+    extra = draw(st.sampled_from(EXTRA_FACTORS))
+    return p * extra, q * draw(st.sampled_from([e for e in EXTRA_FACTORS
+                                                if e.degree == extra.degree]))
+
+
+def interlace_outcome(p, q):
+    try:
+        return interlace_check(p, q)
+    except ValueError as e:
+        return str(e)
+
+
+class TestOneDecisionPerRootQuestion:
+    """Real-rootedness, real stability and interlacing decided once, on
+    one squarefree part per polynomial, against the Yun-loop routes and
+    the mirrored pair."""
+
+    @given(polynomials_with_repeats())
+    @settings(max_examples=200, deadline=None)
+    def test_real_rooted_and_stable_match_yun_loop(self, p):
+        for r in (p, p.mirror(), -p):
+            assert is_real_rooted(r) == yun_loop_real_rooted(r)
+            assert is_real_stable(r) == yun_loop_real_stable(r)
+
+    def test_real_rooted_and_stable_match_yun_loop_on_graphs(self):
+        polys = sample_coxeter_polynomials()
+        polys += [alexander_polynomial(g) for g in seeded_graphs_with_cycles()]
+        polys += [coxeter_polynomial(fixture_graph(name)) for name in fixture_names()]
+        for p in polys + [P(3), P(0, 1), P(0, 0, 1, 1)]:
+            assert is_real_rooted(p) == yun_loop_real_rooted(p)
+            assert is_real_stable(p) == yun_loop_real_stable(p)
+
+    @given(interlacing_candidates())
+    @settings(max_examples=200, deadline=None)
+    def test_mirrored_pair_gives_same_verdict(self, pair):
+        p, q = pair
+        outcome = interlace_outcome(p, q)
+        assert interlace_outcome(p.mirror(), q.mirror()) == outcome
+        assert interlace_outcome(-p.mirror(), q.mirror()) == outcome
+        if outcome in (True, False):
+            assert is_real_rooted(p) and is_real_rooted(q)
+        else:
+            assert outcome == "interlacing is defined for real-rooted polynomials"
+            assert not (is_real_rooted(p) and is_real_rooted(q))
+
+    def test_coxeter_and_alexander_verdicts_agree_on_extensions(self):
+        rng = random.Random(7)
+        verdicts = set()
+        for g in seeded_graphs_with_cycles():
+            ext = random_vertex_extension(g, rng)
+            outcome = interlace_outcome(coxeter_polynomial(g), coxeter_polynomial(ext))
+            assert interlace_outcome(alexander_polynomial(g),
+                                     alexander_polynomial(ext)) == outcome
+            verdicts.add(outcome)
+        assert verdicts == {True}
+
+    def test_interlace_check_takes_one_decomposition_per_input(self, monkeypatch):
+        calls = []
+        real_decomposition = spectra.squarefree_decomposition
+
+        def counting(p):
+            calls.append(p)
+            return real_decomposition(p)
+
+        def forbidden(*_):
+            raise AssertionError("interlace_check re-derived a root question")
+
+        monkeypatch.setattr(spectra, "squarefree_decomposition", counting)
+        monkeypatch.setattr(spectra, "squarefree_part", forbidden)
+        monkeypatch.setattr(spectra, "is_real_rooted", forbidden)
+        p5 = adjacency_matrix(fixture_graph("p5")).charpoly()
+        k33 = adjacency_matrix(fixture_graph("k33")).charpoly()
+        pairs = [(coxeter_polynomial(fixture_graph("a2")),
+                  coxeter_polynomial(fixture_graph("p3-alt"))),
+                 (p5, k33), (P(1, -2, 1), P(0, 1, -2, 1)), (P(1, 0, 1), P(1, 1, 0, 1))]
+        for p, q in pairs:
+            calls.clear()
+            interlace_outcome(p, q)
+            assert calls == [p, q]
+
+
+class TestRootCountsAgainstSympy:
+    """Distinct real-root counts from Sturm chains and full isolation
+    against sympy's Poly.count_roots and real_roots."""
+
+    def test_counts_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        polys = [f(fixture_graph(name)) for name in ("a2", "p3-alt", "paper-5", "p5", "k33")
+                 for f in (coxeter_polynomial, alexander_polynomial)]
+        polys.append(coxeter_polynomial(fixture_graph("e10-classical")))
+        for g in seeded_graphs_with_cycles(20):
+            polys += [coxeter_polynomial(g), alexander_polynomial(g)]
+        polys += [P(0, 0, 0, 0, -9, 0, 1), P(1, -2, 1) * P(1, 0, 1) * P(2, 1)]
+        for p in polys:
+            ref = sympy.Poly(list(reversed(p.coeffs)), t)
+            b = cauchy_bound(p)
+            for hi in (-1, b):
+                # (-b, hi] holds the same roots as the closed [-b, hi]
+                assert sturm_count(p, RationalInterval(-b, F(hi))) == \
+                    ref.count_roots(sympy.Rational(-b), sympy.Rational(hi))
+            iso = isolate_real_roots(p, F(1, 1 << 10))
+            assert len(iso.roots) == ref.count_roots()
+            assert iso.total_multiplicity == len(sympy.real_roots(ref))
+            # sympy's own isolating cells, as narrow as ours: the k-th
+            # cells of the two must meet and carry the same multiplicity
+            cells = ref.intervals(eps=sympy.Rational(1, 1 << 10))
+            assert [m for _, m in iso.roots] == [m for _, m in cells]
+            for (iv, _), ((a, b), _) in zip(iso.roots, cells):
+                assert F(int(a.p), int(a.q)) <= iv.hi and iv.lo <= F(int(b.p), int(b.q))
 
 
 class TestInterlacing:
