@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxeter import (
+    CertificationError,
     _alexander_from_coxeter,
     coxeter_polynomial,
     coxeter_transformation,
@@ -249,7 +250,7 @@ def analyze(g: MixedSignCoxeterGraph,
         mrr = None
 
     if real_stable and not (trap and log_conc):
-        raise RuntimeError(
+        raise CertificationError(
             "report inconsistency: real-stable polynomial failed a "
             "coefficient-shape check\n" + graph_to_text(g))
 
@@ -471,7 +472,7 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
                 if compare_isolated_roots(
                         *_radius_witness(coxeter_polynomial(sub), _WITNESS_EPS),
                         *_radius_cell(chain, bound, _WITNESS_EPS)) > 0:
-                    raise RuntimeError(
+                    raise CertificationError(
                         "radius monotonicity violated by leaf removal\n"
                         + graph_to_text(g))
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 certified property violation, 2 parse error,
-3 contract violation (bad flag values, wrong graph class, size mismatch).
+3 contract violation (bad flag values, wrong graph class, size mismatch),
+4 internal error (any other failure, such as exhausted recursion).
 Standard output is deterministic for fixed inputs and flags; wall-clock
 timings go to standard error.
 """
@@ -15,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .analysis import _interval_json, analyze, min_dilatation_search, verify_theorems
-from .coxeter import coxeter_polynomial, require_alternating
+from .coxeter import CertificationError, coxeter_polynomial, require_alternating
 from .fixtures import fixture_names, fixture_text
 from .graphs import (
     GraphError,
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_CONTRACT = 3
+EXIT_INTERNAL = 4
 
 _GRAPH_ARG_HELP = "graph file path, built-in example name, or - for stdin"
 
@@ -217,9 +219,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONTRACT
-    except RuntimeError as e:
+    except CertificationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VIOLATION
+    except RuntimeError as e:  # RecursionError included
+        detail = str(e).partition("\n")[0] or type(e).__name__
+        print(f"error: internal error: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -18,6 +18,11 @@ from .graphs import (MixedSignCoxeterGraph, NotAlternatingError, adjacency_matri
                      two_coloring)
 
 
+class CertificationError(RuntimeError):
+    """A theorem check failed on exact arithmetic: a certified violation,
+    not a bad input or an internal fault."""
+
+
 def bilinear_form(g: MixedSignCoxeterGraph) -> IntMatrix:
     n = g.n
     rows = [[0] * n for _ in range(n)]
@@ -101,7 +106,7 @@ def homological_monodromy(g: MixedSignCoxeterGraph) -> IntMatrix:
     """
     m = seifert_matrix(g)
     if m @ m != IntMatrix.identity(g.n):
-        raise RuntimeError("C+ is not an involution\n" + graph_to_text(g))
+        raise CertificationError("C+ is not an involution\n" + graph_to_text(g))
     return m.transpose() @ m
 
 

@@ -317,9 +317,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows)))
 
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n))
-
     def is_symmetric(self) -> bool:
         return all(self.rows[i][j] == self.rows[j][i]
                    for i in range(self.n) for j in range(i + 1, self.n))
@@ -387,40 +384,6 @@ class IntMatrix:
                         new[m] += q[m - j] * pj
             poly = new
         return IntPolynomial(reversed(poly))
-
-    def inverse_unimodular(self) -> "IntMatrix":
-        """Inverse of a matrix with determinant +-1; exact, integer output.
-
-        Gauss-Jordan over Fraction with an integrality check at the end;
-        raises ValueError when the determinant is not a unit.
-        """
-        n = self.n
-        aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            if piv != c:
-                aug[c], aug[piv] = aug[piv], aug[c]
-                det = -det
-            det *= aug[c][c]
-            inv = 1 / aug[c][c]
-            aug[c] = [x * inv for x in aug[c]]
-            for r in range(n):
-                if r != c and aug[r][c]:
-                    f = aug[r][c]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-        if det != 1 and det != -1:
-            raise ValueError("matrix is not unimodular")
-        out = []
-        for i in range(n):
-            row = aug[i][n:]
-            if any(x.denominator != 1 for x in row):
-                raise ValueError("matrix is not unimodular")
-            out.append(tuple(int(x) for x in row))
-        return IntMatrix(tuple(out))
 
     def __repr__(self) -> str:
         body = ", ".join(str(list(r)) for r in self.rows)

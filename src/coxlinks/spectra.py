@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .exact import (IntPolynomial, _pseudo_rem_positive, poly_divexact,
                     poly_gcd, squarefree_decomposition, squarefree_part)
@@ -69,31 +70,41 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
     return 1 + Fraction(biggest, lead)
 
 
+def _signed_remainders(a: IntPolynomial, b: IntPolynomial) -> list[IntPolynomial]:
+    """Signed remainder sequence a, b, -rem(a, b), ... to its last nonzero
+    entry, each a positive multiple of the true one, so signs agree."""
+    seq = [a, b]
+    while not seq[-1].is_zero and seq[-1].degree > 0:
+        rem = _pseudo_rem_positive(seq[-2], seq[-1])
+        if rem.is_zero:
+            break
+        # content removal must not flip the sign of the entry
+        g = rem.content()
+        seq.append(IntPolynomial(-c // g for c in rem.coeffs))
+    if seq[-1].is_zero:
+        seq.pop()
+    return seq
+
+
+def _sign_changes(values) -> int:
+    """Sign variations in a sequence of numbers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 class _SturmChain:
     """Sturm chain of a squarefree polynomial, with memoized sign
     variation counts at rational points."""
 
     def __init__(self, sf: IntPolynomial):
         self.poly = sf
-        chain = [sf, sf.derivative()]
-        while not chain[-1].is_zero and chain[-1].degree > 0:
-            rem = _pseudo_rem_positive(chain[-2], chain[-1])
-            if rem.is_zero:
-                break
-            # content removal must not flip the sign of the chain entry
-            g = rem.content()
-            chain.append(IntPolynomial(-c // g for c in rem.coeffs))
-        if chain[-1].is_zero:
-            chain.pop()
-        self.chain = chain
+        self.chain = _signed_remainders(sf, sf.derivative())
         self._memo: dict[Fraction, int] = {}
 
     def variations(self, x: Fraction) -> int:
         v = self._memo.get(x)
         if v is None:
-            signs = [s for s in (p.eval_sign(x) for p in self.chain) if s != 0]
-            v = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-            self._memo[x] = v
+            v = self._memo[x] = _sign_changes(p.eval_sign(x) for p in self.chain)
         return v
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
@@ -219,15 +230,6 @@ def _root_in(factor: IntPolynomial, iv: RationalInterval) -> bool:
     return factor.eval_sign(iv.lo) * factor.eval_sign(iv.hi) < 0
 
 
-def _factor_product(decomp: list[tuple[IntPolynomial, int]]) -> IntPolynomial:
-    """The squarefree part, as the product of Yun factors already in
-    hand, so no further gcd is taken."""
-    sf = IntPolynomial([1])
-    for f, _ in decomp:
-        sf = sf * f
-    return sf
-
-
 def isolate_real_roots(p: IntPolynomial, eps: Fraction = DEFAULT_EPSILON) -> RootIsolation:
     """Isolate every distinct real root of p with multiplicity, each in
     an interval of width <= eps."""
@@ -236,7 +238,7 @@ def isolate_real_roots(p: IntPolynomial, eps: Fraction = DEFAULT_EPSILON) -> Roo
     if eps <= 0:
         raise ValueError("eps must be positive")
     decomp = squarefree_decomposition(p)
-    sf = _factor_product(decomp)
+    sf = prod((f for f, _ in decomp), start=IntPolynomial([1]))  # no more gcds
     chain = _SturmChain(sf)
     intervals = _separate(sf, [_refine(sf, iv, eps) for iv in _isolate_squarefree(chain)])
     roots = []
@@ -323,58 +325,56 @@ def spectral_radius_enclosure(p: IntPolynomial,
     return RationalInterval(max(_ZERO, iv.lo), max(_ZERO, iv.hi))
 
 
-def _merged_root_indices(p: IntPolynomial, q: IntPolynomial):
-    """Shared isolation of the roots of p and q.
-
-    Returns (alpha, beta): the roots of p and of q as weakly increasing
-    lists of indices into one ascending sequence of disjoint isolating
-    intervals, repeated per multiplicity.  Equal indices mean equal
-    roots, so chain conditions reduce to integer comparisons.
-    """
-    dec_p = squarefree_decomposition(p)
-    dec_q = squarefree_decomposition(q)
-    sfp = _factor_product(dec_p)
-    sfq = _factor_product(dec_q)
-    g = poly_gcd(sfp, sfq)
-    q_only = poly_divexact(sfq, g) if g.degree > 0 else sfq
-    union = sfp * q_only
-    if union.degree <= 0:
-        return [], []
-    chain = _SturmChain(union)
-    intervals = _separate(union, _isolate_squarefree(chain))
-    alpha: list[int] = []
-    beta: list[int] = []
-    for idx, iv in enumerate(intervals):
-        if _root_in(sfp, iv):
-            alpha.extend([idx] * next(m for f, m in dec_p if _root_in(f, iv)))
-        if _root_in(sfq, iv):
-            beta.extend([idx] * next(m for f, m in dec_q if _root_in(f, iv)))
-    return alpha, beta
-
-
 def interlace_check(p: IntPolynomial, q: IntPolynomial) -> bool:
     """Non-strict interlacing of the root multisets: with deg q = deg p + 1,
-    checks beta_1 <= alpha_1 <= beta_2 <= ... <= alpha_s <= beta_{s+1}.
+    checks beta_1 <= alpha_1 <= beta_2 <= ... <= alpha_s <= beta_{s+1}
+    without isolating a root.  Both must be real-rooted, else ValueError.
 
-    Shared roots are handled exactly through the gcd; distinct roots are
-    separated by bisection, so the verdict is certified either way.  A
-    polynomial is real-rooted iff its isolated real roots, counted with
-    multiplicity, exhaust its degree.
+    Gcd lemma.  For real-rooted p and q let D(x) = #{i : beta_i <= x} -
+    #{i : alpha_i <= x}.  beta_i <= alpha_i for all i says D >= 0
+    everywhere, and alpha_i <= beta_{i+1} for all i says D <= 1.  D jumps
+    by mult_q(r) - mult_p(r) at each root r, and dividing p and q by
+    g = gcd(p, q) lowers both multiplicities by the same amount.  So p, q
+    interlace iff f = p/g and h = q/g do.  These are coprime, so D jumps
+    up by mult_h at roots of h and down by mult_f at roots of f; going
+    from D(-inf) = 0 to D(+inf) = 1 inside [0, 1] forces simple roots
+    that alternate, h's first and last: f and h interlace strictly.
+
+    Sturm-Sylvester step.  The Cauchy index Ind(f/h) sums, over the
+    distinct real roots x of h, the jump of f/h at x: +-1 when x has odd
+    multiplicity (f(x) != 0 by coprimality), else 0.  So |Ind| = deg h
+    iff h has deg h simple real roots where the jumps, of sign
+    sign(f(x) h'(x)), agree.  h' alternates in sign over consecutive
+    simple roots, so that holds iff f changes sign between any two; as
+    deg f = deg h - 1, f then has one simple root in each gap and none
+    outside: strict interlacing.  By the Sturm-Sylvester theorem (Basu,
+    Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2),
+    Ind(f/h) = Var(-inf) - Var(+inf) on the signed remainder sequence
+    of (h, f): only leading coefficients and degrees are read.
+
+    Verdict.  A full index proves f and h real-rooted, so p = fg and
+    q = hg are real-rooted iff g is, and one count on g settles True.
+    Otherwise one count each on p and q tells False from ValueError.
 
     Mirroring both inputs, t -> -t, negates every root and reverses both
-    root lists, which maps the chain onto itself; real-rootedness and the
-    degrees are unchanged.  So interlace_check(p.mirror(), q.mirror())
-    gives the same verdict, or raises the same ValueError, and callers
+    root lists, which maps the chain onto itself and keeps degrees and
+    real-rootedness, so the verdict or ValueError is the same: callers
     decide the Alexander pair Delta = +-c(-t) on the Coxeter pair.
     """
     if p.is_zero or q.is_zero:
         raise ValueError("interlacing needs nonzero polynomials")
     if q.degree != p.degree + 1:
         raise ValueError("degree mismatch: expected deg q = deg p + 1")
-    alpha, beta = _merged_root_indices(p, q)
-    if len(alpha) != p.degree or len(beta) != q.degree:
+    g = poly_gcd(p, q)
+    f, h = poly_divexact(p, g), poly_divexact(q, g)
+    seq = _signed_remainders(h, f)
+    index = (_sign_changes(s.lead * (-1) ** s.degree for s in seq)
+             - _sign_changes(s.lead for s in seq))
+    if abs(index) == h.degree and (g.degree == 0 or is_real_rooted(g)):
+        return True
+    if not (is_real_rooted(p) and is_real_rooted(q)):
         raise ValueError("interlacing is defined for real-rooted polynomials")
-    return all(beta[i] <= alpha[i] <= beta[i + 1] for i in range(len(alpha)))
+    return False
 
 
 def compare_isolated_roots(p_sf: IntPolynomial, ip: RationalInterval,

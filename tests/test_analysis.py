@@ -13,7 +13,7 @@ from coxlinks.analysis import (
     trapezoidal_check,
     verify_theorems,
 )
-from coxlinks.coxeter import coxeter_polynomial
+from coxlinks.coxeter import CertificationError, coxeter_polynomial
 from coxlinks.exact import IntPolynomial
 from coxlinks.fixtures import fixture_graph
 from coxlinks.graphs import enumerate_alternating_trees, parse_graph
@@ -192,6 +192,21 @@ class TestVerifyTheorems:
             verify_theorems(1)
         with pytest.raises(ValueError):
             verify_theorems(3, extension_trials=-1)
+
+
+class TestCertificationErrors:
+    """The theorem-failure sites raise CertificationError, a RuntimeError."""
+
+    def test_report_inconsistency(self, monkeypatch):
+        monkeypatch.setattr(analysis, "trapezoidal_check", lambda _: (False, None))
+        with pytest.raises(CertificationError, match="report inconsistency"):
+            analyze(fixture_graph("paper-5"))
+
+    def test_leaf_removal_monotonicity(self, monkeypatch):
+        monkeypatch.setattr(analysis, "compare_isolated_roots", lambda *_: 1)
+        with pytest.raises(CertificationError, match="leaf removal"):
+            min_dilatation_search(4)
+        assert issubclass(CertificationError, RuntimeError)
 
 
 class TestMinSearch:

@@ -3,6 +3,7 @@ schemas, and byte-for-byte determinism."""
 
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -12,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from coxlinks import cli, spectra
+import coxlinks
+from coxlinks import cli, coxeter, spectra
 from coxlinks.analysis import VerificationSummary
 from coxlinks.cli import main
+from coxlinks.exact import IntMatrix
 from coxlinks.fixtures import fixture_names, fixture_text
 from coxlinks.graphs import parse_graph
 
@@ -241,6 +244,30 @@ class TestVerifyCommand:
             assert counts["pass"] > 0
 
 
+class TestExitCodes:
+    """Exit 1 only for a certified violation; any other runtime failure
+    is an internal error, exit 4, on one line."""
+
+    def test_certified_violation_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(coxeter, "seifert_matrix", lambda _: IntMatrix([[1, 1], [0, 1]]))
+        code, out, err = run_cli(capsys, "analyze", "a2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: C+ is not an involution\n")
+
+    @pytest.mark.parametrize("error", [RuntimeError("stuck\nsecond line"),
+                                       RecursionError("maximum recursion depth exceeded"),
+                                       RuntimeError()])
+    def test_other_runtime_errors_exit_4(self, capsys, monkeypatch, error):
+        def fail(*_):
+            raise error
+
+        monkeypatch.setattr(cli, "analyze", fail)
+        code, out, err = run_cli(capsys, "analyze", "a2")
+        assert (code, out) == (4, "")
+        detail = str(error).partition("\n")[0] or type(error).__name__
+        assert err == f"error: internal error: {detail}\n"
+
+
 class TestMinSearchCommand:
     def test_text_output(self, capsys):
         code, out, err = run_cli(capsys, "min-search", "--nmax", "3")
@@ -354,9 +381,12 @@ def test_readme_has_examples():
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(coxlinks.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "coxlinks", "example", "a2"],
-        capture_output=True, text=True, check=False)
+        capture_output=True, text=True, check=False, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout == fixture_text("a2")
 

@@ -7,6 +7,7 @@ import pytest
 
 from coxlinks import coxeter
 from coxlinks.coxeter import (
+    CertificationError,
     IdentityMismatch,
     alexander_polynomial,
     bilinear_form,
@@ -31,6 +32,8 @@ from coxlinks.graphs import (
     random_vertex_extension,
     sign_bipartition,
 )
+
+from matrix_oracles import inverse_unimodular
 
 # printed matrices for the 5-vertex fixture, vertex order p1 p2 p3 n1 n2
 C_PLUS_5 = IntMatrix([
@@ -169,14 +172,14 @@ class TestSeifertData:
         for name in ("a2", "p3-alt", "paper-5", "k33"):
             g = fixture_graph(name)
             c_plus, c_minus = bipartite_factors(g)
-            assert c_minus == -1 * c_plus.transpose().inverse_unimodular()
+            assert c_minus == -1 * inverse_unimodular(c_plus.transpose())
 
     def test_transformation_factors_through_seifert_matrix(self):
         for name in ("a2", "paper-5", "k33"):
             g = fixture_graph(name)
             m = seifert_matrix(g)
             c = coxeter_transformation(g)
-            assert -1 * (m @ m.transpose().inverse_unimodular()) == c
+            assert -1 * (m @ inverse_unimodular(m.transpose())) == c
 
     def test_monodromy_charpoly_is_alexander_polynomial(self):
         for name in ("a2", "p3-alt", "paper-5", "p5", "k33"):
@@ -191,12 +194,14 @@ class TestSeifertData:
         graphs += list(enumerate_alternating_trees(7, dedup=True))
         for g in graphs:
             m = seifert_matrix(g)
-            assert homological_monodromy(g) == m.transpose().inverse_unimodular() @ m
+            assert homological_monodromy(g) == inverse_unimodular(m.transpose()) @ m
 
     def test_monodromy_refuses_a_non_involution(self, monkeypatch):
         g = fixture_graph("a2")
         monkeypatch.setattr(coxeter, "seifert_matrix", lambda _: IntMatrix([[1, 1], [0, 1]]))
         with pytest.raises(RuntimeError, match="involution"):
+            homological_monodromy(g)
+        with pytest.raises(CertificationError):
             homological_monodromy(g)
 
     def test_seifert_requires_alternating(self):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from coxlinks import spectra
 from coxlinks.analysis import _radius_witness
 from coxlinks.coxeter import alexander_polynomial, coxeter_polynomial
-from coxlinks.exact import IntPolynomial, squarefree_decomposition, squarefree_part
+from coxlinks.exact import (IntPolynomial, poly_divexact, poly_gcd,
+                            squarefree_decomposition, squarefree_part)
 from coxlinks.fixtures import fixture_graph, fixture_names
 from coxlinks.graphs import (adjacency_matrix, enumerate_alternating_trees,
                              random_alternating_tree, random_edge_augmentation,
@@ -392,29 +394,107 @@ class TestOneDecisionPerRootQuestion:
             verdicts.add(outcome)
         assert verdicts == {True}
 
-    def test_interlace_check_takes_one_decomposition_per_input(self, monkeypatch):
-        calls = []
-        real_decomposition = spectra.squarefree_decomposition
+    def test_interlace_check_isolates_no_root(self, monkeypatch):
+        chains = []
 
-        def counting(p):
-            calls.append(p)
-            return real_decomposition(p)
+        class SpyChain(spectra._SturmChain):
+            def __init__(self, sf):
+                chains.append(sf)
+                super().__init__(sf)
 
         def forbidden(*_):
-            raise AssertionError("interlace_check re-derived a root question")
+            raise AssertionError("interlace_check isolated roots")
 
-        monkeypatch.setattr(spectra, "squarefree_decomposition", counting)
-        monkeypatch.setattr(spectra, "squarefree_part", forbidden)
-        monkeypatch.setattr(spectra, "is_real_rooted", forbidden)
+        monkeypatch.setattr(spectra, "_SturmChain", SpyChain)
+        monkeypatch.setattr(spectra, "squarefree_decomposition", forbidden)
+        monkeypatch.setattr(spectra, "_isolate_squarefree", forbidden)
         p5 = adjacency_matrix(fixture_graph("p5")).charpoly()
         k33 = adjacency_matrix(fixture_graph("k33")).charpoly()
         pairs = [(coxeter_polynomial(fixture_graph("a2")),
                   coxeter_polynomial(fixture_graph("p3-alt"))),
                  (p5, k33), (P(1, -2, 1), P(0, 1, -2, 1)), (P(1, 0, 1), P(1, 1, 0, 1))]
+        outcomes = []
         for p, q in pairs:
-            calls.clear()
-            interlace_outcome(p, q)
-            assert calls == [p, q]
+            chains.clear()
+            outcomes.append(interlace_outcome(p, q))
+            if outcomes[-1] is True:
+                # at most one chain, on the squarefree part of the gcd
+                assert chains in ([], [squarefree_part(poly_gcd(p, q))])
+        assert outcomes == [True, False, True,
+                            "interlacing is defined for real-rooted polynomials"]
+
+
+def merged_isolation_interlace(p, q):
+    """Reference for interlace_check: isolate every root of
+    sf(p) * sf(q) / gcd by bisection and compare the two root lists,
+    repeated per multiplicity, as indices into the merged cells."""
+    if p.is_zero or q.is_zero:
+        raise ValueError("interlacing needs nonzero polynomials")
+    if q.degree != p.degree + 1:
+        raise ValueError("degree mismatch: expected deg q = deg p + 1")
+    dec_p, dec_q = squarefree_decomposition(p), squarefree_decomposition(q)
+    sfp = prod((f for f, _ in dec_p), start=P(1))
+    sfq = prod((f for f, _ in dec_q), start=P(1))
+    union = sfp * poly_divexact(sfq, poly_gcd(sfp, sfq))
+    intervals = spectra._separate(
+        union, spectra._isolate_squarefree(spectra._SturmChain(union)))
+    alpha, beta = [], []
+    for idx, iv in enumerate(intervals):
+        for sf, dec, roots in ((sfp, dec_p, alpha), (sfq, dec_q, beta)):
+            if spectra._root_in(sf, iv):
+                roots.extend([idx] * next(m for f, m in dec if spectra._root_in(f, iv)))
+    if len(alpha) != p.degree or len(beta) != q.degree:
+        raise ValueError("interlacing is defined for real-rooted polynomials")
+    return all(beta[i] <= alpha[i] <= beta[i + 1] for i in range(len(alpha)))
+
+
+def reference_outcome(p, q):
+    try:
+        return merged_isolation_interlace(p, q)
+    except ValueError as e:
+        return str(e)
+
+
+class TestInterlacingAgainstMergedIsolation:
+    """The gcd and Sturm-Sylvester verdict against the merged-product
+    isolation it replaced: same verdict or the same ValueError."""
+
+    @given(interlacing_candidates())
+    @settings(max_examples=300, deadline=None)
+    def test_candidate_pairs_and_mirrors(self, pair):
+        p, q = pair
+        for a, b in ((p, q), (p.mirror(), q.mirror()), (-p, q), (p, -q.mirror())):
+            assert interlace_outcome(a, b) == reference_outcome(a, b)
+
+    def test_contract_errors(self):
+        for p, q in ((P(), P(0, 1)), (P(1), P()), (P(1, 3, 1), P(1, 3, 1)), (P(0, 1), P(1))):
+            assert interlace_outcome(p, q) == reference_outcome(p, q)
+            assert isinstance(interlace_outcome(p, q), str)
+
+    def test_graph_extension_pairs(self):
+        rng = random.Random(11)
+        pairs = [(g, random_vertex_extension(g, rng)) for g in seeded_graphs_with_cycles()]
+        pairs += [(g, random_vertex_extension(g, rng)) for n in range(2, 11)
+                  for g in enumerate_alternating_trees(n, dedup=True)]
+        outcomes = set()
+        for small, large in pairs:
+            p, q = coxeter_polynomial(small), coxeter_polynomial(large)
+            outcome = interlace_outcome(p, q)
+            assert outcome == reference_outcome(p, q)
+            outcomes.add(outcome)
+        assert outcomes == {True}
+
+    def test_unrelated_tree_pairs(self):
+        rng = random.Random(12)
+        outcomes = []
+        for _ in range(240):
+            n = rng.randint(2, 12)
+            p = coxeter_polynomial(random_alternating_tree(n, rng))
+            q = coxeter_polynomial(random_alternating_tree(n + 1, rng))
+            outcomes.append(interlace_outcome(p, q))
+            assert outcomes[-1] == reference_outcome(p, q)
+        # both verdicts occur, so the comparison is not vacuous
+        assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
 
 
 class TestRootCountsAgainstSympy:
@@ -473,6 +553,12 @@ class TestInterlacing:
     def test_complex_roots_rejected(self):
         with pytest.raises(ValueError):
             interlace_check(P(1, 0, 1), P(1, 1, 0, 1))
+        # a shared factor without real roots leaves a full index on the
+        # quotients, so only the check on the gcd rejects these
+        for g in (P(1, 0, 1), P(1, 1, 1) * P(1, 1, 1), P(5, -2, 1) * P(-1, 1)):
+            for p, q in ((g, g * P(-1, 1)), (g * P(3, 1), g * P(2, 1) * P(4, 1))):
+                with pytest.raises(ValueError, match="real-rooted"):
+                    interlace_check(p, q)
 
 
 class TestCompareIsolatedRoots:
