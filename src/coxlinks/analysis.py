@@ -16,6 +16,7 @@ from fractions import Fraction
 from .coxeter import (
     CertificationError,
     _alexander_from_coxeter,
+    bipartite_factors,
     coxeter_polynomial,
     coxeter_transformation,
     homological_monodromy,
@@ -214,40 +215,52 @@ class AnalysisReport:
 def analyze(g: MixedSignCoxeterGraph,
             eps: Fraction = DEFAULT_EPSILON) -> AnalysisReport:
     """Full certification bundle for an alternating-sign graph, reduced
-    report for any other two-colorable sign assignment."""
+    report for any other two-colorable sign assignment.
+
+    The monodromy is certified by the exact identity M^T M = -C- C+,
+    which makes its characteristic polynomial Delta, so c is the only
+    n x n characteristic polynomial computed.
+    """
     if g.n < 2:
         raise ValueError("analysis needs at least 2 vertices")
     if eps <= 0:
         raise ValueError("epsilon must be positive")
 
     c = coxeter_polynomial(g)
+    try:
+        mrr = max_real_root(c, eps)
+    except ValueError:  # c has no real root
+        mrr = None
     if not is_alternating_sign(g):
-        try:
-            mrr = max_real_root(c, eps)
-        except ValueError:
-            mrr = None
         return AnalysisReport(
             graph=g, alternating=False, coxeter=c, alexander=None,
             real_stable=None, sign_alternating=None, trapezoidal=None,
             plateau_k=None, log_concave=None, biorderable_implied=None,
             proof_identities_ok=None, spectral_radius=None, max_real_root=mrr)
 
-    delta = _alexander_from_coxeter(g, c)
+    delta = _alexander_from_coxeter(c)
     real_stable = is_real_stable(delta)
     sign_alt = sign_alternation_check(delta)
     trap, plateau_k = trapezoidal_check(delta)
     log_conc = log_concavity_check(delta)
-    monodromy_cp = homological_monodromy(g).charpoly()
-    biorderable = real_stable if monodromy_cp == delta else is_real_stable(monodromy_cp)
+    # Row by row from _part_product: C+ has row -e_i + (sum of e_j over
+    # the neighbours j of i) for i in the + class and row e_i otherwise.
+    # The + class is independent, so row i of -C+^T is e_i for i in the
+    # + class and -e_i - (sum of e_j over the neighbours j of i)
+    # otherwise: the rows of C-.  So the Seifert matrix M = -C+ has
+    # M^T = C-, and the monodromy M^T M is -C- C+.  As det(tI - XY) =
+    # det(tI - YX), its characteristic polynomial is that of -C+ C-,
+    # det(tI + C+-) = (-1)^n c(-t) = Delta, and every monodromy
+    # eigenvalue is real and positive iff Delta is real stable.
+    c_plus, c_minus = bipartite_factors(g)
+    if homological_monodromy(g) != -(c_minus @ c_plus):
+        raise CertificationError(
+            "monodromy identity M^T M = -C- C+ failed\n" + graph_to_text(g))
     identities_ok = bool(verify_proof_identities(g))
     try:
         radius = spectral_radius_enclosure(c, eps)
     except ValueError:  # c is not real-rooted
         radius = None
-    try:
-        mrr = max_real_root(c, eps)
-    except ValueError:
-        mrr = None
 
     if real_stable and not (trap and log_conc):
         raise CertificationError(
@@ -258,7 +271,7 @@ def analyze(g: MixedSignCoxeterGraph,
         graph=g, alternating=True, coxeter=c, alexander=delta,
         real_stable=real_stable, sign_alternating=sign_alt, trapezoidal=trap,
         plateau_k=plateau_k, log_concave=log_conc,
-        biorderable_implied=biorderable, proof_identities_ok=identities_ok,
+        biorderable_implied=real_stable, proof_identities_ok=identities_ok,
         spectral_radius=radius, max_real_root=mrr)
 
 
@@ -352,7 +365,7 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
             graphs += 1
             c_bipartite = coxeter_transformation(g)
             c = c_bipartite.charpoly()
-            delta = _alexander_from_coxeter(g, c)
+            delta = _alexander_from_coxeter(c)
             # Delta = +-c(-t): every root of c real and negative iff Delta
             # is real stable, so one computation serves both checks
             real_stable = is_real_stable(delta)

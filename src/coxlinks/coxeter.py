@@ -23,17 +23,6 @@ class CertificationError(RuntimeError):
     not a bad input or an internal fault."""
 
 
-def bilinear_form(g: MixedSignCoxeterGraph) -> IntMatrix:
-    n = g.n
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = -2 * g.signs[i]
-    for i, j in g.edges:
-        rows[i][j] = 1
-        rows[j][i] = 1
-    return IntMatrix(rows)
-
-
 def reflection(g: MixedSignCoxeterGraph, i: int) -> IntMatrix:
     """Matrix of the reflection in vertex i on the basis of vertex
     classes: identity except row i, which picks up sign(v_i) * a_ij off
@@ -98,11 +87,13 @@ def seifert_matrix(g: MixedSignCoxeterGraph) -> IntMatrix:
 
 def homological_monodromy(g: MixedSignCoxeterGraph) -> IntMatrix:
     """(M^T)^-1 M for the Seifert matrix M; integer because M^T is
-    unimodular, and conjugate to -C+- via M^T.
+    unimodular.
 
     M = -C+ and C+ is an involution, so (M^T)^-1 = M^T and the monodromy
     is M^T M.  The involution is checked exactly, since the shortcut
-    rests on it.
+    rests on it.  Since M^T = C-, the monodromy equals -C- C+ and its
+    characteristic polynomial is the Alexander polynomial; analyze
+    certifies that identity exactly (proof there).
     """
     m = seifert_matrix(g)
     if m @ m != IntMatrix.identity(g.n):
@@ -110,10 +101,10 @@ def homological_monodromy(g: MixedSignCoxeterGraph) -> IntMatrix:
     return m.transpose() @ m
 
 
-def _alexander_from_coxeter(g: MixedSignCoxeterGraph, c: IntPolynomial) -> IntPolynomial:
-    """Alexander polynomial (-1)^n c(-t) of g from its Coxeter
-    polynomial c, for callers that already hold c."""
-    require_alternating(g, "alexander_polynomial")
+def _alexander_from_coxeter(c: IntPolynomial) -> IntPolynomial:
+    """Alexander polynomial (-1)^n c(-t) from the Coxeter polynomial c,
+    for callers that already hold c and have checked that the graph is
+    alternating with at least two vertices."""
     return c.mirror() if c.degree % 2 == 0 else -c.mirror()
 
 
@@ -121,7 +112,7 @@ def alexander_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
     """Monic normalization (-1)^n c(-t) of the Coxeter polynomial; equal
     to the characteristic polynomial of the homological monodromy."""
     require_alternating(g, "alexander_polynomial")
-    return _alexander_from_coxeter(g, coxeter_polynomial(g))
+    return _alexander_from_coxeter(coxeter_polynomial(g))
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ class MixedSignCoxeterGraph:
                 raise GraphError(f"repeated edge {e}")
             seen.add(e)
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        if not _connected(n, self.edges):
+        if 0 in _bipartite_signs(n, self.edges):
             raise GraphError("graph is not connected")
 
     @property
@@ -102,25 +102,6 @@ class MixedSignCoxeterGraph:
 
     def edge_names(self) -> frozenset[frozenset[str]]:
         return frozenset(frozenset((self.names[i], self.names[j])) for i, j in self.edges)
-
-
-def _connected(n: int, edges: Iterable[tuple[int, int]]) -> bool:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == n
 
 
 def parse_graph(text: str) -> MixedSignCoxeterGraph:
@@ -169,7 +150,7 @@ def parse_graph(text: str) -> MixedSignCoxeterGraph:
             raise GraphParseError(f"unknown directive {tokens[0]!r}", lineno)
     if not names:
         raise GraphParseError("empty graph: no vertices declared")
-    if not _connected(len(names), edges):
+    if 0 in _bipartite_signs(len(names), edges):
         raise GraphParseError("graph is not connected")
     return MixedSignCoxeterGraph(tuple(names), tuple(signs), tuple(edges))
 
@@ -291,7 +272,8 @@ def _prufer_edges(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
 
 
 def _bipartite_signs(n: int, edges: Sequence[tuple[int, int]]) -> tuple[Sign, ...]:
-    # vertex 0 is + by convention; an odd cycle leaves an edge with equal signs
+    # vertex 0 is + by convention; an odd cycle leaves an edge with equal
+    # signs, and a vertex that vertex 0 does not reach keeps sign 0
     adj: list[list[int]] = [[] for _ in range(n)]
     for i, j in edges:
         adj[i].append(j)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from coxlinks import analysis, spectra
 from coxlinks.analysis import (
@@ -13,11 +14,19 @@ from coxlinks.analysis import (
     trapezoidal_check,
     verify_theorems,
 )
-from coxlinks.coxeter import CertificationError, coxeter_polynomial
-from coxlinks.exact import IntPolynomial
+from coxlinks.coxeter import (
+    CertificationError,
+    alexander_polynomial,
+    bipartite_factors,
+    coxeter_polynomial,
+    homological_monodromy,
+)
+from coxlinks.exact import IntMatrix, IntPolynomial
 from coxlinks.fixtures import fixture_graph
-from coxlinks.graphs import enumerate_alternating_trees, parse_graph
-from coxlinks.spectra import RationalInterval, cauchy_bound, sturm_count
+from coxlinks.graphs import enumerate_alternating_trees, is_alternating_sign, parse_graph
+from coxlinks.spectra import RationalInterval, cauchy_bound, is_real_stable, sturm_count
+
+from graph_strategies import connected_alternating_graphs
 
 F = Fraction
 
@@ -194,6 +203,34 @@ class TestVerifyTheorems:
             verify_theorems(3, extension_trials=-1)
 
 
+class TestMonodromyCertificate:
+    @pytest.mark.parametrize("name", ["paper-5", "k33", "e10-classical"])
+    def test_one_characteristic_polynomial_per_analyze(self, monkeypatch, name):
+        sizes = []
+        real_charpoly = IntMatrix.charpoly
+
+        def counting(m):
+            sizes.append(m.n)
+            return real_charpoly(m)
+
+        monkeypatch.setattr(IntMatrix, "charpoly", counting)
+        g = fixture_graph(name)
+        analyze(g)
+        assert sizes == [g.n]
+
+    @given(connected_alternating_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_identity_and_verdict_against_the_slow_route(self, g):
+        assert is_alternating_sign(g)
+        c_plus, c_minus = bipartite_factors(g)
+        monodromy = homological_monodromy(g)
+        slow = monodromy.charpoly()
+        rep = analyze(g)
+        assert monodromy == -(c_minus @ c_plus)
+        assert slow == rep.alexander == alexander_polynomial(g)
+        assert rep.biorderable_implied == is_real_stable(slow)
+
+
 class TestCertificationErrors:
     """The theorem-failure sites raise CertificationError, a RuntimeError."""
 
@@ -201,6 +238,11 @@ class TestCertificationErrors:
         monkeypatch.setattr(analysis, "trapezoidal_check", lambda _: (False, None))
         with pytest.raises(CertificationError, match="report inconsistency"):
             analyze(fixture_graph("paper-5"))
+
+    def test_monodromy_identity(self, monkeypatch):
+        monkeypatch.setattr(analysis, "homological_monodromy", lambda g: IntMatrix.identity(g.n))
+        with pytest.raises(CertificationError, match=r"M\^T M = -C- C\+"):
+            analyze(fixture_graph("a2"))
 
     def test_leaf_removal_monotonicity(self, monkeypatch):
         monkeypatch.setattr(analysis, "compare_isolated_roots", lambda *_: 1)

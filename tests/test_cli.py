@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import coxlinks
-from coxlinks import cli, coxeter, spectra
+from coxlinks import analysis, cli, coxeter, spectra
 from coxlinks.analysis import VerificationSummary
 from coxlinks.cli import main
 from coxlinks.exact import IntMatrix
@@ -253,6 +253,12 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "analyze", "a2")
         assert (code, out) == (1, "")
         assert err.startswith("error: C+ is not an involution\n")
+
+    def test_failed_monodromy_identity_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "homological_monodromy", lambda g: IntMatrix.identity(g.n))
+        code, out, err = run_cli(capsys, "analyze", "a2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: monodromy identity M^T M = -C- C+ failed\n")
 
     @pytest.mark.parametrize("error", [RuntimeError("stuck\nsecond line"),
                                        RecursionError("maximum recursion depth exceeded"),

@@ -10,7 +10,6 @@ from coxlinks.coxeter import (
     CertificationError,
     IdentityMismatch,
     alexander_polynomial,
-    bilinear_form,
     bipartite_factors,
     correspondence_check,
     coxeter_polynomial,
@@ -79,10 +78,6 @@ def seeded_graphs_with_cycles(count: int = 60, seed: int = 2015):
 
 
 class TestBilinearAndReflections:
-    def test_bilinear_form_entries(self):
-        g = fixture_graph("a2")
-        assert bilinear_form(g).rows == ((-2, 1), (1, 2))
-
     def test_reflection_rows(self):
         g = fixture_graph("a2")
         assert reflection(g, 0).rows == ((-1, 1), (0, 1))   # sign +
@@ -210,6 +205,11 @@ class TestSeifertData:
             seifert_matrix(g)
         with pytest.raises(NotAlternatingError):
             alexander_polynomial(g)
+        # the contract is checked before c: an odd cycle has no 2-coloring
+        odd = parse_graph("vertex a +\nvertex b -\nvertex c +\n"
+                          "edge a b\nedge b c\nedge a c\n")
+        with pytest.raises(NotAlternatingError):
+            alexander_polynomial(odd)
 
 
 class TestProofIdentities:

@@ -111,6 +111,9 @@ class TestParsing:
             parse_graph("# nothing\n")
         with pytest.raises(GraphParseError, match="not connected"):
             parse_graph("vertex a +\nvertex b -\n")
+        for edges in ((), ((0, 1),), ((1, 2),)):
+            with pytest.raises(GraphError, match="not connected"):
+                MixedSignCoxeterGraph(("a", "b", "c"), (PLUS, MINUS, PLUS), edges)
 
     def test_constructor_validation(self):
         with pytest.raises(GraphError):
