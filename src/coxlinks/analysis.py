@@ -16,7 +16,6 @@ from fractions import Fraction
 from .coxeter import (
     CertificationError,
     _alexander_from_coxeter,
-    bipartite_factors,
     coxeter_polynomial,
     coxeter_transformation,
     homological_monodromy,
@@ -217,9 +216,10 @@ def analyze(g: MixedSignCoxeterGraph,
     """Full certification bundle for an alternating-sign graph, reduced
     report for any other two-colorable sign assignment.
 
-    The monodromy is certified by the exact identity M^T M = -C- C+,
-    which makes its characteristic polynomial Delta, so c is the only
-    n x n characteristic polynomial computed.
+    verify_proof_identities is the one matrix certificate: it certifies
+    the monodromy M^T M = -C- C+, whose characteristic polynomial is
+    therefore Delta, so c is the only n x n characteristic polynomial
+    computed.
     """
     if g.n < 2:
         raise ValueError("analysis needs at least 2 vertices")
@@ -243,19 +243,6 @@ def analyze(g: MixedSignCoxeterGraph,
     sign_alt = sign_alternation_check(delta)
     trap, plateau_k = trapezoidal_check(delta)
     log_conc = log_concavity_check(delta)
-    # Row by row from _part_product: C+ has row -e_i + (sum of e_j over
-    # the neighbours j of i) for i in the + class and row e_i otherwise.
-    # The + class is independent, so row i of -C+^T is e_i for i in the
-    # + class and -e_i - (sum of e_j over the neighbours j of i)
-    # otherwise: the rows of C-.  So the Seifert matrix M = -C+ has
-    # M^T = C-, and the monodromy M^T M is -C- C+.  As det(tI - XY) =
-    # det(tI - YX), its characteristic polynomial is that of -C+ C-,
-    # det(tI + C+-) = (-1)^n c(-t) = Delta, and every monodromy
-    # eigenvalue is real and positive iff Delta is real stable.
-    c_plus, c_minus = bipartite_factors(g)
-    if homological_monodromy(g) != -(c_minus @ c_plus):
-        raise CertificationError(
-            "monodromy identity M^T M = -C- C+ failed\n" + graph_to_text(g))
     identities_ok = bool(verify_proof_identities(g))
     try:
         radius = spectral_radius_enclosure(c, eps)

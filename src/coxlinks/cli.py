@@ -87,16 +87,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if large.n != small.n + 1:
         raise ValueError(
             f"vertex counts must differ by one (got {small.n} and {large.n})")
-    extension = is_vertex_extension(small, large)
-    c_small, c_large = coxeter_polynomial(small), coxeter_polynomial(large)
-    cox = interlace_check(c_small, c_large)
     # Delta = +-c(-t) negates every root and reverses both root lists,
     # which maps the chain beta_1 <= alpha_1 <= ... <= beta_{s+1} onto
     # itself; c is real-rooted iff Delta is and the degrees match.  So
     # the Alexander verdict is the Coxeter one, and only Delta's contract
-    # is left to check.
+    # is left to check, before any polynomial work.
     for g in (small, large):
         require_alternating(g, "alexander_polynomial")
+    extension = is_vertex_extension(small, large)
+    c_small, c_large = coxeter_polynomial(small), coxeter_polynomial(large)
+    cox = interlace_check(c_small, c_large)
     if args.json:
         print(json.dumps({
             "vertex_extension": extension,

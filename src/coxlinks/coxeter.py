@@ -92,8 +92,8 @@ def homological_monodromy(g: MixedSignCoxeterGraph) -> IntMatrix:
     M = -C+ and C+ is an involution, so (M^T)^-1 = M^T and the monodromy
     is M^T M.  The involution is checked exactly, since the shortcut
     rests on it.  Since M^T = C-, the monodromy equals -C- C+ and its
-    characteristic polynomial is the Alexander polynomial; analyze
-    certifies that identity exactly (proof there).
+    characteristic polynomial is the Alexander polynomial; the exact
+    check and its proof are in verify_proof_identities.
     """
     m = seifert_matrix(g)
     if m @ m != IntMatrix.identity(g.n):
@@ -127,24 +127,36 @@ class IdentityMismatch:
 
 
 def verify_proof_identities(g: MixedSignCoxeterGraph):
-    """Check (C+ + C-)^2 = -A^2 = 2I + C+- + C+-^-1 exactly.
+    """The one matrix certificate of an alternating-sign graph: three
+    exact checks on one factorization (C+, C-).
 
-    Returns True, or an IdentityMismatch naming the first identity that
-    fails (which would falsify the spectral correspondence).
+    1. C+ C+ = I, so M = -C+ has (M^T)^-1 = M^T and the monodromy is
+       M^T M (homological_monodromy).
+    2. C+^T = -C-, entry by entry.  With 1 it gives M^T M = C+^T C+ =
+       -C- C+; conversely M^T M = -C- C+ gives it back on cancelling the
+       invertible C+.  It also gives C-^2 = (C+^2)^T = I, so C- C+ is
+       the true inverse of C+- = C+ C-.
+    3. (C+ + C-)^2 = -A^2.  By 1 and 2 the left side always expands to
+       2I + C+- + C- C+ = 2I + C+- + C+-^-1: that form needs no check.
+    As det(tI - XY) = det(tI - YX), the monodromy -C- C+ has the
+    characteristic polynomial det(tI + C+-) = (-1)^n c(-t) = Delta.
+
+    1 or 2 failing raises CertificationError; 3 failing returns an
+    IdentityMismatch, which is falsy; otherwise the result is True.
     """
     require_alternating(g, "verify_proof_identities")
     c_plus, c_minus = bipartite_factors(g)
-    c = c_plus @ c_minus
+    if c_plus @ c_plus != IntMatrix.identity(g.n):
+        raise CertificationError("C+ is not an involution\n" + graph_to_text(g))
+    if c_plus.transpose() != -c_minus:
+        raise CertificationError(
+            "monodromy identity M^T M = -C- C+ failed\n" + graph_to_text(g))
     s = c_plus + c_minus
     s2 = s @ s
     a = adjacency_matrix(g)
     neg_a2 = -(a @ a)
     if s2 != neg_a2:
         return IdentityMismatch("(C+ + C-)^2 = -A^2", s2, neg_a2)
-    # C+ and C- are involutions, so (C+ C-)^-1 = C- C+
-    rhs = 2 * IntMatrix.identity(g.n) + c + c_minus @ c_plus
-    if s2 != rhs:
-        return IdentityMismatch("(C+ + C-)^2 = 2I + C+- + C+-^-1", s2, rhs)
     return True
 
 

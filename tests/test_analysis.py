@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from coxlinks import analysis, spectra
+from coxlinks import analysis, coxeter, spectra
 from coxlinks.analysis import (
     analyze,
     log_concavity_check,
@@ -218,6 +218,20 @@ class TestMonodromyCertificate:
         analyze(g)
         assert sizes == [g.n]
 
+    @pytest.mark.parametrize("name,products", [("paper-5", 4), ("k33", 4), ("e10-classical", 1)])
+    def test_matrix_products_per_analyze(self, monkeypatch, name, products):
+        # C+ C- for c, then C+ C+, (C+ + C-)^2 and A^2 for the certificate
+        count = [0]
+        real_matmul = IntMatrix.__matmul__
+
+        def counting(a, b):
+            count[0] += 1
+            return real_matmul(a, b)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+        analyze(fixture_graph(name))
+        assert count[0] == products
+
     @given(connected_alternating_graphs())
     @settings(max_examples=150, deadline=None)
     def test_identity_and_verdict_against_the_slow_route(self, g):
@@ -240,8 +254,18 @@ class TestCertificationErrors:
             analyze(fixture_graph("paper-5"))
 
     def test_monodromy_identity(self, monkeypatch):
-        monkeypatch.setattr(analysis, "homological_monodromy", lambda g: IntMatrix.identity(g.n))
+        real = coxeter.bipartite_factors
+        monkeypatch.setattr(coxeter, "bipartite_factors",
+                            lambda g: (IntMatrix.identity(g.n), real(g)[1]))
         with pytest.raises(CertificationError, match=r"M\^T M = -C- C\+"):
+            analyze(fixture_graph("a2"))
+
+    def test_non_involution_with_matching_transpose(self, monkeypatch):
+        # C+^T = -C- holds and (C+ + C-)^2 = 0 only fails the last
+        # identity, so only the involution check raises here
+        c_plus = IntMatrix([[2, 0], [0, 1]])
+        monkeypatch.setattr(coxeter, "bipartite_factors", lambda _: (c_plus, -c_plus.transpose()))
+        with pytest.raises(CertificationError, match=r"C\+ is not an involution"):
             analyze(fixture_graph("a2"))
 
     def test_leaf_removal_monotonicity(self, monkeypatch):

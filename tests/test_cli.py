@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import coxlinks
-from coxlinks import analysis, cli, coxeter, spectra
+from coxlinks import cli, coxeter, spectra
 from coxlinks.analysis import VerificationSummary
 from coxlinks.cli import main
 from coxlinks.exact import IntMatrix
@@ -189,6 +189,17 @@ class TestCompareCommand:
         assert code == 3 and out == ""
         assert "alexander_polynomial needs an alternating-sign graph" in err
 
+    def test_classical_pair_refused_before_interlacing(self, capsys, tmp_path):
+        # all-plus paths: c is not real-rooted, so an interlacing test
+        # run first would fail with a message about real roots
+        small = tmp_path / "small.txt"
+        small.write_text("vertex a +\nvertex b +\nedge a b\n")
+        large = tmp_path / "large.txt"
+        large.write_text("vertex a +\nvertex b +\nvertex c +\nedge a b\nedge b c\n")
+        code, out, err = run_cli(capsys, "compare", str(small), str(large))
+        assert code == 3 and out == ""
+        assert err == "error: alexander_polynomial needs an alternating-sign graph\n"
+
     def test_size_mismatch(self, capsys):
         code, _, err = run_cli(capsys, "compare", "a2", "a2")
         assert code == 3
@@ -249,13 +260,17 @@ class TestExitCodes:
     is an internal error, exit 4, on one line."""
 
     def test_certified_violation_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(coxeter, "seifert_matrix", lambda _: IntMatrix([[1, 1], [0, 1]]))
+        real = coxeter.bipartite_factors
+        monkeypatch.setattr(coxeter, "bipartite_factors",
+                            lambda g: (IntMatrix([[-1, -1], [0, -1]]), real(g)[1]))
         code, out, err = run_cli(capsys, "analyze", "a2")
         assert (code, out) == (1, "")
         assert err.startswith("error: C+ is not an involution\n")
 
     def test_failed_monodromy_identity_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(analysis, "homological_monodromy", lambda g: IntMatrix.identity(g.n))
+        real = coxeter.bipartite_factors
+        monkeypatch.setattr(coxeter, "bipartite_factors",
+                            lambda g: (IntMatrix.identity(g.n), real(g)[1]))
         code, out, err = run_cli(capsys, "analyze", "a2")
         assert (code, out) == (1, "")
         assert err.startswith("error: monodromy identity M^T M = -C- C+ failed\n")

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from coxlinks import coxeter
 from coxlinks.coxeter import (
@@ -32,6 +33,7 @@ from coxlinks.graphs import (
     sign_bipartition,
 )
 
+from graph_strategies import connected_alternating_graphs
 from matrix_oracles import inverse_unimodular
 
 # printed matrices for the 5-vertex fixture, vertex order p1 p2 p3 n1 n2
@@ -216,6 +218,17 @@ class TestProofIdentities:
     def test_identities_hold_on_fixtures(self):
         for name in ("a2", "p3-alt", "paper-5", "p5", "k33"):
             assert verify_proof_identities(fixture_graph(name)) is True
+
+    @given(connected_alternating_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_implied_identities_hold(self, g):
+        # the checks the certificate implies instead of making them
+        assert verify_proof_identities(g) is True
+        c_plus, c_minus = bipartite_factors(g)
+        s = c_plus + c_minus
+        assert homological_monodromy(g) == -(c_minus @ c_plus)
+        assert s @ s == 2 * IntMatrix.identity(g.n) + c_plus @ c_minus + c_minus @ c_plus
+        assert (c_plus @ c_minus) @ (c_minus @ c_plus) == IntMatrix.identity(g.n)
 
     def test_mismatch_is_falsy(self):
         m = IdentityMismatch("x", IntMatrix.identity(1), IntMatrix.identity(1))
