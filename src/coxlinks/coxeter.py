@@ -11,6 +11,7 @@ the bipartite Coxeter transformation C+- = C+ C-.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .exact import IntMatrix, IntPolynomial
 from .graphs import (MixedSignCoxeterGraph, NotAlternatingError, adjacency_matrix,
@@ -63,9 +64,101 @@ def coxeter_transformation(g: MixedSignCoxeterGraph) -> IntMatrix:
     return c_plus @ c_minus
 
 
+def _tree_charpoly(g: MixedSignCoxeterGraph) -> IntPolynomial:
+    """chi_A of a tree by the matching recursion
+    phi(T) = x phi(T - v) - sum_{u ~ v} phi(T - v - u), bottom-up over a
+    breadth-first order.  For the subtree T_v below v, prod[v] is
+    phi(T_v - v), the product over the children, and excl[v] is the sum
+    over children u of phi(T_v - v - u) = prod[u] times the other
+    children's phi."""
+    n = g.n
+    order, parent = [0], [-1] * n
+    for v in order:  # grows while it is read: a breadth-first walk
+        for u in g.neighbors[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    x = IntPolynomial([0, 1])
+    prod = [IntPolynomial([1])] * n
+    excl = [IntPolynomial()] * n
+    for v in reversed(order):
+        phi = x * prod[v] - excl[v]
+        p = parent[v]
+        if p >= 0:
+            excl[p] = excl[p] * phi + prod[v] * prod[p]
+            prod[p] = prod[p] * phi
+    return phi
+
+
+def _gram_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
+    """q = det(yI - B B^T) for S the smaller sign class and B its
+    s x (n - s) biadjacency matrix; see coxeter_polynomial."""
+    bip = sign_bipartition(g)
+    small = sorted(min(bip.part_plus, bip.part_minus, key=len))
+    n, s = g.n, len(small)
+    if g.edge_count == n - 1:
+        return IntPolynomial(_tree_charpoly(g).coeffs[n - 2 * s::2])
+    # (B B^T)_ij counts the common neighbours of i and j in S: each
+    # vertex outside S adds 1 for every ordered pair of its neighbours
+    index = {v: k for k, v in enumerate(small)}
+    gram = [[0] * s for _ in range(s)]
+    for w in range(n):
+        if w not in index:
+            around = [index[u] for u in g.neighbors[w]]
+            for i in around:
+                row = gram[i]
+                for j in around:
+                    row[j] += 1
+    return IntMatrix(gram).charpoly()
+
+
 def coxeter_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
-    """Characteristic polynomial of the bipartite Coxeter transformation."""
-    return coxeter_transformation(g).charpoly()
+    """Characteristic polynomial c(t) = det(tI - C+-) of the bipartite
+    Coxeter transformation.
+
+    Classical graphs run Berkowitz on C+ C-.  An alternating-sign graph
+    takes the exact form of A'Campo's correspondence 2 + lam + 1/lam =
+    -alpha^2 (Invent. Math. 33, 1976) instead.  Let S be the smaller sign
+    class, s = |S|, B the s x (n - s) biadjacency matrix from S to the
+    other class, and q(y) = det(yI - B B^T).
+
+    Schur step.  With S first, A = [[0, B], [B^T, 0]], and the
+    complement of the invertible block xI_(n-s) gives chi_A(x) =
+    x^(n-s) det(xI - B B^T / x) = x^(n-2s) q(x^2).
+
+    Substitution.  In the same order, from the rows of _part_product,
+    one factor is [[-I, B], [0, I]] and the other [[I, 0], [-B^T, -I]]
+    when S is the plus class, so tI - C+ C- = [[(t+1)I + B B^T, B],
+    [B^T, (t+1)I]].  When S is the minus class, tI - C- C+ has these
+    blocks with both off-diagonal ones negated, which conjugation by
+    diag(I, -I) undoes, and det(tI - XY) = det(tI - YX).  The
+    complement of (t+1)I_(n-s) leaves (t+1)^(n-s) det((t+1)I +
+    t B B^T / (t+1)) = (t+1)^(n-2s) det((t+1)^2 I + t B B^T), and that
+    determinant is (-t)^s q(-(t+1)^2 / t), so
+        c(t) = (-1)^s (t+1)^(n-2s) sum_k q_k (-(t+1)^2)^k t^(s-k).
+
+    Computing q.  On a tree, chi_A is the matching polynomial
+    sum_k (-1)^k m_k x^(n-2k), m_k the number of k-edge matchings: in
+    Sachs' expansion of det(xI - A) the only spanning elementary
+    subgraphs of a forest are matchings (Godsil, Algebraic
+    Combinatorics, ch. 1; Heilmann and Lieb 1972).  A matching misses
+    v or covers it by one edge vu, which is the recursion
+    _tree_charpoly runs; by the Schur step q is every other coefficient
+    of chi_A from x^(n-2s) on.  A graph with a cycle runs Berkowitz on
+    the s x s matrix B B^T, built from common-neighbour counts.
+    correspondence_check tests both routes against the n x n ones.
+    """
+    if not is_alternating_sign(g):
+        return coxeter_transformation(g).charpoly()
+    q = _gram_polynomial(g).coeffs
+    n, s = g.n, len(q) - 1
+    # homogeneous Horner: acc = sum_k q_k u^k t^(s-k) with u = -(t+1)^2
+    u = IntPolynomial([-1, -2, -1])
+    acc = IntPolynomial([q[s]])
+    for k in range(s - 1, -1, -1):
+        acc = acc * u + IntPolynomial([0] * (s - k) + [q[k]])
+    acc = acc * IntPolynomial(comb(n - 2 * s, i) for i in range(n - 2 * s + 1))
+    return -acc if s % 2 else acc
 
 
 def require_alternating(g: MixedSignCoxeterGraph, what: str) -> None:
@@ -161,34 +254,17 @@ def verify_proof_identities(g: MixedSignCoxeterGraph):
 
 
 def correspondence_check(g: MixedSignCoxeterGraph) -> bool:
-    """Certify the eigenvalue correspondence 2 + lam + 1/lam = -alpha^2
-    between the adjacency spectrum and the bipartite Coxeter spectrum of
-    an alternating-sign graph, in its exact form (A'Campo, Invent. Math.
-    33, 1976).
-
-    With s the size of the smaller sign class S, B the s x (n - s)
-    biadjacency matrix and q = det(yI - B B^T), where B B^T is A^2 on S,
-    two polynomial identities are checked:
-        chi_A(x) = x^(n-2s) q(x^2),
-        c(t) = (-1)^s (t+1)^(n-2s) sum_k q_k (-(t+1)^2)^k t^(s-k).
-    The exact matrix identities are checked first.
+    """The fast route to c against the slow one, on an alternating-sign
+    graph: after the matrix certificate, chi_A(x) = x^(n-2s) q(x^2) with
+    q from the fast route and chi_A by Berkowitz on A, and
+    coxeter_polynomial(g) against Berkowitz on C+ C-.  The proof of both
+    identities is in coxeter_polynomial.
     """
     if verify_proof_identities(g) is not True:
         return False
-    bip = sign_bipartition(g)
-    small = sorted(min(bip.part_plus, bip.part_minus, key=len))
-    n, s = g.n, len(small)
-    a = adjacency_matrix(g)
-    a2 = (a @ a).rows
-    q = IntMatrix([[a2[i][j] for j in small] for i in small]).charpoly().coeffs
+    q = _gram_polynomial(g).coeffs
+    n, s = g.n, len(q) - 1
     chi = [0] * (n + 1)
     chi[n - 2 * s::2] = q
-    # homogeneous Horner: acc = sum_k q_k u^k t^(s-k) with u = -(t+1)^2
-    u = IntPolynomial([-1, -2, -1])
-    acc = IntPolynomial([q[s]])
-    for k in range(s - 1, -1, -1):
-        acc = acc * u + IntPolynomial([0] * (s - k) + [q[k]])
-    for _ in range(n - 2 * s):
-        acc = acc * IntPolynomial([1, 1])
-    c = -acc if s % 2 else acc
-    return a.charpoly() == IntPolynomial(chi) and coxeter_polynomial(g) == c
+    return (adjacency_matrix(g).charpoly() == IntPolynomial(chi)
+            and coxeter_polynomial(g) == coxeter_transformation(g).charpoly())

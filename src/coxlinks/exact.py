@@ -309,10 +309,18 @@ class IntMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        cols = tuple(zip(*other.rows))
-        return IntMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows))
+        # row i of the product is sum_j a_ij (row j of other), over the
+        # nonzero a_ij and the nonzero entries of that row only
+        nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [0] * other.n
+            for a, entries in zip(row, nonzero):
+                if a:
+                    for j, b in entries:
+                        acc[j] += a * b
+            out.append(acc)
+        return IntMatrix(out)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 from .exact import (IntPolynomial, _pseudo_rem_positive, poly_divexact,
@@ -101,6 +102,23 @@ class _SturmChain:
         self.chain = _signed_remainders(sf, sf.derivative())
         self._memo: dict[Fraction, int] = {}
 
+    @cached_property
+    def min_width(self) -> Fraction:
+        """2^-K for a halving count K past which no correct bisection on
+        this chain goes; see _check_width."""
+        # Mahler (1964): distinct roots of a squarefree integer polynomial
+        # of degree d >= 2 are more than sep = sqrt(3) d^(-(d+2)/2)
+        # ||f||_2^(1-d) apart.  With log2 d <= d.bit_length() and
+        # log2 ||f||_2 <= norm2.bit_length() / 2, sep > 2^-k0 for k0 below.
+        # A cell is only bisected while it holds two roots, so it is at
+        # least sep wide, and the gap search stops by its first w < sep,
+        # so a correct run never tests a width below sep / 2 > 2^-(k0+1).
+        # K = k0 + 1 + deg: deg more halvings as margin.
+        d = max(self.poly.degree, 2)
+        norm2 = sum(c * c for c in self.poly.coeffs)
+        k0 = ((d + 2) * d.bit_length() + (d - 1) * norm2.bit_length() + 1) // 2
+        return Fraction(1, 1 << (k0 + 1 + d))
+
     def variations(self, x: Fraction) -> int:
         v = self._memo.get(x)
         if v is None:
@@ -123,6 +141,15 @@ def sturm_count(p: IntPolynomial, interval: RationalInterval) -> int:
     return _SturmChain(squarefree_part(p)).count(interval.lo, interval.hi)
 
 
+def _check_width(chain: _SturmChain, width: Fraction) -> None:
+    """Raise when a bisection has gone below chain.min_width, which a
+    correct chain never does: the halving loops end in an error, not a
+    hang."""
+    if width < chain.min_width:
+        raise RuntimeError("root isolation exceeded its halving bound: "
+                           "inconsistent Sturm chain")
+
+
 def _root_gap(chain: _SturmChain, lo: Fraction, hi: Fraction, mid: Fraction) -> Fraction:
     """Half-width w, at most (hi - lo) / 4, such that [mid - w, mid + w]
     holds no root but the root mid and its ends are not roots."""
@@ -131,6 +158,7 @@ def _root_gap(chain: _SturmChain, lo: Fraction, hi: Fraction, mid: Fraction) -> 
     while (chain.count(mid - w, mid + w) != 1
            or sf.eval_sign(mid - w) == 0 or sf.eval_sign(mid + w) == 0):
         w /= 2
+        _check_width(chain, w)
     return w
 
 
@@ -149,6 +177,7 @@ def _isolate_squarefree(chain: _SturmChain) -> list[RationalInterval]:
         if cnt == 1:
             out.append(RationalInterval(lo, hi))
             return
+        _check_width(chain, hi - lo)
         mid = (lo + hi) / 2
         if sf.eval_sign(mid) == 0:
             w = _root_gap(chain, lo, hi, mid)
@@ -174,6 +203,7 @@ def _top_cell(chain: _SturmChain, lo: Fraction, hi: Fraction) -> RationalInterva
     if cnt == 0:
         return None
     while cnt > 1:
+        _check_width(chain, hi - lo)
         mid = (lo + hi) / 2
         if sf.eval_sign(mid) == 0:
             w = _root_gap(chain, lo, hi, mid)

@@ -42,3 +42,12 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
             raise ValueError("matrix is not unimodular")
         out.append(tuple(int(x) for x in row))
     return IntMatrix(tuple(out))
+
+
+def dense_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Product by the row-times-column sum over every entry, zeros
+    included."""
+    cols = tuple(zip(*b.rows))
+    return IntMatrix(tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+        for row in a.rows))

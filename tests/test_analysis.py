@@ -196,6 +196,20 @@ class TestVerifyTheorems:
         counters = dict((name, (p, f)) for name, p, f in s.counters)
         assert counters["coxeter-interlacing"] == counters["alexander-interlacing"] == (9, 0)
 
+    def test_slow_route_on_every_tree(self, monkeypatch):
+        # c comes from the fast route; the monodromy-charpoly check runs
+        # the n x n Berkowitz of the monodromy and of -C+- on each tree
+        sizes = []
+        real_charpoly = IntMatrix.charpoly
+
+        def counting(m):
+            sizes.append(m.n)
+            return real_charpoly(m)
+
+        monkeypatch.setattr(IntMatrix, "charpoly", counting)
+        verify_theorems(5, extension_trials=0)
+        assert sorted(sizes) == [2] * 2 + [3] * 6 + [4] * 32 + [5] * 250
+
     def test_contract_checks(self):
         with pytest.raises(ValueError):
             verify_theorems(1)
@@ -206,6 +220,8 @@ class TestVerifyTheorems:
 class TestMonodromyCertificate:
     @pytest.mark.parametrize("name", ["paper-5", "k33", "e10-classical"])
     def test_one_characteristic_polynomial_per_analyze(self, monkeypatch, name):
+        # a graph with a cycle runs Berkowitz on its s x s Gram matrix, a
+        # classical one on C+ C-
         sizes = []
         real_charpoly = IntMatrix.charpoly
 
@@ -214,13 +230,22 @@ class TestMonodromyCertificate:
             return real_charpoly(m)
 
         monkeypatch.setattr(IntMatrix, "charpoly", counting)
-        g = fixture_graph(name)
-        analyze(g)
-        assert sizes == [g.n]
+        analyze(fixture_graph(name))
+        assert sizes == {"paper-5": [2], "k33": [3], "e10-classical": [10]}[name]
 
-    @pytest.mark.parametrize("name,products", [("paper-5", 4), ("k33", 4), ("e10-classical", 1)])
+    def test_no_characteristic_polynomial_on_a_tree(self, monkeypatch):
+        def forbidden(_):
+            raise AssertionError("charpoly on a tree")
+
+        monkeypatch.setattr(IntMatrix, "charpoly", forbidden)
+        for g in [fixture_graph("p5")] + list(enumerate_alternating_trees(8, dedup=True)):
+            analyze(g)
+
+    @pytest.mark.parametrize("name,products", [("paper-5", 3), ("k33", 3), ("e10-classical", 1),
+                                               ("p5", 3)])
     def test_matrix_products_per_analyze(self, monkeypatch, name, products):
-        # C+ C- for c, then C+ C+, (C+ + C-)^2 and A^2 for the certificate
+        # C+ C+, (C+ + C-)^2 and A^2 for the certificate; C+ C- for c on
+        # a classical graph only
         count = [0]
         real_matmul = IntMatrix.__matmul__
 

@@ -10,6 +10,8 @@ from coxlinks import coxeter
 from coxlinks.coxeter import (
     CertificationError,
     IdentityMismatch,
+    _gram_polynomial,
+    _tree_charpoly,
     alexander_polynomial,
     bipartite_factors,
     correspondence_check,
@@ -241,6 +243,9 @@ class TestProofIdentities:
 
 
 class TestCorrespondence:
+    """correspondence_check: the fast route to c and to chi_A against
+    Berkowitz on C+ C- and on A."""
+
     def test_fixtures(self):
         for name in ALTERNATING_FIXTURES:
             assert correspondence_check(fixture_graph(name)) is True
@@ -274,6 +279,60 @@ class TestCorrespondence:
             correspondence_check(fixture_graph("e10-classical"))
         with pytest.raises(ValueError):
             correspondence_check(parse_graph("vertex a +\n"))
+
+
+class TestFastCoxeterPolynomial:
+    """coxeter_polynomial of an alternating graph, from its Gram
+    polynomial q, against Berkowitz on C+ C-; TestCorrespondence makes
+    the same comparison on the fixtures and the seeded graphs with
+    cycles."""
+
+    @staticmethod
+    def assert_both_routes_agree(graphs):
+        for g in graphs:
+            assert coxeter_polynomial(g) == coxeter_transformation(g).charpoly(), g
+
+    def test_every_tree_class_through_ten_vertices(self):
+        self.assert_both_routes_agree(
+            g for n in range(2, 11) for g in enumerate_alternating_trees(n, dedup=True))
+
+    def test_labeled_trees_through_six_vertices(self):
+        self.assert_both_routes_agree(
+            g for n in range(2, 7) for g in enumerate_alternating_trees(n))
+
+    @given(connected_alternating_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_connected_alternating_graphs(self, g):
+        self.assert_both_routes_agree([g])
+
+    def test_single_vertex(self):
+        for sign in "+-":
+            g = parse_graph(f"vertex a {sign}\n")
+            assert coxeter_polynomial(g) == coxeter_transformation(g).charpoly() == \
+                IntPolynomial([1, 1])
+
+    def test_long_path_needs_no_recursion(self):
+        # chi of a path obeys p_n = x p_(n-1) - p_(n-2); the tree walk
+        # is iterative, so a path past the recursion limit is fine
+        n = 1100
+        path = parse_graph("".join(f"vertex v{i} {'+-'[i % 2]}\n" for i in range(n))
+                           + "".join(f"edge v{i} v{i + 1}\n" for i in range(n - 1)))
+        prev, cur = IntPolynomial([1]), IntPolynomial([0, 1])
+        for _ in range(n - 1):
+            prev, cur = cur, IntPolynomial([0, 1]) * cur - prev
+        assert _tree_charpoly(path) == cur
+
+    def test_gram_polynomial_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        graphs = [fixture_graph(name) for name in ALTERNATING_FIXTURES]
+        graphs += list(enumerate_alternating_trees(9, dedup=True))
+        graphs += seeded_graphs_with_cycles()
+        for g in graphs:
+            bip = sign_bipartition(g)
+            small, large = sorted((sorted(bip.part_plus), sorted(bip.part_minus)), key=len)
+            b = sympy.Matrix([[int(g.has_edge(i, j)) for j in large] for i in small])
+            expect = (b * b.T).charpoly().all_coeffs()
+            assert _gram_polynomial(g).coeffs == tuple(int(x) for x in reversed(expect))
 
 
 class TestCharpolyAgainstSympy:

@@ -16,7 +16,7 @@ from coxlinks.exact import (
     squarefree_part,
 )
 
-from matrix_oracles import inverse_unimodular, trace
+from matrix_oracles import dense_matmul, inverse_unimodular, trace
 
 
 def P(*coeffs):
@@ -258,6 +258,15 @@ class TestIntMatrix:
             [0, 0, rb[1][0], rb[1][1]],
         ])
         assert block.charpoly() == a.charpoly() * b.charpoly()
+
+    @given(st.integers(0, 7).flatmap(lambda n: st.tuples(*(
+        st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -7)), min_size=n, max_size=n),
+                 min_size=n, max_size=n) for _ in range(2)))))
+    @settings(max_examples=150, deadline=None)
+    def test_matmul_matches_dense_product(self, pair):
+        # mostly zero entries, as in C+ and C-, which the product skips
+        a, b = IntMatrix(pair[0]), IntMatrix(pair[1])
+        assert a @ b == dense_matmul(a, b)
 
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4),
                     min_size=4, max_size=4))

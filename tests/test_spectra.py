@@ -1,6 +1,7 @@
 """Sturm chains, root isolation, interlacing, spectral enclosures."""
 
 import random
+import signal
 from fractions import Fraction
 from math import prod
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from coxlinks import spectra
 from coxlinks.analysis import _radius_witness
 from coxlinks.coxeter import alexander_polynomial, coxeter_polynomial
-from coxlinks.exact import (IntPolynomial, poly_divexact, poly_gcd,
+from coxlinks.exact import (IntPolynomial, _pseudo_rem_positive, poly_divexact, poly_gcd,
                             squarefree_decomposition, squarefree_part)
 from coxlinks.fixtures import fixture_graph, fixture_names
 from coxlinks.graphs import (adjacency_matrix, enumerate_alternating_trees,
@@ -110,6 +111,50 @@ class TestIsolation:
         iso = isolate_real_roots(P(-2, 1), F(1, 100))
         ((iv, m),) = iso.roots
         assert m == 1 and iv.contains(F(2))
+
+
+class TestHalvingBound:
+    """The bisection and gap-search loops stop at a width derived from
+    Mahler's root-separation bound."""
+
+    def test_close_roots_stay_inside_the_bound(self):
+        k = 1 << 40
+        iso = isolate_real_roots(P(-k, k) * P(-k - 1, k), F(1, 1 << 50))
+        assert [iv.contains(F(1)) for iv, _ in iso.roots] == [True, False]
+        # three roots around a midpoint root: the gap search goes to 2^-50
+        iso = isolate_real_roots(P(0, -1, 0, 1 << 100))
+        assert len(iso.roots) == 3 and iso.roots[1][0] == RationalInterval(F(0), F(0))
+
+    def test_wrong_chain_raises_instead_of_hanging(self, monkeypatch):
+        def unsigned_remainders(a, b):
+            # _signed_remainders with the remainder sign flipped
+            seq = [a, b]
+            while not seq[-1].is_zero and seq[-1].degree > 0:
+                rem = _pseudo_rem_positive(seq[-2], seq[-1])
+                if rem.is_zero:
+                    break
+                g = rem.content()
+                seq.append(IntPolynomial(c // g for c in rem.coeffs))
+            if seq[-1].is_zero:
+                seq.pop()
+            return seq
+
+        def hung(*_):
+            raise AssertionError("no error within 20 s")
+
+        monkeypatch.setattr(spectra, "_signed_remainders", unsigned_remainders)
+        lehmer = coxeter_polynomial(fixture_graph("e10-classical"))
+        gap_case = prod((P(-r, 1) for r in (0, 6, -2, 1, -1)), start=P(1, 0, 1))
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            for call in (lambda: isolate_real_roots(lehmer), lambda: max_real_root(lehmer),
+                         lambda: isolate_real_roots(gap_case)):
+                with pytest.raises(RuntimeError, match="halving bound"):
+                    call()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestRealRootedAndStable:
