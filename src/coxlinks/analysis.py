@@ -35,13 +35,12 @@ from .graphs import (
 from .spectra import (
     DEFAULT_EPSILON,
     RationalInterval,
+    _max_root_cell,
     _mirror_chain,
     _radius_cell,
     compare_isolated_roots,
     interlace_check,
     is_real_stable,
-    max_real_root,
-    spectral_radius_enclosure,
 )
 
 __all__ = [
@@ -93,23 +92,12 @@ def log_concavity_check(p: IntPolynomial) -> bool:
     return all(m[i] * m[i] > m[i - 1] * m[i + 1] for i in range(1, len(m) - 1))
 
 
-def _radius_witness(c: IntPolynomial,
-                    eps: Fraction) -> tuple[IntPolynomial, RationalInterval]:
-    """Squarefree polynomial together with an interval isolating its largest
-    real root, which for a real-rooted c equals max |root of c|.  The pair
-    feeds compare_isolated_roots, so radius comparisons can be settled
-    exactly even when enclosures overlap.  When every root of c is
-    negative the polynomial is c(-t) made squarefree."""
-    return _radius_cell(*_mirror_chain(c), eps)
-
-
 _WITNESS_EPS = Fraction(1, 1 << 10)
 
 
 def _radius_leq(c_small: IntPolynomial, c_big: IntPolynomial) -> bool:
-    fs, ivs = _radius_witness(c_small, _WITNESS_EPS)
-    fb, ivb = _radius_witness(c_big, _WITNESS_EPS)
-    return compare_isolated_roots(fs, ivs, fb, ivb) <= 0
+    return compare_isolated_roots(*_radius_cell(*_mirror_chain(c_small), _WITNESS_EPS),
+                                  *_radius_cell(*_mirror_chain(c_big), _WITNESS_EPS)) <= 0
 
 
 def _interval_json(iv: RationalInterval | None) -> dict | None:
@@ -218,8 +206,10 @@ def analyze(g: MixedSignCoxeterGraph,
 
     verify_proof_identities is the one matrix certificate: it certifies
     the monodromy M^T M = -C- C+, whose characteristic polynomial is
-    therefore Delta.  c comes from coxeter_polynomial, so an alternating
-    graph runs no n x n characteristic polynomial at all.
+    therefore Delta.  c comes from coxeter_polynomial, so no graph runs
+    an n x n characteristic polynomial, and every root answer reads one
+    Sturm chain, of m = sf(-t) (_mirror_chain): Delta = +-c(-t) has m's
+    roots, and the max real root reads the chain as one of sf.
     """
     if g.n < 2:
         raise ValueError("analysis needs at least 2 vertices")
@@ -227,10 +217,8 @@ def analyze(g: MixedSignCoxeterGraph,
         raise ValueError("epsilon must be positive")
 
     c = coxeter_polynomial(g)
-    try:
-        mrr = max_real_root(c, eps)
-    except ValueError:  # c has no real root
-        mrr = None
+    chain, bound = _mirror_chain(c)
+    mrr = _max_root_cell(chain, eps)
     if not is_alternating_sign(g):
         return AnalysisReport(
             graph=g, alternating=False, coxeter=c, alexander=None,
@@ -239,15 +227,14 @@ def analyze(g: MixedSignCoxeterGraph,
             proof_identities_ok=None, spectral_radius=None, max_real_root=mrr)
 
     delta = _alexander_from_coxeter(c)
-    real_stable = is_real_stable(delta)
+    real_stable = chain.count(Fraction(0), bound) == chain.poly.degree
     sign_alt = sign_alternation_check(delta)
     trap, plateau_k = trapezoidal_check(delta)
     log_conc = log_concavity_check(delta)
     identities_ok = bool(verify_proof_identities(g))
-    try:
-        radius = spectral_radius_enclosure(c, eps)
-    except ValueError:  # c is not real-rooted
-        radius = None
+    real_rooted = chain.count(-bound, bound) == chain.poly.degree
+    # c(0) = +-1, so unlike spectral_radius_enclosure this needs no clamp
+    radius = _radius_cell(chain, bound, eps)[1] if real_rooted else None
 
     if real_stable and not (trap and log_conc):
         raise CertificationError(
@@ -472,7 +459,7 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
                 leaf = next(i for i in range(g.n) if len(g.neighbors[i]) == 1)
                 sub = remove_vertex(g, leaf)
                 if compare_isolated_roots(
-                        *_radius_witness(coxeter_polynomial(sub), _WITNESS_EPS),
+                        *_radius_cell(*_mirror_chain(coxeter_polynomial(sub)), _WITNESS_EPS),
                         *_radius_cell(chain, bound, _WITNESS_EPS)) > 0:
                     raise CertificationError(
                         "radius monotonicity violated by leaf removal\n"

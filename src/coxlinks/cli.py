@@ -19,7 +19,6 @@ from .analysis import _interval_json, analyze, min_dilatation_search, verify_the
 from .coxeter import CertificationError, coxeter_polynomial, require_alternating
 from .fixtures import fixture_names, fixture_text
 from .graphs import (
-    GraphError,
     GraphParseError,
     MixedSignCoxeterGraph,
     graph_to_text,
@@ -213,9 +212,6 @@ def main(argv: list[str] | None = None) -> int:
     except GraphParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except GraphError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONTRACT
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONTRACT

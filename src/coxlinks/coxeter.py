@@ -65,13 +65,12 @@ def coxeter_transformation(g: MixedSignCoxeterGraph) -> IntMatrix:
 
 
 def _tree_charpoly(g: MixedSignCoxeterGraph) -> IntPolynomial:
-    """chi_A of a tree by the matching recursion
-    phi(T) = x phi(T - v) - sum_{u ~ v} phi(T - v - u), bottom-up over a
-    breadth-first order.  For the subtree T_v below v, prod[v] is
-    phi(T_v - v), the product over the children, and excl[v] is the sum
-    over children u of phi(T_v - v - u) = prod[u] times the other
-    children's phi."""
-    n = g.n
+    """chi of a tree's A_w (see coxeter_polynomial) by the recursion
+    phi(T) = x phi(T - v) - sum_{u ~ v} w_uv phi(T - v - u), w_uv =
+    -s_u s_v, bottom-up over a breadth-first order.  Below v, prod[v] =
+    phi(T_v - v) is the product over the children u, and excl[v] sums
+    their w_vu phi(T_v - v - u) = w_vu prod[u] times the others' phi."""
+    n, signs = g.n, g.signs
     order, parent = [0], [-1] * n
     for v in order:  # grows while it is read: a breadth-first walk
         for u in g.neighbors[v]:
@@ -85,21 +84,20 @@ def _tree_charpoly(g: MixedSignCoxeterGraph) -> IntPolynomial:
         phi = x * prod[v] - excl[v]
         p = parent[v]
         if p >= 0:
-            excl[p] = excl[p] * phi + prod[v] * prod[p]
+            excl[p] = excl[p] * phi - signs[p] * signs[v] * prod[v] * prod[p]
             prod[p] = prod[p] * phi
     return phi
 
 
 def _gram_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
-    """q = det(yI - B B^T) for S the smaller sign class and B its
-    s x (n - s) biadjacency matrix; see coxeter_polynomial."""
-    bip = sign_bipartition(g)
+    """q = det(yI - G) for S the smaller class of two_coloring (which
+    raises NotBipartiteError on an odd cycle); see coxeter_polynomial."""
+    bip = two_coloring(g)
     small = sorted(min(bip.part_plus, bip.part_minus, key=len))
-    n, s = g.n, len(small)
+    n, s, signs = g.n, len(small), g.signs
     if g.edge_count == n - 1:
         return IntPolynomial(_tree_charpoly(g).coeffs[n - 2 * s::2])
-    # (B B^T)_ij counts the common neighbours of i and j in S: each
-    # vertex outside S adds 1 for every ordered pair of its neighbours
+    # G_ij adds -s_i s_w for every common neighbour w of i and j in S
     index = {v: k for k, v in enumerate(small)}
     gram = [[0] * s for _ in range(s)]
     for w in range(n):
@@ -107,49 +105,47 @@ def _gram_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
             around = [index[u] for u in g.neighbors[w]]
             for i in around:
                 row = gram[i]
+                weight = -signs[small[i]] * signs[w]
                 for j in around:
-                    row[j] += 1
+                    row[j] += weight
     return IntMatrix(gram).charpoly()
 
 
 def coxeter_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
     """Characteristic polynomial c(t) = det(tI - C+-) of the bipartite
-    Coxeter transformation.
+    Coxeter transformation of any two-colourable graph, by the exact form
+    of A'Campo's correspondence 2 + lam + 1/lam = -alpha^2 (Invent.
+    Math. 33, 1976).  Let S be the smaller colour class, s = |S|, R the
+    other, B the s x (n - s) biadjacency matrix from S to R, D_S and D_R
+    the diagonal sign matrices of S and R, G = -D_S B D_R B^T and q(y) =
+    det(yI - G).  On an alternating graph D_S = -D_R = +-I and G = B B^T.
 
-    Classical graphs run Berkowitz on C+ C-.  An alternating-sign graph
-    takes the exact form of A'Campo's correspondence 2 + lam + 1/lam =
-    -alpha^2 (Invent. Math. 33, 1976) instead.  Let S be the smaller sign
-    class, s = |S|, B the s x (n - s) biadjacency matrix from S to the
-    other class, and q(y) = det(yI - B B^T).
+    Schur step.  With S first, the complement of the block xI_(n-s) in
+    A_w = [[0, -D_S B D_R], [B^T, 0]] gives chi(x) = det(xI - A_w) =
+    x^(n-s) det(xI - G / x) = x^(n-2s) q(x^2).
 
-    Schur step.  With S first, A = [[0, B], [B^T, 0]], and the
-    complement of the invertible block xI_(n-s) gives chi_A(x) =
-    x^(n-s) det(xI - B B^T / x) = x^(n-2s) q(x^2).
-
-    Substitution.  In the same order, from the rows of _part_product,
-    one factor is [[-I, B], [0, I]] and the other [[I, 0], [-B^T, -I]]
-    when S is the plus class, so tI - C+ C- = [[(t+1)I + B B^T, B],
-    [B^T, (t+1)I]].  When S is the minus class, tI - C- C+ has these
-    blocks with both off-diagonal ones negated, which conjugation by
-    diag(I, -I) undoes, and det(tI - XY) = det(tI - YX).  The
-    complement of (t+1)I_(n-s) leaves (t+1)^(n-s) det((t+1)I +
-    t B B^T / (t+1)) = (t+1)^(n-2s) det((t+1)^2 I + t B B^T), and that
-    determinant is (-t)^s q(-(t+1)^2 / t), so
+    Substitution.  In the same order, by the rows of _part_product, the
+    factor of S is [[-I, D_S B], [0, I]] and that of R [[I, 0], [D_R B^T,
+    -I]], so tI - C_S C_R = [[(t+1)I + G, D_S B], [-D_R B^T, (t+1)I]].
+    C+- is C_S C_R or C_R C_S, as the sign classes of a connected
+    alternating graph are its colour classes, and det(tI - XY) =
+    det(tI - YX).  The complement of (t+1)I_(n-s) leaves (t+1)^(n-s)
+    det((t+1)I + G - G / (t+1)) = (t+1)^(n-2s) det((t+1)^2 I + t G), and
+    that determinant is (-t)^s q(-(t+1)^2 / t), so
         c(t) = (-1)^s (t+1)^(n-2s) sum_k q_k (-(t+1)^2)^k t^(s-k).
 
-    Computing q.  On a tree, chi_A is the matching polynomial
-    sum_k (-1)^k m_k x^(n-2k), m_k the number of k-edge matchings: in
-    Sachs' expansion of det(xI - A) the only spanning elementary
-    subgraphs of a forest are matchings (Godsil, Algebraic
-    Combinatorics, ch. 1; Heilmann and Lieb 1972).  A matching misses
-    v or covers it by one edge vu, which is the recursion
-    _tree_charpoly runs; by the Schur step q is every other coefficient
-    of chi_A from x^(n-2s) on.  A graph with a cycle runs Berkowitz on
-    the s x s matrix B B^T, built from common-neighbour counts.
-    correspondence_check tests both routes against the n x n ones.
+    Computing q.  On a tree a permutation with a nonzero term in
+    det(xI - A_w) fixes each vertex or swaps the ends of an edge uv,
+    which gives -(A_w)_uv (A_w)_vu = s_u s_v, as a longer cycle needs a
+    cycle in the graph.  So chi sums x^(n-2k) prod s_u s_v over the
+    k-edge matchings, the matching polynomial on an alternating tree
+    (Godsil, Algebraic Combinatorics, ch. 1).  A matching misses v or
+    covers it by one edge vu: the recursion _tree_charpoly runs.  By the
+    Schur step q is every other coefficient of chi from x^(n-2s) on.  A
+    graph with a cycle runs Berkowitz on the s x s matrix G, built from
+    common neighbours.  correspondence_check tests both routes against
+    the n x n ones.
     """
-    if not is_alternating_sign(g):
-        return coxeter_transformation(g).charpoly()
     q = _gram_polynomial(g).coeffs
     n, s = g.n, len(q) - 1
     # homogeneous Horner: acc = sum_k q_k u^k t^(s-k) with u = -(t+1)^2

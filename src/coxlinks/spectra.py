@@ -300,12 +300,10 @@ def max_real_root(p: IntPolynomial, eps: Fraction = DEFAULT_EPSILON) -> Rational
     """Enclosure of the largest real root, width <= eps."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    sf = squarefree_part(p)
-    bound = cauchy_bound(sf)
-    cell = _top_cell(_SturmChain(sf), -bound, bound) if sf.degree > 0 else None
+    cell = _max_root_cell(_mirror_chain(p)[0], eps)
     if cell is None:
         raise ValueError("polynomial has no real roots")
-    return _refine(sf, cell, eps)
+    return cell
 
 
 def _mirror_chain(p: IntPolynomial) -> tuple[_SturmChain, Fraction]:
@@ -316,11 +314,33 @@ def _mirror_chain(p: IntPolynomial) -> tuple[_SturmChain, Fraction]:
     return _SturmChain(m), cauchy_bound(sf * m)
 
 
+class _MirroredChain:
+    """The chain of m = sf(-t) read as one of sf: sf's roots in (lo, hi]
+    are m's in [-hi, -lo), which m's count on (-hi, -lo] gives when
+    neither end is a root, as in every count of _top_cell and _root_gap."""
+
+    def __init__(self, chain: _SturmChain):
+        self.chain, self.poly, self.min_width = chain, chain.poly.mirror(), chain.min_width
+
+    def count(self, lo: Fraction, hi: Fraction) -> int:
+        return self.chain.count(-hi, -lo)
+
+
+def _max_root_cell(chain: _SturmChain, eps: Fraction) -> RationalInterval | None:
+    """For the chain of _mirror_chain: the cell, width <= eps, of sf's
+    largest real root, or None.  It descends from (-bound, bound] with
+    bound = cauchy_bound(sf), as on a chain of sf itself."""
+    sf_chain = _MirroredChain(chain)
+    bound = cauchy_bound(sf_chain.poly)
+    cell = _top_cell(sf_chain, -bound, bound)
+    return None if cell is None else _refine(sf_chain.poly, cell, eps)
+
+
 def _radius_cell(chain: _SturmChain, bound: Fraction,
                  eps: Fraction) -> tuple[IntPolynomial, RationalInterval]:
     """(g, cell) for the chain and bound of _mirror_chain: g is squarefree
     and cell, of width <= eps, isolates its largest real root, which is
-    max |real root| of sf.
+    max |real root| of sf: a pair for compare_isolated_roots.
 
     When sf has no root >= 0, g is m and the cell comes from descending
     on m from (0, bound].  For a real-rooted sf that is exactly the cell

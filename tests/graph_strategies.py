@@ -31,3 +31,12 @@ def connected_alternating_graphs(draw):
                                    max_size=min(MAX_EXTRA_EDGES, len(non_edges)))))
     return MixedSignCoxeterGraph(tuple(f"v{i}" for i in range(n)), tuple(signs),
                                  tuple(sorted(edges)))
+
+
+@st.composite
+def connected_random_sign_graphs(draw):
+    """A connected_alternating_graphs graph with every sign drawn anew:
+    two-colourable, with any signs, classical ones included."""
+    g = draw(connected_alternating_graphs())
+    signs = tuple(draw(st.sampled_from((PLUS, MINUS))) for _ in range(g.n))
+    return MixedSignCoxeterGraph(g.names, signs, g.edges)

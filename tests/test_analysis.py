@@ -22,11 +22,12 @@ from coxlinks.coxeter import (
     homological_monodromy,
 )
 from coxlinks.exact import IntMatrix, IntPolynomial
-from coxlinks.fixtures import fixture_graph
+from coxlinks.fixtures import fixture_graph, fixture_names
 from coxlinks.graphs import enumerate_alternating_trees, is_alternating_sign, parse_graph
-from coxlinks.spectra import RationalInterval, cauchy_bound, is_real_stable, sturm_count
+from coxlinks.spectra import (RationalInterval, cauchy_bound, is_real_stable, max_real_root,
+                              spectral_radius_enclosure, sturm_count)
 
-from graph_strategies import connected_alternating_graphs
+from graph_strategies import connected_alternating_graphs, connected_random_sign_graphs
 
 F = Fraction
 
@@ -220,8 +221,8 @@ class TestVerifyTheorems:
 class TestMonodromyCertificate:
     @pytest.mark.parametrize("name", ["paper-5", "k33", "e10-classical"])
     def test_one_characteristic_polynomial_per_analyze(self, monkeypatch, name):
-        # a graph with a cycle runs Berkowitz on its s x s Gram matrix, a
-        # classical one on C+ C-
+        # a graph with a cycle runs Berkowitz on its s x s Gram matrix;
+        # a tree, classical or not, runs none
         sizes = []
         real_charpoly = IntMatrix.charpoly
 
@@ -231,7 +232,7 @@ class TestMonodromyCertificate:
 
         monkeypatch.setattr(IntMatrix, "charpoly", counting)
         analyze(fixture_graph(name))
-        assert sizes == {"paper-5": [2], "k33": [3], "e10-classical": [10]}[name]
+        assert sizes == {"paper-5": [2], "k33": [3], "e10-classical": []}[name]
 
     def test_no_characteristic_polynomial_on_a_tree(self, monkeypatch):
         def forbidden(_):
@@ -241,11 +242,11 @@ class TestMonodromyCertificate:
         for g in [fixture_graph("p5")] + list(enumerate_alternating_trees(8, dedup=True)):
             analyze(g)
 
-    @pytest.mark.parametrize("name,products", [("paper-5", 3), ("k33", 3), ("e10-classical", 1),
+    @pytest.mark.parametrize("name,products", [("paper-5", 3), ("k33", 3), ("e10-classical", 0),
                                                ("p5", 3)])
     def test_matrix_products_per_analyze(self, monkeypatch, name, products):
-        # C+ C+, (C+ + C-)^2 and A^2 for the certificate; C+ C- for c on
-        # a classical graph only
+        # C+ C+, (C+ + C-)^2 and A^2 for the certificate of an alternating
+        # graph; a classical graph has no certificate and c needs no product
         count = [0]
         real_matmul = IntMatrix.__matmul__
 
@@ -268,6 +269,44 @@ class TestMonodromyCertificate:
         assert monodromy == -(c_minus @ c_plus)
         assert slow == rep.alexander == alexander_polynomial(g)
         assert rep.biorderable_implied == is_real_stable(slow)
+
+
+class TestOneChainPerAnalyze:
+    """analyze answers every root question on one Sturm chain, of
+    sf(-t) for sf the squarefree part of c."""
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_one_squarefree_part_and_one_chain(self, monkeypatch, name):
+        parts, chains = [], []
+        real_part = spectra.squarefree_part
+
+        def counting(p):
+            parts.append(p)
+            return real_part(p)
+
+        class SpyChain(spectra._SturmChain):
+            def __init__(self, sf):
+                chains.append(sf)
+                super().__init__(sf)
+
+        monkeypatch.setattr(spectra, "squarefree_part", counting)
+        monkeypatch.setattr(spectra, "_SturmChain", SpyChain)
+        analyze(fixture_graph(name))
+        assert (len(parts), len(chains)) == (1, 1)
+
+    @given(connected_random_sign_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_answers_match_the_public_routes(self, g):
+        eps = F(1, 1 << 20)
+        c = coxeter_polynomial(g)
+        rep = analyze(g, eps)
+        try:
+            assert rep.max_real_root == max_real_root(c, eps)
+        except ValueError:  # no real root
+            assert rep.max_real_root is None
+        if rep.alternating:
+            assert rep.real_stable == is_real_stable(rep.alexander)
+            assert rep.spectral_radius == spectral_radius_enclosure(c, eps)
 
 
 class TestCertificationErrors:

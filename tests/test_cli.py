@@ -397,6 +397,97 @@ def test_readme_example_output_is_byte_identical(capsys, argv, expected):
     assert out == expected
 
 
+# `analyze` text stdout, byte for byte, on every fixture: the benchmark
+# digests pin only the --json output
+ANALYZE_TEXT = {
+    ("a2",): (
+        "graph: 2 vertices, 1 edge, alternating signs\n"
+        "coxeter polynomial: t^2 + 3t + 1\n"
+        "alexander polynomial: t^2 - 3t + 1\n"
+        "spectral radius in [2.618033988401, 2.618033989332]\n"
+        "real stable (all alexander roots real and positive): yes\n"
+        "sign alternating: yes\n"
+        "trapezoidal: yes (plateau k = 1)\n"
+        "log-concave (strict): yes\n"
+        "bi-orderable implied (all monodromy eigenvalues real positive): yes\n"
+        "proof identities: ok\n"
+    ),
+    ("p3-alt",): (
+        "graph: 3 vertices, 2 edges, alternating signs\n"
+        "coxeter polynomial: t^3 + 5t^2 + 5t + 1\n"
+        "alexander polynomial: t^3 - 5t^2 + 5t - 1\n"
+        "spectral radius in [3.732050807215, 3.732050808146]\n"
+        "real stable (all alexander roots real and positive): yes\n"
+        "sign alternating: yes\n"
+        "trapezoidal: yes (plateau k = 1)\n"
+        "log-concave (strict): yes\n"
+        "bi-orderable implied (all monodromy eigenvalues real positive): yes\n"
+        "proof identities: ok\n"
+    ),
+    ("paper-5",): (
+        "graph: 5 vertices, 5 edges, alternating signs\n"
+        "coxeter polynomial: t^5 + 10t^4 + 27t^3 + 27t^2 + 10t + 1\n"
+        "alexander polynomial: t^5 - 10t^4 + 27t^3 - 27t^2 + 10t - 1\n"
+        "spectral radius in [6.405435399756, 6.405435400520]\n"
+        "real stable (all alexander roots real and positive): yes\n"
+        "sign alternating: yes\n"
+        "trapezoidal: yes (plateau k = 2)\n"
+        "log-concave (strict): yes\n"
+        "bi-orderable implied (all monodromy eigenvalues real positive): yes\n"
+        "proof identities: ok\n"
+    ),
+    ("p5",): (
+        "graph: 5 vertices, 4 edges, alternating signs\n"
+        "coxeter polynomial: t^5 + 9t^4 + 25t^3 + 25t^2 + 9t + 1\n"
+        "alexander polynomial: t^5 - 9t^4 + 25t^3 - 25t^2 + 9t - 1\n"
+        "spectral radius in [4.791287847168, 4.791287847874]\n"
+        "real stable (all alexander roots real and positive): yes\n"
+        "sign alternating: yes\n"
+        "trapezoidal: yes (plateau k = 2)\n"
+        "log-concave (strict): yes\n"
+        "bi-orderable implied (all monodromy eigenvalues real positive): yes\n"
+        "proof identities: ok\n"
+    ),
+    ("k33",): (
+        "graph: 6 vertices, 9 edges, alternating signs\n"
+        "coxeter polynomial: t^6 + 15t^5 + 51t^4 + 74t^3 + 51t^2 + 15t + 1\n"
+        "alexander polynomial: t^6 - 15t^5 + 51t^4 - 74t^3 + 51t^2 - 15t + 1\n"
+        "spectral radius in [10.908326912343, 10.908326913224]\n"
+        "real stable (all alexander roots real and positive): yes\n"
+        "sign alternating: yes\n"
+        "trapezoidal: yes (plateau k = 3)\n"
+        "log-concave (strict): yes\n"
+        "bi-orderable implied (all monodromy eigenvalues real positive): yes\n"
+        "proof identities: ok\n"
+    ),
+    ("e10-classical", "--classical"): (
+        "graph: 10 vertices, 9 edges, classical signs\n"
+        "coxeter polynomial: t^10 + t^9 - t^7 - t^6 - t^5 - t^4 - t^3 + t + 1\n"
+        "max real root in [1.176280817948, 1.176280818879]\n"
+        "classical signs: alternating-sign certifications omitted\n"
+    ),
+    ("paper-5", "--epsilon", "1/1024"): (
+        "graph: 5 vertices, 5 edges, alternating signs\n"
+        "coxeter polynomial: t^5 + 10t^4 + 27t^3 + 27t^2 + 10t + 1\n"
+        "alexander polynomial: t^5 - 10t^4 + 27t^3 - 27t^2 + 10t - 1\n"
+        "spectral radius in [6.404685974121, 6.405487060546]\n"
+        "real stable (all alexander roots real and positive): yes\n"
+        "sign alternating: yes\n"
+        "trapezoidal: yes (plateau k = 2)\n"
+        "log-concave (strict): yes\n"
+        "bi-orderable implied (all monodromy eigenvalues real positive): yes\n"
+        "proof identities: ok\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", ANALYZE_TEXT, ids=" ".join)
+def test_analyze_text_report_is_byte_identical(capsys, argv):
+    code, out, _ = run_cli(capsys, "analyze", *argv)
+    assert code == 0
+    assert out == ANALYZE_TEXT[argv]
+
+
 def test_readme_has_examples():
     assert len(readme_examples()) >= 3
 

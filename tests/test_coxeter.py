@@ -23,9 +23,13 @@ from coxlinks.coxeter import (
     verify_proof_identities,
 )
 from coxlinks.exact import IntMatrix, IntPolynomial
-from coxlinks.fixtures import fixture_graph
+from coxlinks.fixtures import fixture_graph, fixture_names
 from coxlinks.graphs import (
+    MINUS,
+    PLUS,
+    MixedSignCoxeterGraph,
     NotAlternatingError,
+    NotBipartiteError,
     adjacency_matrix,
     enumerate_alternating_trees,
     parse_graph,
@@ -33,9 +37,10 @@ from coxlinks.graphs import (
     random_edge_augmentation,
     random_vertex_extension,
     sign_bipartition,
+    two_coloring,
 )
 
-from graph_strategies import connected_alternating_graphs
+from graph_strategies import connected_alternating_graphs, connected_random_sign_graphs
 from matrix_oracles import inverse_unimodular
 
 # printed matrices for the 5-vertex fixture, vertex order p1 p2 p3 n1 n2
@@ -332,6 +337,73 @@ class TestFastCoxeterPolynomial:
             small, large = sorted((sorted(bip.part_plus), sorted(bip.part_minus)), key=len)
             b = sympy.Matrix([[int(g.has_edge(i, j)) for j in large] for i in small])
             expect = (b * b.T).charpoly().all_coeffs()
+            assert _gram_polynomial(g).coeffs == tuple(int(x) for x in reversed(expect))
+
+
+def resigned(g, signs):
+    return MixedSignCoxeterGraph(g.names, tuple(signs), g.edges)
+
+
+def signed_graphs_with_cycles(seed: int = 2015):
+    """The seeded graphs with cycles with all-plus signs and with random
+    signs: two-colourable but not alternating."""
+    rng = random.Random(seed)
+    graphs = seeded_graphs_with_cycles()
+    return ([resigned(g, [PLUS] * g.n) for g in graphs]
+            + [resigned(g, [rng.choice((PLUS, MINUS)) for _ in range(g.n)]) for g in graphs])
+
+
+class TestSignedCoxeterPolynomial:
+    """coxeter_polynomial of a graph with any signs, by the Gram route
+    with G = -D_S B D_R B^T, against Berkowitz on C+ C-."""
+
+    def test_every_sign_pattern_on_every_tree_class_through_six_vertices(self):
+        TestFastCoxeterPolynomial.assert_both_routes_agree(
+            resigned(g, signs) for n in range(2, 7)
+            for g in enumerate_alternating_trees(n, dedup=True)
+            for signs in itertools.product((PLUS, MINUS), repeat=n))
+
+    def test_all_plus_and_random_sign_graphs_with_cycles(self):
+        TestFastCoxeterPolynomial.assert_both_routes_agree(signed_graphs_with_cycles())
+
+    @given(connected_random_sign_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_connected_random_sign_graphs(self, g):
+        TestFastCoxeterPolynomial.assert_both_routes_agree([g])
+
+    def test_odd_cycle_raises_not_bipartite(self):
+        triangle = parse_graph("vertex a +\nvertex b -\nvertex c +\n"
+                               "edge a b\nedge b c\nedge a c\n")
+        with pytest.raises(NotBipartiteError, match="odd cycle"):
+            coxeter_polynomial(triangle)
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_no_n_by_n_route_on_any_fixture(self, monkeypatch, name):
+        def forbidden(_):
+            raise AssertionError("coxeter_transformation inside coxeter_polynomial")
+
+        sizes = []
+        real_charpoly = IntMatrix.charpoly
+
+        def counting(m):
+            sizes.append(m.n)
+            return real_charpoly(m)
+
+        monkeypatch.setattr(coxeter, "coxeter_transformation", forbidden)
+        monkeypatch.setattr(IntMatrix, "charpoly", counting)
+        g = fixture_graph(name)
+        coxeter_polynomial(g)
+        assert all(2 * k <= g.n for k in sizes)
+
+    def test_signed_gram_polynomial_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for g in signed_graphs_with_cycles()[::4]:
+            bip = two_coloring(g)
+            small, large = sorted((sorted(bip.part_plus), sorted(bip.part_minus)), key=len)
+            b = sympy.Matrix([[int(g.has_edge(i, j)) for j in large] for i in small])
+            d_s = sympy.diag(*[g.signs[i] for i in small])
+            d_r = sympy.diag(*[g.signs[j] for j in large])
+            expect = (-d_s * b * d_r * b.T).charpoly().all_coeffs()
             assert _gram_polynomial(g).coeffs == tuple(int(x) for x in reversed(expect))
 
 

@@ -81,3 +81,34 @@ def test_name_parser_sees_relative_and_absolute_forms(tmp_path):
                    "from os.path import join\nfrom . import graphs\n")
     assert imported_names(src) == {("spectra", "_SturmChain"), ("spectra", "x"),
                                    ("coxeter", "_y")}
+
+
+def unused_imports(path: Path) -> set[str]:
+    """Names a source file imports and never reads: not as a name, not
+    as the base of an attribute, and not listed in __all__."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    return imported - used
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_unused_import(module):
+    assert not unused_imports(PACKAGE / module)
+
+
+def test_unused_import_finder_sees_every_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from __future__ import annotations\nimport os.path\nimport re as regex\n"
+                   "from math import comb, prod\nfrom .graphs import x, y\n"
+                   "__all__ = ['y']\nos.sep\n\ndef f(a: comb) -> None:\n    pass\n")
+    assert unused_imports(src) == {"regex", "prod", "x"}

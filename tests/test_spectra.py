@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxlinks import spectra
-from coxlinks.analysis import _radius_witness
 from coxlinks.coxeter import alexander_polynomial, coxeter_polynomial
 from coxlinks.exact import (IntPolynomial, _pseudo_rem_positive, poly_divexact, poly_gcd,
                             squarefree_decomposition, squarefree_part)
@@ -21,6 +20,8 @@ from coxlinks.graphs import (adjacency_matrix, enumerate_alternating_trees,
 from coxlinks.spectra import (
     DEFAULT_EPSILON,
     RationalInterval,
+    _mirror_chain,
+    _radius_cell,
     cauchy_bound,
     compare_isolated_roots,
     interlace_check,
@@ -242,6 +243,15 @@ def fold_radius_enclosure(p, eps):
     return RationalInterval(max(F(0), iv.lo), max(F(0), iv.hi))
 
 
+def own_chain_top_cell(p, eps):
+    """Reference for the read of sf(-t)'s chain as one of sf: the descent
+    on sf's own chain, which max_real_root ran before."""
+    sf = squarefree_part(p)
+    bound = cauchy_bound(sf)
+    cell = spectra._top_cell(spectra._SturmChain(sf), -bound, bound)
+    return None if cell is None else spectra._refine(sf, cell, eps)
+
+
 def dyadic_product(factors):
     """Product of (2^k t - a) over (a, k): real-rooted, roots a / 2^k."""
     p = P(1)
@@ -282,7 +292,7 @@ class TestFastPathsAgainstOracles:
         # steps around a midpoint root runs as well
         p = dyadic_product(factors) * extra
         assert max_real_root(p, eps) == full_isolation_max_root(p, eps)
-        witness, cell = _radius_witness(p, eps)
+        witness, cell = _radius_cell(*_mirror_chain(p), eps)
         folded, fold_cell = fold_witness(p, eps)
         if is_real_rooted(p):
             assert cell == fold_cell
@@ -293,6 +303,24 @@ class TestFastPathsAgainstOracles:
             assert compare_isolated_roots(witness, cell, folded, fold_cell) == 0
             with pytest.raises(ValueError):
                 spectral_radius_enclosure(p, eps)
+
+    @given(DYADIC_FACTORS, st.sampled_from([P(1), P(1, 0, 1), P(-2, 0, 1), P(1, 3, 1)]),
+           EPSILONS)
+    @settings(max_examples=150, deadline=None)
+    def test_mirrored_read_matches_own_chain_on_dyadic_products(self, factors, extra, eps):
+        # midpoint roots on both sides of 0 run the step around a root
+        p = dyadic_product(factors) * extra
+        for q in (p, p.mirror(), P(1, 0, 1)):
+            assert spectra._max_root_cell(_mirror_chain(q)[0], eps) == own_chain_top_cell(q, eps)
+
+    def test_mirrored_read_matches_own_chain_on_coxeter_polynomials(self):
+        # c has negative roots and its mirror, +-Delta, positive ones
+        polys = [coxeter_polynomial(fixture_graph(name)) for name in fixture_names()]
+        for c in polys + sample_coxeter_polynomials():
+            for q in (c, c.mirror()):
+                for eps in (DEFAULT_EPSILON, F(1, 4), F(8)):
+                    cell = spectra._max_root_cell(_mirror_chain(q)[0], eps)
+                    assert cell == own_chain_top_cell(q, eps)
 
     def test_max_real_root_matches_full_isolation_on_fixtures(self):
         polys = [coxeter_polynomial(fixture_graph(name)) for name in fixture_names()]
@@ -307,7 +335,7 @@ class TestFastPathsAgainstOracles:
         for c in sample_coxeter_polynomials():
             for eps in (DEFAULT_EPSILON, F(1, 1 << 10)):
                 assert spectral_radius_enclosure(c, eps) == fold_radius_enclosure(c, eps)
-                witness, cell = _radius_witness(c, eps)
+                witness, cell = _radius_cell(*_mirror_chain(c), eps)
                 assert cell == fold_witness(c, eps)[1]
                 assert spectra._root_in(witness, cell)
 
@@ -316,7 +344,7 @@ class TestFastPathsAgainstOracles:
                   P(-3, 1) * P(5, 1) * P(2, 1)):
             for eps in (DEFAULT_EPSILON, F(1, 2), F(4)):
                 assert spectral_radius_enclosure(p, eps) == fold_radius_enclosure(p, eps)
-                assert _radius_witness(p, eps) == fold_witness(p, eps)
+                assert _radius_cell(*_mirror_chain(p), eps) == fold_witness(p, eps)
 
     def test_negative_spectrum_radius_builds_no_double_degree_chain(self, monkeypatch):
         degrees = []
