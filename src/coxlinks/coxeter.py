@@ -24,20 +24,6 @@ class CertificationError(RuntimeError):
     not a bad input or an internal fault."""
 
 
-def reflection(g: MixedSignCoxeterGraph, i: int) -> IntMatrix:
-    """Matrix of the reflection in vertex i on the basis of vertex
-    classes: identity except row i, which picks up sign(v_i) * a_ij off
-    the diagonal and -1 on it."""
-    if not 0 <= i < g.n:
-        raise ValueError("vertex index out of range")
-    rows = [list(r) for r in IntMatrix.identity(g.n).rows]
-    s = g.signs[i]
-    for j in g.neighbors[i]:
-        rows[i][j] = s
-    rows[i][i] = -1
-    return IntMatrix(rows)
-
-
 def _part_product(g: MixedSignCoxeterGraph, part: frozenset[int]) -> IntMatrix:
     # The reflections of an independent set commute and each one touches
     # only its own row, so their product is assembled in a single pass.
@@ -143,8 +129,8 @@ def coxeter_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
     covers it by one edge vu: the recursion _tree_charpoly runs.  By the
     Schur step q is every other coefficient of chi from x^(n-2s) on.  A
     graph with a cycle runs Berkowitz on the s x s matrix G, built from
-    common neighbours.  correspondence_check tests both routes against
-    the n x n ones.
+    common neighbours.  correspondence_check in tests/matrix_oracles.py
+    tests both routes against the n x n ones.
     """
     q = _gram_polynomial(g).coeffs
     n, s = g.n, len(q) - 1
@@ -248,19 +234,3 @@ def verify_proof_identities(g: MixedSignCoxeterGraph):
         return IdentityMismatch("(C+ + C-)^2 = -A^2", s2, neg_a2)
     return True
 
-
-def correspondence_check(g: MixedSignCoxeterGraph) -> bool:
-    """The fast route to c against the slow one, on an alternating-sign
-    graph: after the matrix certificate, chi_A(x) = x^(n-2s) q(x^2) with
-    q from the fast route and chi_A by Berkowitz on A, and
-    coxeter_polynomial(g) against Berkowitz on C+ C-.  The proof of both
-    identities is in coxeter_polynomial.
-    """
-    if verify_proof_identities(g) is not True:
-        return False
-    q = _gram_polynomial(g).coeffs
-    n, s = g.n, len(q) - 1
-    chi = [0] * (n + 1)
-    chi[n - 2 * s::2] = q
-    return (adjacency_matrix(g).charpoly() == IntPolynomial(chi)
-            and coxeter_polynomial(g) == coxeter_transformation(g).charpoly())

@@ -228,35 +228,6 @@ def poly_divexact(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(out)
 
 
-def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Yun's algorithm: p = unit * prod f_i**i with the f_i squarefree,
-    pairwise coprime, primitive, positive leading coefficient.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no squarefree decomposition")
-    f = p.primitive()
-    if f.degree == 0:
-        return []
-    g = poly_gcd(f, f.derivative())
-    if g.degree == 0:
-        return [(f, 1)]
-    out: list[tuple[IntPolynomial, int]] = []
-    b = poly_divexact(f, g)
-    d = poly_divexact(f.derivative(), g) - b.derivative()
-    i = 1
-    while b.degree > 0:
-        a = poly_gcd(b, d) if not d.is_zero else b
-        if a.degree > 0:
-            out.append((a, i))
-        b = poly_divexact(b, a)
-        if d.is_zero:
-            break
-        c = poly_divexact(d, a)
-        d = c - b.derivative()
-        i += 1
-    return out
-
-
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     """Product of the distinct irreducible factors of p, primitive with
     positive leading coefficient."""
@@ -328,38 +299,6 @@ class IntMatrix:
     def is_symmetric(self) -> bool:
         return all(self.rows[i][j] == self.rows[j][i]
                    for i in range(self.n) for j in range(i + 1, self.n))
-
-    def det(self) -> int:
-        """Determinant by fraction-free Bareiss elimination.
-
-        Kept algorithmically independent of charpoly() so the two can
-        cross-check each other.
-        """
-        n = self.n
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for c in range(n - 1):
-            if m[c][c] == 0:
-                for r in range(c + 1, n):
-                    if m[r][c] != 0:
-                        m[c], m[r] = m[r], m[c]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            pc = m[c][c]
-            for r in range(c + 1, n):
-                mrc = m[r][c]
-                rowr = m[r]
-                rowc = m[c]
-                for j in range(c + 1, n):
-                    rowr[j] = (rowr[j] * pc - mrc * rowc[j]) // prev
-                rowr[c] = 0
-            prev = pc
-        return sign * m[n - 1][n - 1]
 
     def charpoly(self) -> IntPolynomial:
         """Characteristic polynomial det(tI - A), monic, by the Berkowitz

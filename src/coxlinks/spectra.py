@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
 
 from .exact import (IntPolynomial, _pseudo_rem_positive, poly_divexact,
-                    poly_gcd, squarefree_decomposition, squarefree_part)
+                    poly_gcd, squarefree_part)
 
 _ZERO = Fraction(0)
 DEFAULT_EPSILON = Fraction(1, 10 ** 9)
@@ -46,17 +45,6 @@ class RationalInterval:
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
-
-
-@dataclass(frozen=True)
-class RootIsolation:
-    """Isolated real roots of a polynomial, ascending, with multiplicities."""
-    roots: tuple[tuple[RationalInterval, int], ...]
-    squarefree: IntPolynomial
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.roots)
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -93,6 +81,23 @@ def _sign_changes(values) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def _min_width(sf: IntPolynomial) -> Fraction:
+    """2^-K for a halving count K past which no correct bisection
+    between the roots of the squarefree sf goes; see _check_width."""
+    # Mahler (1964): distinct roots of a squarefree integer polynomial
+    # of degree d >= 2 are more than sep = sqrt(3) d^(-(d+2)/2)
+    # ||f||_2^(1-d) apart.  With log2 d <= d.bit_length() and
+    # log2 ||f||_2 <= norm2.bit_length() / 2, sep > 2^-k0 for k0 below.
+    # A cell is only bisected while it holds two roots, so it is at
+    # least sep wide, and the gap search stops by its first w < sep,
+    # so a correct run never tests a width below sep / 2 > 2^-(k0+1).
+    # K = k0 + 1 + deg: deg more halvings as margin.
+    d = max(sf.degree, 2)
+    norm2 = sum(c * c for c in sf.coeffs)
+    k0 = ((d + 2) * d.bit_length() + (d - 1) * norm2.bit_length() + 1) // 2
+    return Fraction(1, 1 << (k0 + 1 + d))
+
+
 class _SturmChain:
     """Sturm chain of a squarefree polynomial, with memoized sign
     variation counts at rational points."""
@@ -104,20 +109,7 @@ class _SturmChain:
 
     @cached_property
     def min_width(self) -> Fraction:
-        """2^-K for a halving count K past which no correct bisection on
-        this chain goes; see _check_width."""
-        # Mahler (1964): distinct roots of a squarefree integer polynomial
-        # of degree d >= 2 are more than sep = sqrt(3) d^(-(d+2)/2)
-        # ||f||_2^(1-d) apart.  With log2 d <= d.bit_length() and
-        # log2 ||f||_2 <= norm2.bit_length() / 2, sep > 2^-k0 for k0 below.
-        # A cell is only bisected while it holds two roots, so it is at
-        # least sep wide, and the gap search stops by its first w < sep,
-        # so a correct run never tests a width below sep / 2 > 2^-(k0+1).
-        # K = k0 + 1 + deg: deg more halvings as margin.
-        d = max(self.poly.degree, 2)
-        norm2 = sum(c * c for c in self.poly.coeffs)
-        k0 = ((d + 2) * d.bit_length() + (d - 1) * norm2.bit_length() + 1) // 2
-        return Fraction(1, 1 << (k0 + 1 + d))
+        return _min_width(self.poly)
 
     def variations(self, x: Fraction) -> int:
         v = self._memo.get(x)
@@ -130,15 +122,6 @@ class _SturmChain:
         if lo >= hi:
             return 0
         return self.variations(lo) - self.variations(hi)
-
-
-def sturm_count(p: IntPolynomial, interval: RationalInterval) -> int:
-    """Number of distinct real roots of p in (interval.lo, interval.hi]."""
-    if p.is_zero:
-        raise ValueError("root counting needs a nonzero polynomial")
-    if p.degree == 0:
-        return 0
-    return _SturmChain(squarefree_part(p)).count(interval.lo, interval.hi)
 
 
 def _check_width(chain: _SturmChain, width: Fraction) -> None:
@@ -162,42 +145,13 @@ def _root_gap(chain: _SturmChain, lo: Fraction, hi: Fraction, mid: Fraction) -> 
     return w
 
 
-def _isolate_squarefree(chain: _SturmChain) -> list[RationalInterval]:
-    """Disjoint intervals, one distinct root each, ascending.  Non-point
-    endpoints are never roots, so each bracket carries a sign change."""
-    sf = chain.poly
-    if sf.degree <= 0:
-        return []
-    bound = cauchy_bound(sf)
-    out: list[RationalInterval] = []
-
-    def explore(lo: Fraction, hi: Fraction, cnt: int) -> None:
-        if cnt == 0:
-            return
-        if cnt == 1:
-            out.append(RationalInterval(lo, hi))
-            return
-        _check_width(chain, hi - lo)
-        mid = (lo + hi) / 2
-        if sf.eval_sign(mid) == 0:
-            w = _root_gap(chain, lo, hi, mid)
-            explore(lo, mid - w, chain.count(lo, mid - w))
-            out.append(RationalInterval(mid, mid))
-            explore(mid + w, hi, chain.count(mid + w, hi))
-        else:
-            left = chain.count(lo, mid)
-            explore(lo, mid, left)
-            explore(mid, hi, cnt - left)
-
-    explore(-bound, bound, chain.count(-bound, bound))
-    return out
-
-
 def _top_cell(chain: _SturmChain, lo: Fraction, hi: Fraction) -> RationalInterval | None:
     """The cell of the largest root in (lo, hi], or None when there is no
-    root there.  Follows _isolate_squarefree's bisection but keeps only
+    root there.  Follows the full isolation's bisection but keeps only
     the sub-cell holding the largest root, so with (lo, hi] = (-bound,
-    bound] it returns exactly the last interval that function returns."""
+    bound] it returns exactly the last interval that isolation returns
+    (isolate_squarefree in tests/root_oracles.py, and the tests that
+    compare the two)."""
     sf = chain.poly
     cnt = chain.count(lo, hi)
     if cnt == 0:
@@ -242,42 +196,6 @@ def _halve(sf: IntPolynomial, iv: RationalInterval) -> RationalInterval:
     return _refine(sf, iv, iv.width / 2) if not iv.is_point else iv
 
 
-def _separate(sf: IntPolynomial, intervals: list[RationalInterval]) -> list[RationalInterval]:
-    # isolation can leave neighbors sharing an endpoint; bisect until
-    # the closed intervals are pairwise disjoint
-    for i in range(len(intervals) - 1):
-        while intervals[i].hi >= intervals[i + 1].lo:
-            intervals[i] = _halve(sf, intervals[i])
-            intervals[i + 1] = _halve(sf, intervals[i + 1])
-    return intervals
-
-
-def _root_in(factor: IntPolynomial, iv: RationalInterval) -> bool:
-    """Does the squarefree factor have (the) root inside this isolating
-    interval?  Exact: point check or endpoint sign change."""
-    if iv.is_point:
-        return factor.eval_sign(iv.lo) == 0
-    return factor.eval_sign(iv.lo) * factor.eval_sign(iv.hi) < 0
-
-
-def isolate_real_roots(p: IntPolynomial, eps: Fraction = DEFAULT_EPSILON) -> RootIsolation:
-    """Isolate every distinct real root of p with multiplicity, each in
-    an interval of width <= eps."""
-    if p.is_zero:
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    decomp = squarefree_decomposition(p)
-    sf = prod((f for f, _ in decomp), start=IntPolynomial([1]))  # no more gcds
-    chain = _SturmChain(sf)
-    intervals = _separate(sf, [_refine(sf, iv, eps) for iv in _isolate_squarefree(chain)])
-    roots = []
-    for iv in intervals:
-        mult = next(m for f, m in decomp if _root_in(f, iv))
-        roots.append((iv, mult))
-    return RootIsolation(tuple(roots), sf)
-
-
 def is_real_rooted(p: IntPolynomial) -> bool:
     """True when every complex root of p is real.  Only distinct roots
     matter, so one chain of the squarefree part decides it."""
@@ -300,7 +218,7 @@ def max_real_root(p: IntPolynomial, eps: Fraction = DEFAULT_EPSILON) -> Rational
     """Enclosure of the largest real root, width <= eps."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    cell = _max_root_cell(_mirror_chain(p)[0], eps)
+    cell = _max_root_cell(_SturmChain(squarefree_part(p).mirror()), eps)
     if cell is None:
         raise ValueError("polynomial has no real roots")
     return cell
@@ -327,7 +245,7 @@ class _MirroredChain:
 
 
 def _max_root_cell(chain: _SturmChain, eps: Fraction) -> RationalInterval | None:
-    """For the chain of _mirror_chain: the cell, width <= eps, of sf's
+    """For the chain of m = sf(-t): the cell, width <= eps, of sf's
     largest real root, or None.  It descends from (-bound, bound] with
     bound = cauchy_bound(sf), as on a chain of sf itself."""
     sf_chain = _MirroredChain(chain)
@@ -430,7 +348,16 @@ def interlace_check(p: IntPolynomial, q: IntPolynomial) -> bool:
 def compare_isolated_roots(p_sf: IntPolynomial, ip: RationalInterval,
                            q_sf: IntPolynomial, iq: RationalInterval) -> int:
     """Exact comparison (-1, 0, +1) of the unique root of p_sf in ip
-    against the unique root of q_sf in iq."""
+    against the unique root of q_sf in iq, both squarefree.
+
+    Both cells halve each round, and their ends stay non-roots.  Let
+    sep be the least gap between distinct roots of the squarefree lcm
+    L = p_sf q_sf / gcd.  Once both widths are below sep / 2, two
+    distinct roots leave the cells disjoint, and an equal root, a root
+    of the gcd, leaves it alone in the hull, so the gcd counts decide.
+    _min_width(L) is below sep / 2, so two cells still overlapping
+    under it do not isolate roots, and the loop raises, not hangs.
+    """
     g = None
     while True:
         if ip.is_point and iq.is_point:
@@ -459,6 +386,7 @@ def compare_isolated_roots(p_sf: IntPolynomial, ip: RationalInterval,
         if g is None:
             g = poly_gcd(p_sf, q_sf)
             g_chain = _SturmChain(g) if g.degree > 0 else None
+            floor = _min_width(poly_divexact(p_sf * q_sf, g))
         if g_chain is not None:
             hull_lo = min(ip.lo, iq.lo)
             hull_hi = max(ip.hi, iq.hi)
@@ -466,5 +394,8 @@ def compare_isolated_roots(p_sf: IntPolynomial, ip: RationalInterval,
                     and g_chain.count(iq.lo, iq.hi) == 1
                     and g_chain.count(hull_lo, hull_hi) == 1):
                 return 0
+        if max(ip.width, iq.width) < floor:
+            raise RuntimeError("root comparison exceeded its halving bound: "
+                               "a cell holds no root of its polynomial")
         ip = _halve(p_sf, ip)
         iq = _halve(q_sf, iq)

@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
-from coxlinks.exact import IntMatrix
+from coxlinks import coxeter
+from coxlinks.exact import IntMatrix, IntPolynomial
+from coxlinks.graphs import MixedSignCoxeterGraph, adjacency_matrix
 
 
 def trace(m: IntMatrix) -> int:
@@ -51,3 +53,65 @@ def dense_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
         for row in a.rows))
+
+
+def det(m: IntMatrix) -> int:
+    """Determinant by fraction-free Bareiss elimination, algorithmically
+    independent of IntMatrix.charpoly so the two can cross-check."""
+    n = m.n
+    if n == 0:
+        return 1
+    a = [list(r) for r in m.rows]
+    sign = 1
+    prev = 1
+    for c in range(n - 1):
+        if a[c][c] == 0:
+            for r in range(c + 1, n):
+                if a[r][c] != 0:
+                    a[c], a[r] = a[r], a[c]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pc = a[c][c]
+        for r in range(c + 1, n):
+            arc = a[r][c]
+            rowr = a[r]
+            rowc = a[c]
+            for j in range(c + 1, n):
+                rowr[j] = (rowr[j] * pc - arc * rowc[j]) // prev
+            rowr[c] = 0
+        prev = pc
+    return sign * a[n - 1][n - 1]
+
+
+def reflection(g: MixedSignCoxeterGraph, i: int) -> IntMatrix:
+    """Matrix of the reflection in vertex i on the basis of vertex
+    classes: identity except row i, which picks up sign(v_i) * a_ij off
+    the diagonal and -1 on it.  The oracle for coxeter._part_product."""
+    if not 0 <= i < g.n:
+        raise ValueError("vertex index out of range")
+    rows = [list(r) for r in IntMatrix.identity(g.n).rows]
+    s = g.signs[i]
+    for j in g.neighbors[i]:
+        rows[i][j] = s
+    rows[i][i] = -1
+    return IntMatrix(rows)
+
+
+def correspondence_check(g: MixedSignCoxeterGraph) -> bool:
+    """The fast route to c against the slow one, on an alternating-sign
+    graph: after the matrix certificate, chi_A(x) = x^(n-2s) q(x^2) with
+    q from the fast route and chi_A by Berkowitz on A, and
+    coxeter_polynomial(g) against Berkowitz on C+ C-.  The proof of both
+    identities is in coxeter.coxeter_polynomial, which is called through
+    its module so that a test may patch it.
+    """
+    if coxeter.verify_proof_identities(g) is not True:
+        return False
+    q = coxeter._gram_polynomial(g).coeffs
+    n, s = g.n, len(q) - 1
+    chi = [0] * (n + 1)
+    chi[n - 2 * s::2] = q
+    return (adjacency_matrix(g).charpoly() == IntPolynomial(chi)
+            and coxeter.coxeter_polynomial(g) == coxeter.coxeter_transformation(g).charpoly())

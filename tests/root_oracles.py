@@ -1,0 +1,128 @@
+"""Test-only root oracles: full isolation with multiplicities and Yun's
+squarefree decomposition, independent of the one-chain routes the
+package takes to each root question."""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import prod
+
+from coxlinks.exact import IntPolynomial, poly_divexact, poly_gcd, squarefree_part
+from coxlinks.spectra import (DEFAULT_EPSILON, RationalInterval, _check_width, _halve,
+                              _refine, _root_gap, _SturmChain, cauchy_bound)
+
+
+@dataclass(frozen=True)
+class RootIsolation:
+    """Isolated real roots of a polynomial, ascending, with multiplicities."""
+    roots: tuple[tuple[RationalInterval, int], ...]
+    squarefree: IntPolynomial
+
+    @property
+    def total_multiplicity(self) -> int:
+        return sum(m for _, m in self.roots)
+
+
+def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
+    """Yun's algorithm: p = unit * prod f_i**i with the f_i squarefree,
+    pairwise coprime, primitive, positive leading coefficient.
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial has no squarefree decomposition")
+    f = p.primitive()
+    if f.degree == 0:
+        return []
+    g = poly_gcd(f, f.derivative())
+    if g.degree == 0:
+        return [(f, 1)]
+    out: list[tuple[IntPolynomial, int]] = []
+    b = poly_divexact(f, g)
+    d = poly_divexact(f.derivative(), g) - b.derivative()
+    i = 1
+    while b.degree > 0:
+        a = poly_gcd(b, d) if not d.is_zero else b
+        if a.degree > 0:
+            out.append((a, i))
+        b = poly_divexact(b, a)
+        if d.is_zero:
+            break
+        c = poly_divexact(d, a)
+        d = c - b.derivative()
+        i += 1
+    return out
+
+
+def sturm_count(p: IntPolynomial, interval: RationalInterval) -> int:
+    """Number of distinct real roots of p in (interval.lo, interval.hi]."""
+    if p.is_zero:
+        raise ValueError("root counting needs a nonzero polynomial")
+    if p.degree == 0:
+        return 0
+    return _SturmChain(squarefree_part(p)).count(interval.lo, interval.hi)
+
+
+def isolate_squarefree(chain: _SturmChain) -> list[RationalInterval]:
+    """Disjoint intervals, one distinct root each, ascending.  Non-point
+    endpoints are never roots, so each bracket carries a sign change.
+    spectra._top_cell keeps the last of these and bisects no other."""
+    sf = chain.poly
+    if sf.degree <= 0:
+        return []
+    bound = cauchy_bound(sf)
+    out: list[RationalInterval] = []
+
+    def explore(lo: Fraction, hi: Fraction, cnt: int) -> None:
+        if cnt == 0:
+            return
+        if cnt == 1:
+            out.append(RationalInterval(lo, hi))
+            return
+        _check_width(chain, hi - lo)
+        mid = (lo + hi) / 2
+        if sf.eval_sign(mid) == 0:
+            w = _root_gap(chain, lo, hi, mid)
+            explore(lo, mid - w, chain.count(lo, mid - w))
+            out.append(RationalInterval(mid, mid))
+            explore(mid + w, hi, chain.count(mid + w, hi))
+        else:
+            left = chain.count(lo, mid)
+            explore(lo, mid, left)
+            explore(mid, hi, cnt - left)
+
+    explore(-bound, bound, chain.count(-bound, bound))
+    return out
+
+
+def separate(sf: IntPolynomial, intervals: list[RationalInterval]) -> list[RationalInterval]:
+    # isolation can leave neighbors sharing an endpoint; bisect until
+    # the closed intervals are pairwise disjoint
+    for i in range(len(intervals) - 1):
+        while intervals[i].hi >= intervals[i + 1].lo:
+            intervals[i] = _halve(sf, intervals[i])
+            intervals[i + 1] = _halve(sf, intervals[i + 1])
+    return intervals
+
+
+def root_in(factor: IntPolynomial, iv: RationalInterval) -> bool:
+    """Does the squarefree factor have (the) root inside this isolating
+    interval?  Exact: point check or endpoint sign change."""
+    if iv.is_point:
+        return factor.eval_sign(iv.lo) == 0
+    return factor.eval_sign(iv.lo) * factor.eval_sign(iv.hi) < 0
+
+
+def isolate_real_roots(p: IntPolynomial, eps: Fraction = DEFAULT_EPSILON) -> RootIsolation:
+    """Isolate every distinct real root of p with multiplicity, each in
+    an interval of width <= eps."""
+    if p.is_zero:
+        raise ValueError("cannot isolate roots of the zero polynomial")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    decomp = squarefree_decomposition(p)
+    sf = prod((f for f, _ in decomp), start=IntPolynomial([1]))  # no more gcds
+    chain = _SturmChain(sf)
+    intervals = separate(sf, [_refine(sf, iv, eps) for iv in isolate_squarefree(chain)])
+    roots = []
+    for iv in intervals:
+        mult = next(m for f, m in decomp if root_in(f, iv))
+        roots.append((iv, mult))
+    return RootIsolation(tuple(roots), sf)

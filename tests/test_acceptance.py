@@ -34,13 +34,14 @@ from coxlinks import (
     coxeter_transformation,
     fixture_graph,
     interlace_check,
-    isolate_real_roots,
     max_real_root,
     min_dilatation_search,
     poly_divexact,
     verify_theorems,
 )
 from coxlinks.cli import main
+
+from root_oracles import isolate_real_roots
 
 
 def P(*coeffs):

@@ -25,9 +25,10 @@ from coxlinks.exact import IntMatrix, IntPolynomial
 from coxlinks.fixtures import fixture_graph, fixture_names
 from coxlinks.graphs import enumerate_alternating_trees, is_alternating_sign, parse_graph
 from coxlinks.spectra import (RationalInterval, cauchy_bound, is_real_stable, max_real_root,
-                              spectral_radius_enclosure, sturm_count)
+                              spectral_radius_enclosure)
 
 from graph_strategies import connected_alternating_graphs, connected_random_sign_graphs
+from root_oracles import sturm_count
 
 F = Fraction
 

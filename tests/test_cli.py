@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, output contracts, JSON
 schemas, and byte-for-byte determinism."""
 
+import ast
 import io
 import json
 import os
@@ -510,3 +511,25 @@ def test_console_help_lists_subcommands(capsys):
     out = capsys.readouterr().out
     for name in ("analyze", "compare", "verify", "min-search", "example"):
         assert name in out
+
+
+def readme_library():
+    """The Library section of README.md and the names its python block
+    imports from coxlinks."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = re.search(r"^```python\n(.*?)^```$", section, flags=re.S | re.M).group(1)
+    names = [alias.name for node in ast.walk(ast.parse(block))
+             if isinstance(node, ast.ImportFrom) and node.module == "coxlinks"
+             for alias in node.names]
+    return section, block, names
+
+
+def test_readme_library_block_runs_on_exported_names():
+    _, block, names = readme_library()
+    assert names and set(names) <= set(coxlinks.__all__)
+    exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_library_section_names_every_export():
+    section, _, names = readme_library()
+    assert {name for name in coxlinks.__all__ if f"`{name}`" not in section} <= set(names)

@@ -14,11 +14,9 @@ from coxlinks.coxeter import (
     _tree_charpoly,
     alexander_polynomial,
     bipartite_factors,
-    correspondence_check,
     coxeter_polynomial,
     coxeter_transformation,
     homological_monodromy,
-    reflection,
     seifert_matrix,
     verify_proof_identities,
 )
@@ -41,7 +39,7 @@ from coxlinks.graphs import (
 )
 
 from graph_strategies import connected_alternating_graphs, connected_random_sign_graphs
-from matrix_oracles import inverse_unimodular
+from matrix_oracles import correspondence_check, inverse_unimodular, reflection
 
 # printed matrices for the 5-vertex fixture, vertex order p1 p2 p3 n1 n2
 C_PLUS_5 = IntMatrix([

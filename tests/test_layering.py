@@ -112,3 +112,61 @@ def test_unused_import_finder_sees_every_form(tmp_path):
                    "from math import comb, prod\nfrom .graphs import x, y\n"
                    "__all__ = ['y']\nos.sep\n\ndef f(a: comb) -> None:\n    pass\n")
     assert unused_imports(src) == {"regex", "prod", "x"}
+
+
+# Definitions that ship without a caller in src/, each for its reason.
+ALLOWED_WITHOUT_CALLER = {
+    "fixtures.fixture_graph": "README Library entry point: a built-in graph by name",
+    "coxeter.alexander_polynomial": "README Library entry point: Delta of a graph",
+    "spectra.spectral_radius_enclosure": "README Library entry point: radius of a polynomial",
+    "spectra.RationalInterval.contains": "value type: does an enclosure hold a rational",
+    "spectra.RationalInterval.midpoint": "value type: the centre of an enclosure",
+    "exact.IntPolynomial.eval": "value type: exact value at an int or Fraction",
+    "exact.IntPolynomial.coefficient": "value type: the coefficient of t^k, 0 past the degree",
+}
+
+
+def definitions_without_caller(paths) -> set[str]:
+    """module.qualname of every function, method and class in the files
+    whose name no code in them reads, as a name or as an attribute,
+    outside its own body.  Imports and __all__ strings are not reads.
+    Dunder methods are called by the language and are left out."""
+    defs: list[tuple[str, tuple[str, ...]]] = []  # module, qualified name
+    reads: list[tuple[str, tuple[str, ...]]] = []  # name, enclosing def names
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+            defs.append((module, scope))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.append((node.id, scope))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((node.attr, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    read = {name for name, scope in reads if name not in scope}
+    return {".".join((module,) + scope) for module, scope in defs
+            if scope[-1] not in read
+            and not (scope[-1].startswith("__") and scope[-1].endswith("__"))}
+
+
+def test_every_definition_has_a_caller_or_a_reason():
+    assert definitions_without_caller(sorted(PACKAGE.glob("*.py"))) == set(ALLOWED_WITHOUT_CALLER)
+
+
+def test_caller_finder_sees_every_form(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from .b import helper\n__all__ = ['exported']\n\n"
+        "def exported():\n    return exported()\n\n"
+        "def used():\n    def inner():\n        pass\n    return inner\n\n"
+        "class Box:\n    def __init__(self):\n        self.read_me = 1\n\n"
+        "    def read_me(self):\n        pass\n\n"
+        "    def method(self):\n        return helper(used)\n")
+    (tmp_path / "b.py").write_text(
+        "def helper(f):\n    return f\n\nclass Unused:\n    pass\n\n"
+        "def caller(box):\n    return box.method()\n")
+    assert definitions_without_caller([tmp_path / "a.py", tmp_path / "b.py"]) == {
+        "a.exported", "a.Box", "a.Box.read_me", "b.Unused", "b.caller"}

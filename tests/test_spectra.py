@@ -2,6 +2,7 @@
 
 import random
 import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from math import prod
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from coxlinks import spectra
 from coxlinks.coxeter import alexander_polynomial, coxeter_polynomial
 from coxlinks.exact import (IntPolynomial, _pseudo_rem_positive, poly_divexact, poly_gcd,
-                            squarefree_decomposition, squarefree_part)
+                            squarefree_part)
 from coxlinks.fixtures import fixture_graph, fixture_names
 from coxlinks.graphs import (adjacency_matrix, enumerate_alternating_trees,
                              random_alternating_tree, random_edge_augmentation,
@@ -27,12 +28,12 @@ from coxlinks.spectra import (
     interlace_check,
     is_real_rooted,
     is_real_stable,
-    isolate_real_roots,
     max_real_root,
     spectral_radius_enclosure,
-    sturm_count,
 )
 
+from root_oracles import (isolate_real_roots, isolate_squarefree, root_in, separate,
+                          squarefree_decomposition, sturm_count)
 from test_coxeter import seeded_graphs_with_cycles
 
 F = Fraction
@@ -114,6 +115,21 @@ class TestIsolation:
         assert m == 1 and iv.contains(F(2))
 
 
+@contextmanager
+def within_seconds(seconds):
+    """Fail, by SIGALRM, a block that runs longer than seconds."""
+    def hung(*_):
+        raise AssertionError(f"no error within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestHalvingBound:
     """The bisection and gap-search loops stop at a width derived from
     Mahler's root-separation bound."""
@@ -140,22 +156,14 @@ class TestHalvingBound:
                 seq.pop()
             return seq
 
-        def hung(*_):
-            raise AssertionError("no error within 20 s")
-
         monkeypatch.setattr(spectra, "_signed_remainders", unsigned_remainders)
         lehmer = coxeter_polynomial(fixture_graph("e10-classical"))
         gap_case = prod((P(-r, 1) for r in (0, 6, -2, 1, -1)), start=P(1, 0, 1))
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(20)
-        try:
+        with within_seconds(20):
             for call in (lambda: isolate_real_roots(lehmer), lambda: max_real_root(lehmer),
                          lambda: isolate_real_roots(gap_case)):
                 with pytest.raises(RuntimeError, match="halving bound"):
                     call()
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
 
 
 class TestRealRootedAndStable:
@@ -220,7 +228,7 @@ class TestMaxRootAndRadius:
 def full_isolation_max_root(p, eps):
     """Reference for max_real_root: isolate every root, refine the top one."""
     sf = squarefree_part(p)
-    intervals = spectra._isolate_squarefree(spectra._SturmChain(sf))
+    intervals = isolate_squarefree(spectra._SturmChain(sf))
     if not intervals:
         raise ValueError("polynomial has no real roots")
     return spectra._refine(sf, intervals[-1], eps)
@@ -337,7 +345,7 @@ class TestFastPathsAgainstOracles:
                 assert spectral_radius_enclosure(c, eps) == fold_radius_enclosure(c, eps)
                 witness, cell = _radius_cell(*_mirror_chain(c), eps)
                 assert cell == fold_witness(c, eps)[1]
-                assert spectra._root_in(witness, cell)
+                assert root_in(witness, cell)
 
     def test_radius_with_nonnegative_roots_keeps_fold(self):
         for p in (P(-1, 1), P(0, 1), P(0, 0, 1), P(-4, 0, 1), P(1, 3, 1) * P(0, 1),
@@ -475,12 +483,10 @@ class TestOneDecisionPerRootQuestion:
                 chains.append(sf)
                 super().__init__(sf)
 
-        def forbidden(*_):
-            raise AssertionError("interlace_check isolated roots")
-
         monkeypatch.setattr(spectra, "_SturmChain", SpyChain)
-        monkeypatch.setattr(spectra, "squarefree_decomposition", forbidden)
-        monkeypatch.setattr(spectra, "_isolate_squarefree", forbidden)
+        # the isolation routes live in tests/root_oracles.py, out of reach
+        assert not hasattr(spectra, "squarefree_decomposition")
+        assert not hasattr(spectra, "_isolate_squarefree")
         p5 = adjacency_matrix(fixture_graph("p5")).charpoly()
         k33 = adjacency_matrix(fixture_graph("k33")).charpoly()
         pairs = [(coxeter_polynomial(fixture_graph("a2")),
@@ -509,13 +515,12 @@ def merged_isolation_interlace(p, q):
     sfp = prod((f for f, _ in dec_p), start=P(1))
     sfq = prod((f for f, _ in dec_q), start=P(1))
     union = sfp * poly_divexact(sfq, poly_gcd(sfp, sfq))
-    intervals = spectra._separate(
-        union, spectra._isolate_squarefree(spectra._SturmChain(union)))
+    intervals = separate(union, isolate_squarefree(spectra._SturmChain(union)))
     alpha, beta = [], []
     for idx, iv in enumerate(intervals):
         for sf, dec, roots in ((sfp, dec_p, alpha), (sfq, dec_q, beta)):
-            if spectra._root_in(sf, iv):
-                roots.extend([idx] * next(m for f, m in dec if spectra._root_in(f, iv)))
+            if root_in(sf, iv):
+                roots.extend([idx] * next(m for f, m in dec if root_in(f, iv)))
     if len(alpha) != p.degree or len(beta) != q.degree:
         raise ValueError("interlacing is defined for real-rooted polynomials")
     return all(beta[i] <= alpha[i] <= beta[i + 1] for i in range(len(alpha)))
@@ -657,6 +662,21 @@ class TestCompareIsolatedRoots:
         ia = max_real_root(a, F(1, 4))
         ib = max_real_root(b, F(1, 4))
         assert compare_isolated_roots(a, ia, b, ib) == 1
+        # sqrt(2) - 7071/5000 is 1.4e-5, below the halving floor 2^-9 of
+        # x^2 - 2 alone: the floor is the lcm's, not the larger chain's
+        b = P(-7071, 5000)
+        ib = max_real_root(b, F(1, 4))
+        assert not (ia.is_point or ib.is_point)
+        assert spectra._SturmChain(a).min_width == F(1, 1 << 9)
+        assert compare_isolated_roots(a, ia, b, ib) == 1
+        assert compare_isolated_roots(b, ib, a, ia) == -1
+
+    def test_rootless_cells_raise_instead_of_hanging(self):
+        # neither x^2 - 2 nor x - 5 has a root in [3, 4]
+        cell = RationalInterval(F(3), F(4))
+        with within_seconds(20):
+            with pytest.raises(RuntimeError, match="halving bound"):
+                compare_isolated_roots(P(-2, 0, 1), cell, P(-5, 1), cell)
 
 
 class TestRationalInterval:
