@@ -35,9 +35,7 @@ from .graphs import (
 from .spectra import (
     DEFAULT_EPSILON,
     RationalInterval,
-    _max_root_cell,
-    _mirror_chain,
-    _radius_cell,
+    _Roots,
     compare_isolated_roots,
     interlace_check,
     is_real_stable,
@@ -95,9 +93,9 @@ def log_concavity_check(p: IntPolynomial) -> bool:
 _WITNESS_EPS = Fraction(1, 1 << 10)
 
 
-def _radius_leq(c_small: IntPolynomial, c_big: IntPolynomial) -> bool:
-    return compare_isolated_roots(*_radius_cell(*_mirror_chain(c_small), _WITNESS_EPS),
-                                  *_radius_cell(*_mirror_chain(c_big), _WITNESS_EPS)) <= 0
+def _radius_leq(small: _Roots, big: _Roots) -> bool:
+    return compare_isolated_roots(*small.radius_cell(_WITNESS_EPS),
+                                  *big.radius_cell(_WITNESS_EPS)) <= 0
 
 
 def _interval_json(iv: RationalInterval | None) -> dict | None:
@@ -207,9 +205,8 @@ def analyze(g: MixedSignCoxeterGraph,
     verify_proof_identities is the one matrix certificate: it certifies
     the monodromy M^T M = -C- C+, whose characteristic polynomial is
     therefore Delta.  c comes from coxeter_polynomial, so no graph runs
-    an n x n characteristic polynomial, and every root answer reads one
-    Sturm chain, of m = sf(-t) (_mirror_chain): Delta = +-c(-t) has m's
-    roots, and the max real root reads the chain as one of sf.
+    an n x n characteristic polynomial, and every root answer comes from
+    one spectra._Roots of c, which holds one Sturm chain.
     """
     if g.n < 2:
         raise ValueError("analysis needs at least 2 vertices")
@@ -217,8 +214,8 @@ def analyze(g: MixedSignCoxeterGraph,
         raise ValueError("epsilon must be positive")
 
     c = coxeter_polynomial(g)
-    chain, bound = _mirror_chain(c)
-    mrr = _max_root_cell(chain, eps)
+    roots = _Roots(c)
+    mrr = roots.max_root_cell(eps)
     if not is_alternating_sign(g):
         return AnalysisReport(
             graph=g, alternating=False, coxeter=c, alexander=None,
@@ -227,14 +224,14 @@ def analyze(g: MixedSignCoxeterGraph,
             proof_identities_ok=None, spectral_radius=None, max_real_root=mrr)
 
     delta = _alexander_from_coxeter(c)
-    real_stable = chain.count(Fraction(0), bound) == chain.poly.degree
+    # Delta = +-c(-t) is real stable iff every root of c is negative
+    real_stable = roots.all_negative
     sign_alt = sign_alternation_check(delta)
     trap, plateau_k = trapezoidal_check(delta)
     log_conc = log_concavity_check(delta)
     identities_ok = bool(verify_proof_identities(g))
-    real_rooted = chain.count(-bound, bound) == chain.poly.degree
     # c(0) = +-1, so unlike spectral_radius_enclosure this needs no clamp
-    radius = _radius_cell(chain, bound, eps)[1] if real_rooted else None
+    radius = roots.radius_cell(eps)[1] if roots.real_rooted else None
 
     if real_stable and not (trap and log_conc):
         raise CertificationError(
@@ -378,7 +375,8 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
                 large = random_vertex_extension(small, rng)
             graphs += 2
             record("radius-monotonicity",
-                   _radius_leq(coxeter_polynomial(small), coxeter_polynomial(large)),
+                   _radius_leq(_Roots(coxeter_polynomial(small)),
+                               _Roots(coxeter_polynomial(large))),
                    large)
 
     counters = tuple((name, counts[name][0], counts[name][1])
@@ -420,15 +418,14 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
     with 2..n_max vertices.
 
     Ties keep the earliest tree in enumeration order.  Each tree gets one
-    Sturm chain, of sf(-t) for sf the squarefree part of c.  A tree with
-    a root of modulus at least hi, the upper end of the best enclosure,
-    cannot beat the best and is pruned by two counts on that chain.  A
-    root at exactly -hi is missed, which only skips the shortcut: such a
-    tree at best ties, and a tie never replaces the best.  Survivors
-    descend on the same chain and are compared exactly, so overlapping
-    enclosures never misrank candidates.  Along the way a few
-    leaf-removal pairs per size spot-check radius monotonicity and raise
-    on any violation.
+    spectra._Roots of c.  A tree with a root of modulus at least hi, the
+    upper end of the best enclosure, cannot beat the best and is pruned
+    by its count of roots r >= hi or r < -hi.  A root at exactly -hi is
+    missed, which only skips the shortcut: such a tree at best ties, and
+    a tie never replaces the best.  Survivors descend on the same chain
+    and are compared exactly, so overlapping enclosures never misrank
+    candidates.  Along the way a few leaf-removal pairs per size
+    spot-check radius monotonicity and raise on any violation.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -442,15 +439,11 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
         spot_left = _SPOT_ASSERTS_PER_SIZE if n > 2 else 0
         for g in enumerate_alternating_trees(n, dedup=dedup):
             examined += 1
-            c = coxeter_polynomial(g)
-            chain, bound = _mirror_chain(c)
-            # roots of chain.poly in (-bound, -hi] or (hi, bound] are the
-            # roots r of c with r >= hi or r < -hi
-            if best is not None and (chain.count(-bound, -best[1].hi)
-                                     + chain.count(best[1].hi, bound)) >= 1:
+            roots = _Roots(coxeter_polynomial(g))
+            if best is not None and roots.outside(best[1].hi) >= 1:
                 pruned += 1
             else:
-                folded, iv = _radius_cell(chain, bound, eps)
+                folded, iv = roots.radius_cell(eps)
                 if best is None or compare_isolated_roots(
                         folded, iv, best[0], best[1]) < 0:
                     best = (folded, iv, g)
@@ -458,9 +451,7 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
                 spot_left -= 1
                 leaf = next(i for i in range(g.n) if len(g.neighbors[i]) == 1)
                 sub = remove_vertex(g, leaf)
-                if compare_isolated_roots(
-                        *_radius_cell(*_mirror_chain(coxeter_polynomial(sub)), _WITNESS_EPS),
-                        *_radius_cell(chain, bound, _WITNESS_EPS)) > 0:
+                if not _radius_leq(_Roots(coxeter_polynomial(sub)), roots):
                     raise CertificationError(
                         "radius monotonicity violated by leaf removal\n"
                         + graph_to_text(g))

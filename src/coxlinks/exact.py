@@ -184,22 +184,30 @@ def _pseudo_rem_positive(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return rem
 
 
-def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd with positive leading coefficient.
+def _signed_remainders(a: IntPolynomial, b: IntPolynomial) -> list[IntPolynomial]:
+    """Signed remainder sequence a, b, -rem(a, b), ... to its last nonzero
+    entry, each a positive multiple of the true one, so signs agree.  The
+    last entry is gcd(a, b) up to a constant."""
+    seq = [a, b]
+    while not seq[-1].is_zero and seq[-1].degree > 0:
+        rem = _pseudo_rem_positive(seq[-2], seq[-1])
+        if rem.is_zero:
+            break
+        # content removal must not flip the sign of the entry
+        g = rem.content()
+        seq.append(IntPolynomial(-c // g for c in rem.coeffs))
+    if seq[-1].is_zero:
+        seq.pop()
+    return seq
 
-    Uses a primitive pseudo-remainder sequence, so no rational
-    arithmetic occurs and coefficient growth stays tame at the degrees
-    this package handles.
-    """
+
+def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """Primitive gcd with positive leading coefficient: the last entry of
+    the signed remainder sequence, whose entries stay primitive, so no
+    rational arithmetic occurs and coefficient growth stays tame."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials is undefined")
-    a, b = p.primitive(), q.primitive()
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero:
-        r = _pseudo_rem_positive(a, b)
-        a, b = b, r.primitive()
-    return a
+    return _signed_remainders(p.primitive(), q.primitive())[-1].primitive()
 
 
 def poly_divexact(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import (IntPolynomial, _pseudo_rem_positive, poly_divexact,
-                    poly_gcd, squarefree_part)
+from .exact import (IntPolynomial, _signed_remainders, poly_divexact, poly_gcd,
+                    squarefree_part)
 
 _ZERO = Fraction(0)
 DEFAULT_EPSILON = Fraction(1, 10 ** 9)
@@ -57,22 +57,6 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
     lead = abs(p.lead)
     biggest = max(abs(c) for c in p.coeffs[:-1])
     return 1 + Fraction(biggest, lead)
-
-
-def _signed_remainders(a: IntPolynomial, b: IntPolynomial) -> list[IntPolynomial]:
-    """Signed remainder sequence a, b, -rem(a, b), ... to its last nonzero
-    entry, each a positive multiple of the true one, so signs agree."""
-    seq = [a, b]
-    while not seq[-1].is_zero and seq[-1].degree > 0:
-        rem = _pseudo_rem_positive(seq[-2], seq[-1])
-        if rem.is_zero:
-            break
-        # content removal must not flip the sign of the entry
-        g = rem.content()
-        seq.append(IntPolynomial(-c // g for c in rem.coeffs))
-    if seq[-1].is_zero:
-        seq.pop()
-    return seq
 
 
 def _sign_changes(values) -> int:
@@ -133,7 +117,7 @@ def _check_width(chain: _SturmChain, width: Fraction) -> None:
                            "inconsistent Sturm chain")
 
 
-def _root_gap(chain: _SturmChain, lo: Fraction, hi: Fraction, mid: Fraction) -> Fraction:
+def _root_gap(chain: _SturmChain | _Roots, lo: Fraction, hi: Fraction, mid: Fraction) -> Fraction:
     """Half-width w, at most (hi - lo) / 4, such that [mid - w, mid + w]
     holds no root but the root mid and its ends are not roots."""
     sf = chain.poly
@@ -145,7 +129,7 @@ def _root_gap(chain: _SturmChain, lo: Fraction, hi: Fraction, mid: Fraction) -> 
     return w
 
 
-def _top_cell(chain: _SturmChain, lo: Fraction, hi: Fraction) -> RationalInterval | None:
+def _top_cell(chain: _SturmChain | _Roots, lo: Fraction, hi: Fraction) -> RationalInterval | None:
     """The cell of the largest root in (lo, hi], or None when there is no
     root there.  Follows the full isolation's bisection but keeps only
     the sub-cell holding the largest root, so with (lo, hi] = (-bound,
@@ -196,84 +180,81 @@ def _halve(sf: IntPolynomial, iv: RationalInterval) -> RationalInterval:
     return _refine(sf, iv, iv.width / 2) if not iv.is_point else iv
 
 
+class _Roots:
+    """Every root question about p, answered on one Sturm chain: that of
+    m = sf(-t), for sf the squarefree part of p.  count reads it as a
+    chain of sf, so _top_cell and _root_gap take a _Roots for one."""
+
+    def __init__(self, p: IntPolynomial):
+        self.poly = sf = squarefree_part(p)
+        self.chain = _SturmChain(sf.mirror())
+        self.bound = cauchy_bound(sf)  # m's as well
+        self.min_width = self.chain.min_width
+
+    def count(self, lo: Fraction, hi: Fraction) -> int:
+        """sf's distinct roots in [lo, hi), m's in (-hi, -lo]: those in
+        (lo, hi] when neither end is a root, as in _top_cell and _root_gap."""
+        return self.chain.count(-hi, -lo)
+
+    @property
+    def real_rooted(self) -> bool:
+        return self.count(-self.bound, self.bound) == self.poly.degree
+
+    @property
+    def all_negative(self) -> bool:
+        """Every root real and in [-bound, 0), so a root at 0 fails."""
+        return self.count(-self.bound, _ZERO) == self.poly.degree
+
+    def outside(self, h: Fraction) -> int:
+        """For h > 0, the distinct real roots r with r >= h or r < -h."""
+        return self.count(h, self.bound) + self.count(-self.bound, -h)
+
+    def max_root_cell(self, eps: Fraction) -> RationalInterval | None:
+        """The cell, width <= eps, of the largest real root, or None."""
+        cell = _top_cell(self, -self.bound, self.bound)
+        return None if cell is None else _refine(self.poly, cell, eps)
+
+    def radius_cell(self, eps: Fraction) -> tuple[IntPolynomial, RationalInterval]:
+        """(g, cell), g squarefree and cell, of width <= eps, isolating its
+        largest real root, which is max |real root| of sf: a pair for
+        compare_isolated_roots.
+
+        When sf has no root >= 0, g is m and the cell comes from the
+        descent on m's chain from (0, bound], bound that of sf * m.  For a
+        real-rooted sf that is exactly the cell max_real_root gives on
+        sf(t) * sf(-t), at half the degree: that isolation bisects at 0
+        first, the product's positive roots are m's, and sf keeps one sign
+        on [0, bound].
+        """
+        m = self.chain.poly
+        bound = cauchy_bound(self.poly * m)
+        if self.count(_ZERO, bound) == 0:
+            cell = _top_cell(self.chain, _ZERO, bound)
+            if cell is None:
+                raise ValueError("polynomial has no real roots")
+            return m, _refine(m, cell, eps)
+        folded = squarefree_part(m.mirror() * m)
+        return folded, max_real_root(folded, eps)
+
+
 def is_real_rooted(p: IntPolynomial) -> bool:
     """True when every complex root of p is real.  Only distinct roots
     matter, so one chain of the squarefree part decides it."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    sf = squarefree_part(p)
-    b = cauchy_bound(sf)
-    return _SturmChain(sf).count(-b, b) == sf.degree
+    return _Roots(p).real_rooted
 
 
 def is_real_stable(p: IntPolynomial) -> bool:
-    """True when every root of p is real and strictly positive."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    sf = squarefree_part(p)
-    return _SturmChain(sf).count(_ZERO, cauchy_bound(sf)) == sf.degree
+    """True when every root of p is real and strictly positive, that is,
+    every root of p(-t) real and strictly negative."""
+    return _Roots(p.mirror()).all_negative
 
 
 def max_real_root(p: IntPolynomial, eps: Fraction = DEFAULT_EPSILON) -> RationalInterval:
     """Enclosure of the largest real root, width <= eps."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    cell = _max_root_cell(_SturmChain(squarefree_part(p).mirror()), eps)
+    cell = _Roots(p).max_root_cell(eps)
     if cell is None:
         raise ValueError("polynomial has no real roots")
     return cell
-
-
-def _mirror_chain(p: IntPolynomial) -> tuple[_SturmChain, Fraction]:
-    """Sturm chain of m = sf(-t), for sf the squarefree part of p, and
-    the root bound of sf(t) * sf(-t)."""
-    sf = squarefree_part(p)
-    m = sf.mirror()
-    return _SturmChain(m), cauchy_bound(sf * m)
-
-
-class _MirroredChain:
-    """The chain of m = sf(-t) read as one of sf: sf's roots in (lo, hi]
-    are m's in [-hi, -lo), which m's count on (-hi, -lo] gives when
-    neither end is a root, as in every count of _top_cell and _root_gap."""
-
-    def __init__(self, chain: _SturmChain):
-        self.chain, self.poly, self.min_width = chain, chain.poly.mirror(), chain.min_width
-
-    def count(self, lo: Fraction, hi: Fraction) -> int:
-        return self.chain.count(-hi, -lo)
-
-
-def _max_root_cell(chain: _SturmChain, eps: Fraction) -> RationalInterval | None:
-    """For the chain of m = sf(-t): the cell, width <= eps, of sf's
-    largest real root, or None.  It descends from (-bound, bound] with
-    bound = cauchy_bound(sf), as on a chain of sf itself."""
-    sf_chain = _MirroredChain(chain)
-    bound = cauchy_bound(sf_chain.poly)
-    cell = _top_cell(sf_chain, -bound, bound)
-    return None if cell is None else _refine(sf_chain.poly, cell, eps)
-
-
-def _radius_cell(chain: _SturmChain, bound: Fraction,
-                 eps: Fraction) -> tuple[IntPolynomial, RationalInterval]:
-    """(g, cell) for the chain and bound of _mirror_chain: g is squarefree
-    and cell, of width <= eps, isolates its largest real root, which is
-    max |real root| of sf: a pair for compare_isolated_roots.
-
-    When sf has no root >= 0, g is m and the cell comes from descending
-    on m from (0, bound].  For a real-rooted sf that is exactly the cell
-    max_real_root gives on sf(t) * sf(-t), at half the degree: that
-    isolation bisects at 0 first, the product's positive roots are m's,
-    and sf keeps one sign on [0, bound].
-    """
-    m = chain.poly
-    if chain.count(-bound, _ZERO) == 0:
-        cell = _top_cell(chain, _ZERO, bound)
-        if cell is None:
-            raise ValueError("polynomial has no real roots")
-        return m, _refine(m, cell, eps)
-    folded = squarefree_part(m.mirror() * m)
-    return folded, max_real_root(folded, eps)
 
 
 def spectral_radius_enclosure(p: IntPolynomial,
@@ -286,10 +267,10 @@ def spectral_radius_enclosure(p: IntPolynomial,
     """
     if p.is_zero or p.degree < 1:
         raise ValueError("spectral radius needs a nonconstant polynomial")
-    chain, bound = _mirror_chain(p)
-    if chain.count(-bound, bound) != chain.poly.degree:
+    roots = _Roots(p)
+    if not roots.real_rooted:
         raise ValueError("spectral radius enclosure needs a real-rooted polynomial")
-    _, iv = _radius_cell(chain, bound, eps)
+    _, iv = roots.radius_cell(eps)
     return RationalInterval(max(_ZERO, iv.lo), max(_ZERO, iv.hi))
 
 
@@ -318,7 +299,10 @@ def interlace_check(p: IntPolynomial, q: IntPolynomial) -> bool:
     outside: strict interlacing.  By the Sturm-Sylvester theorem (Basu,
     Pollack and Roy, Algorithms in Real Algebraic Geometry, ch. 2),
     Ind(f/h) = Var(-inf) - Var(+inf) on the signed remainder sequence
-    of (h, f): only leading coefficients and degrees are read.
+    of (h, f): only leading coefficients and degrees are read.  As
+    p/q = f/h, the sequence of (q, p) is g times that of (h, f), up to
+    positive constants: it ends in g, so deg h = deg q - deg g, and its
+    variations at +-inf, hence Ind(f/h), are unchanged.
 
     Verdict.  A full index proves f and h real-rooted, so p = fg and
     q = hg are real-rooted iff g is, and one count on g settles True.
@@ -333,12 +317,11 @@ def interlace_check(p: IntPolynomial, q: IntPolynomial) -> bool:
         raise ValueError("interlacing needs nonzero polynomials")
     if q.degree != p.degree + 1:
         raise ValueError("degree mismatch: expected deg q = deg p + 1")
-    g = poly_gcd(p, q)
-    f, h = poly_divexact(p, g), poly_divexact(q, g)
-    seq = _signed_remainders(h, f)
+    seq = _signed_remainders(q, p)
+    g = seq[-1]
     index = (_sign_changes(s.lead * (-1) ** s.degree for s in seq)
              - _sign_changes(s.lead for s in seq))
-    if abs(index) == h.degree and (g.degree == 0 or is_real_rooted(g)):
+    if abs(index) == q.degree - g.degree and (g.degree == 0 or is_real_rooted(g)):
         return True
     if not (is_real_rooted(p) and is_real_rooted(q)):
         raise ValueError("interlacing is defined for real-rooted polynomials")

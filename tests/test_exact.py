@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxlinks.exact import (
@@ -114,6 +114,27 @@ class TestPolyGcd:
 
     def test_gcd_of_coprime(self):
         assert poly_gcd(P(1, 0, 1), P(-1, 1)).coeffs == (1,)
+
+    @given(st.lists(st.integers(-6, 6), max_size=5),
+           st.lists(st.integers(-6, 6), max_size=5),
+           st.lists(st.integers(-4, 4), min_size=1, max_size=3))
+    @example([], [0, 4], [2, 2])        # a zero input
+    @example([3], [1, 2, 1], [1])       # a constant against a square
+    @example([6], [], [1])              # a constant against zero
+    @example([1, 1], [0, 1, 1], [1, 0, 1])  # deg p < deg q, shared factor
+    @settings(max_examples=150, deadline=None)
+    def test_gcd_matches_sympy(self, a, b, c):
+        # one remainder sequence, its inputs in the given order, whichever
+        # has the higher degree
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        p, q = P(*a) * P(*c), P(*b) * P(*c)
+        if p.is_zero and q.is_zero:
+            return
+        ref = sympy.Poly(list(reversed(p.coeffs)) or [0], t).gcd(
+            sympy.Poly(list(reversed(q.coeffs)) or [0], t))
+        coeffs = [int(x) for x in reversed(ref.primitive()[1].all_coeffs())]
+        assert poly_gcd(p, q) == P(*coeffs).primitive()
 
     def test_divexact(self):
         p = P(-1, 0, 1)

@@ -75,6 +75,12 @@ def test_analysis_builds_no_sturm_chain_of_its_own():
     assert ("spectra", "_SturmChain") not in imported_names(PACKAGE / "analysis.py")
 
 
+def test_analysis_asks_root_questions_through_one_spectra_type():
+    private = {name for mod, name in imported_names(PACKAGE / "analysis.py")
+               if mod == "spectra" and name.startswith("_")}
+    assert private == {"_Roots"}
+
+
 def test_name_parser_sees_relative_and_absolute_forms(tmp_path):
     src = tmp_path / "m.py"
     src.write_text("from .spectra import _SturmChain, x\nfrom coxlinks.coxeter import _y\n"

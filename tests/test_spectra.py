@@ -21,8 +21,7 @@ from coxlinks.graphs import (adjacency_matrix, enumerate_alternating_trees,
 from coxlinks.spectra import (
     DEFAULT_EPSILON,
     RationalInterval,
-    _mirror_chain,
-    _radius_cell,
+    _Roots,
     cauchy_bound,
     compare_isolated_roots,
     interlace_check,
@@ -300,7 +299,7 @@ class TestFastPathsAgainstOracles:
         # steps around a midpoint root runs as well
         p = dyadic_product(factors) * extra
         assert max_real_root(p, eps) == full_isolation_max_root(p, eps)
-        witness, cell = _radius_cell(*_mirror_chain(p), eps)
+        witness, cell = _Roots(p).radius_cell(eps)
         folded, fold_cell = fold_witness(p, eps)
         if is_real_rooted(p):
             assert cell == fold_cell
@@ -319,7 +318,7 @@ class TestFastPathsAgainstOracles:
         # midpoint roots on both sides of 0 run the step around a root
         p = dyadic_product(factors) * extra
         for q in (p, p.mirror(), P(1, 0, 1)):
-            assert spectra._max_root_cell(_mirror_chain(q)[0], eps) == own_chain_top_cell(q, eps)
+            assert _Roots(q).max_root_cell(eps) == own_chain_top_cell(q, eps)
 
     def test_mirrored_read_matches_own_chain_on_coxeter_polynomials(self):
         # c has negative roots and its mirror, +-Delta, positive ones
@@ -327,7 +326,7 @@ class TestFastPathsAgainstOracles:
         for c in polys + sample_coxeter_polynomials():
             for q in (c, c.mirror()):
                 for eps in (DEFAULT_EPSILON, F(1, 4), F(8)):
-                    cell = spectra._max_root_cell(_mirror_chain(q)[0], eps)
+                    cell = _Roots(q).max_root_cell(eps)
                     assert cell == own_chain_top_cell(q, eps)
 
     def test_max_real_root_matches_full_isolation_on_fixtures(self):
@@ -343,7 +342,7 @@ class TestFastPathsAgainstOracles:
         for c in sample_coxeter_polynomials():
             for eps in (DEFAULT_EPSILON, F(1, 1 << 10)):
                 assert spectral_radius_enclosure(c, eps) == fold_radius_enclosure(c, eps)
-                witness, cell = _radius_cell(*_mirror_chain(c), eps)
+                witness, cell = _Roots(c).radius_cell(eps)
                 assert cell == fold_witness(c, eps)[1]
                 assert root_in(witness, cell)
 
@@ -352,7 +351,7 @@ class TestFastPathsAgainstOracles:
                   P(-3, 1) * P(5, 1) * P(2, 1)):
             for eps in (DEFAULT_EPSILON, F(1, 2), F(4)):
                 assert spectral_radius_enclosure(p, eps) == fold_radius_enclosure(p, eps)
-                assert _radius_cell(*_mirror_chain(p), eps) == fold_witness(p, eps)
+                assert _Roots(p).radius_cell(eps) == fold_witness(p, eps)
 
     def test_negative_spectrum_radius_builds_no_double_degree_chain(self, monkeypatch):
         degrees = []
@@ -497,10 +496,60 @@ class TestOneDecisionPerRootQuestion:
             chains.clear()
             outcomes.append(interlace_outcome(p, q))
             if outcomes[-1] is True:
-                # at most one chain, on the squarefree part of the gcd
-                assert chains in ([], [squarefree_part(poly_gcd(p, q))])
+                # at most one chain, on the mirrored squarefree part of the gcd
+                assert chains in ([], [squarefree_part(poly_gcd(p, q)).mirror()])
         assert outcomes == [True, False, True,
                             "interlacing is defined for real-rooted polynomials"]
+
+
+def roots_outside(p, h):
+    """Reference for _Roots.outside: the distinct real roots r of p with
+    r >= h or r < -h, read off the full isolation."""
+    iso = isolate_real_roots(p)
+    sf = iso.squarefree
+
+    def at_least(iv, x):
+        # the root in iv is >= x; a non-point cell's ends are not roots
+        if iv.is_point:
+            return iv.lo >= x
+        if not iv.lo < x < iv.hi:
+            return x <= iv.lo
+        s = sf.eval_sign(x)
+        return s == 0 or s != sf.eval_sign(iv.hi)
+
+    return sum(at_least(iv, h) or not at_least(iv, -h) for iv, _ in iso.roots)
+
+
+class TestPruneCount:
+    """The min-search prune count, _Roots(p).outside(h), against the
+    full isolation."""
+
+    def test_prune_count_at_and_between_roots(self):
+        p = P(-1, 1) * P(2, 1) * P(-3, 2) * P(5, 4) * P(1, 0, 1)  # 1, -2, 3/2, -5/4
+        cases = {F(1): 4, F(2): 0, F(3, 2): 2, F(5, 4): 2, F(9, 8): 3,
+                 F(7, 4): 1, F(5, 2): 0, F(1, 2): 4}
+        for h, expected in cases.items():
+            assert _Roots(p).outside(h) == roots_outside(p, h) == expected
+
+    @given(DYADIC_FACTORS, st.sampled_from(EXTRA_FACTORS))
+    @settings(max_examples=100, deadline=None)
+    def test_prune_count_on_dyadic_products(self, factors, extra):
+        # h at a root, at the negative of one, between their moduli and
+        # past them all
+        p = dyadic_product(factors) * extra
+        moduli = sorted({abs(F(a, 1 << k)) for a, k in factors} - {0}) or [F(1)]
+        hs = moduli + [(x + y) / 2 for x, y in zip(moduli, moduli[1:])]
+        for h in hs + [F(1, 3), moduli[-1] + 1]:
+            assert _Roots(p).outside(h) == roots_outside(p, h)
+
+    def test_prune_count_on_fixtures(self):
+        # c has negative roots, among them -1 when n > 2s, and its mirror
+        # positive ones
+        for name in fixture_names():
+            c = coxeter_polynomial(fixture_graph(name))
+            for q in (c, c.mirror()):
+                for h in (F(1, 2), F(1), F(2), F(2618, 1000), F(2619, 1000), F(3), F(4)):
+                    assert _Roots(q).outside(h) == roots_outside(q, h)
 
 
 def merged_isolation_interlace(p, q):
