@@ -41,19 +41,6 @@ from .spectra import (
     is_real_stable,
 )
 
-__all__ = [
-    "AnalysisReport",
-    "MinSearchResult",
-    "VerificationSummary",
-    "analyze",
-    "log_concavity_check",
-    "min_dilatation_search",
-    "sign_alternation_check",
-    "trapezoidal_check",
-    "verify_theorems",
-]
-
-
 def sign_alternation_check(p: IntPolynomial) -> bool:
     """True iff every coefficient is nonzero and consecutive signs differ."""
     if p.is_zero:
@@ -286,6 +273,19 @@ class VerificationSummary:
     def ok(self) -> bool:
         return all(failed == 0 for _, _, failed in self.counters)
 
+    def to_json_dict(self) -> dict:
+        return {
+            "n_max": self.n_max,
+            "extension_trials": self.extension_trials,
+            "seed": self.seed,
+            "dedup": self.dedup,
+            "graphs_examined": self.graphs_examined,
+            "counters": {name: {"pass": p, "fail": f}
+                         for name, p, f in self.counters},
+            "counterexample": self.counterexample,
+            "ok": self.ok,
+        }
+
     def render_text(self) -> str:
         dd = "on" if self.dedup else "off"
         lines = [
@@ -395,6 +395,15 @@ class MinSearchResult:
     trees_examined: int
     trees_pruned: int
     wall_time_seconds: float
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n_max": self.n_max,
+            "enclosure": _interval_json(self.enclosure),
+            "trees_examined": self.trees_examined,
+            "trees_pruned": self.trees_pruned,
+            "graph": graph_to_text(self.graph),
+        }
 
     def render_text(self) -> str:
         lines = [

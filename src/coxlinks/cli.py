@@ -15,13 +15,14 @@ import os
 import sys
 from fractions import Fraction
 
-from .analysis import _interval_json, analyze, min_dilatation_search, verify_theorems
+from .analysis import (AnalysisReport, MinSearchResult, VerificationSummary, analyze,
+                       min_dilatation_search, verify_theorems)
 from .coxeter import CertificationError, coxeter_polynomial, require_alternating
 from .fixtures import fixture_names, fixture_text
 from .graphs import (
     GraphParseError,
     MixedSignCoxeterGraph,
-    graph_to_text,
+    NotAlternatingError,
     is_alternating_sign,
     is_vertex_extension,
     parse_graph,
@@ -66,17 +67,17 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _emit(report: AnalysisReport | VerificationSummary | MinSearchResult,
+          as_json: bool) -> None:
+    print(json.dumps(report.to_json_dict()) if as_json else report.render_text())
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     if not is_alternating_sign(g) and not args.classical:
-        print("error: graph is not alternating-sign "
-              "(pass --classical for the reduced report)", file=sys.stderr)
-        return EXIT_CONTRACT
-    report = analyze(g, args.epsilon)
-    if args.json:
-        print(json.dumps(report.to_json_dict()))
-    else:
-        print(report.render_text())
+        raise NotAlternatingError("graph is not alternating-sign "
+                                  "(pass --classical for the reduced report)")
+    _emit(analyze(g, args.epsilon), args.json)
     return EXIT_OK
 
 
@@ -112,36 +113,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     summary = verify_theorems(args.nmax, extension_trials=args.trials,
                               seed=args.seed, dedup=args.dedup)
-    if args.json:
-        print(json.dumps({
-            "n_max": summary.n_max,
-            "extension_trials": summary.extension_trials,
-            "seed": summary.seed,
-            "dedup": summary.dedup,
-            "graphs_examined": summary.graphs_examined,
-            "counters": {name: {"pass": p, "fail": f}
-                         for name, p, f in summary.counters},
-            "counterexample": summary.counterexample,
-            "ok": summary.ok,
-        }))
-    else:
-        print(summary.render_text())
+    _emit(summary, args.json)
     print(f"wall time: {summary.wall_time_seconds:.2f}s", file=sys.stderr)
     return EXIT_OK if summary.ok else EXIT_VIOLATION
 
 
 def cmd_min_search(args: argparse.Namespace) -> int:
     result = min_dilatation_search(args.nmax, eps=args.epsilon, dedup=args.dedup)
-    if args.json:
-        print(json.dumps({
-            "n_max": result.n_max,
-            "enclosure": _interval_json(result.enclosure),
-            "trees_examined": result.trees_examined,
-            "trees_pruned": result.trees_pruned,
-            "graph": graph_to_text(result.graph),
-        }))
-    else:
-        print(result.render_text())
+    _emit(result, args.json)
     print(f"wall time: {result.wall_time_seconds:.2f}s", file=sys.stderr)
     return EXIT_OK
 
@@ -150,8 +129,7 @@ def cmd_example(args: argparse.Namespace) -> int:
     try:
         text = fixture_text(args.name)
     except KeyError as e:
-        print(f"error: {e.args[0]}", file=sys.stderr)
-        return EXIT_PARSE
+        raise GraphParseError(e.args[0]) from None
     sys.stdout.write(text)
     return EXIT_OK
 

@@ -359,15 +359,13 @@ def enumerate_alternating_trees(n: int, dedup: bool = False) -> Iterator[MixedSi
         yield MixedSignCoxeterGraph(("v0",), (PLUS,), ())
         return
     if dedup:
-        names = tuple(f"v{i}" for i in range(n))
         for levels in _free_tree_level_sequences(n):
             last = [0] * n
             edges = []
             for i in range(1, n):
                 last[levels[i]] = i
                 edges.append((last[levels[i] - 1], i))
-            yield MixedSignCoxeterGraph(
-                names, tuple(MINUS if x % 2 else PLUS for x in levels), tuple(edges))
+            yield _tree_from_edges(n, edges)
         return
     for seq in itertools.product(range(n), repeat=n - 2):
         yield _tree_from_edges(n, _prufer_edges(seq, n))

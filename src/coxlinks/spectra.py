@@ -233,8 +233,8 @@ class _Roots:
             if cell is None:
                 raise ValueError("polynomial has no real roots")
             return m, _refine(m, cell, eps)
-        folded = squarefree_part(m.mirror() * m)
-        return folded, max_real_root(folded, eps)
+        folded = _Roots(m.mirror() * m)
+        return folded.poly, folded.max_root_cell(eps)
 
 
 def is_real_rooted(p: IntPolynomial) -> bool:

@@ -489,6 +489,40 @@ def test_analyze_text_report_is_byte_identical(capsys, argv):
     assert out == ANALYZE_TEXT[argv]
 
 
+# --json documents of the sweep reports, key order included.
+SWEEP_JSON = {
+    ("verify", "--nmax", "4", "--trials", "5", "--seed", "7", "--json"): (
+        '{"n_max": 4, "extension_trials": 5, "seed": 7, "dedup": false, '
+        '"graphs_examined": 80, "counters": {'
+        '"symmetry": {"pass": 20, "fail": 0}, '
+        '"real-negative-spectrum": {"pass": 20, "fail": 0}, '
+        '"proof-identities": {"pass": 20, "fail": 0}, '
+        '"monodromy-charpoly": {"pass": 20, "fail": 0}, '
+        '"reciprocality": {"pass": 20, "fail": 0}, '
+        '"real-stability": {"pass": 20, "fail": 0}, '
+        '"sign-alternation": {"pass": 20, "fail": 0}, '
+        '"trapezoidality": {"pass": 20, "fail": 0}, '
+        '"log-concavity": {"pass": 20, "fail": 0}, '
+        '"coxeter-interlacing": {"pass": 15, "fail": 0}, '
+        '"alexander-interlacing": {"pass": 15, "fail": 0}, '
+        '"radius-monotonicity": {"pass": 15, "fail": 0}}, '
+        '"counterexample": null, "ok": true}\n'
+    ),
+    ("min-search", "--nmax", "6", "--dedup", "--json"): (
+        '{"n_max": 6, "enclosure": {"lo": "1405546295/536870912", '
+        '"hi": "2811092591/1073741824"}, "trees_examined": 13, "trees_pruned": 12, '
+        '"graph": "vertex v0 +\\nvertex v1 -\\nedge v0 v1\\n"}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", SWEEP_JSON, ids=" ".join)
+def test_sweep_json_is_byte_identical(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == SWEEP_JSON[argv]
+
+
 def test_readme_has_examples():
     assert len(readme_examples()) >= 3
 

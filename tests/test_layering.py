@@ -71,6 +71,38 @@ def test_cli_imports_no_private_name_from_coxeter_or_spectra():
     assert not private
 
 
+def test_cli_imports_no_private_name():
+    private = {(mod, name) for mod, name in imported_names(PACKAGE / "cli.py")
+               if name.startswith("_")}
+    assert not private
+
+
+def parse_and_contract_returns(path: Path) -> set[str]:
+    """cmd_* functions in a source file that return EXIT_PARSE or
+    EXIT_CONTRACT themselves, rather than raising for main to map."""
+    found: set[str] = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+            for ret in ast.walk(node):
+                if (isinstance(ret, ast.Return) and isinstance(ret.value, ast.Name)
+                        and ret.value.id in {"EXIT_PARSE", "EXIT_CONTRACT"}):
+                    found.add(node.name)
+    return found
+
+
+def test_only_main_picks_parse_and_contract_exit_codes():
+    assert not parse_and_contract_returns(PACKAGE / "cli.py")
+
+
+def test_exit_code_finder_sees_every_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("def cmd_a(x):\n    if x:\n        return EXIT_PARSE\n    return EXIT_OK\n\n"
+                   "def cmd_b(x):\n    return EXIT_CONTRACT\n\n"
+                   "def cmd_c(x):\n    raise ValueError(x)\n\n"
+                   "def main(x):\n    return EXIT_PARSE\n")
+    assert parse_and_contract_returns(src) == {"cmd_a", "cmd_b"}
+
+
 def test_analysis_builds_no_sturm_chain_of_its_own():
     assert ("spectra", "_SturmChain") not in imported_names(PACKAGE / "analysis.py")
 

@@ -215,6 +215,20 @@ class TestMaxRootAndRadius:
         r = spectral_radius_enclosure(c5, F(1, 10**9))
         assert abs(float(r.midpoint) - 6.40543540040998) < 1e-8
 
+    def test_fold_route_takes_one_squarefree_part_of_the_fold(self, monkeypatch):
+        degrees = []
+
+        def counting(p):
+            degrees.append(p.degree)
+            return squarefree_part(p)
+
+        monkeypatch.setattr(spectra, "squarefree_part", counting)
+        # (t - 3)(t + 5)(t + 2) has a root >= 0, so the radius folds
+        r = spectral_radius_enclosure(P(-30, -11, 4, 1))
+        assert degrees == [3, 6]
+        assert r == RationalInterval(F(1374389534689, 274877906944),
+                                     F(5497558139657, 1099511627776))
+
     def test_radius_needs_real_rooted_input(self):
         with pytest.raises(ValueError):
             spectral_radius_enclosure(P(1, 0, 1))
