@@ -16,12 +16,13 @@ from fractions import Fraction
 from .coxeter import (
     CertificationError,
     _alexander_from_coxeter,
+    _gram_polynomial,
     coxeter_polynomial,
     coxeter_transformation,
     homological_monodromy,
     verify_proof_identities,
 )
-from .exact import IntPolynomial, fraction_to_decimal
+from .exact import IntPolynomial, _coxeter_from_gram, fraction_to_decimal
 from .graphs import (
     MixedSignCoxeterGraph,
     enumerate_alternating_trees,
@@ -78,6 +79,10 @@ def log_concavity_check(p: IntPolynomial) -> bool:
 
 
 _WITNESS_EPS = Fraction(1, 1 << 10)
+
+
+def _graph_roots(g: MixedSignCoxeterGraph) -> _Roots:
+    return _Roots.of_gram(_gram_polynomial(g), g.n)
 
 
 def _radius_leq(small: _Roots, big: _Roots) -> bool:
@@ -191,17 +196,18 @@ def analyze(g: MixedSignCoxeterGraph,
 
     verify_proof_identities is the one matrix certificate: it certifies
     the monodromy M^T M = -C- C+, whose characteristic polynomial is
-    therefore Delta.  c comes from coxeter_polynomial, so no graph runs
-    an n x n characteristic polynomial, and every root answer comes from
-    one spectra._Roots of c, which holds one Sturm chain.
+    therefore Delta.  c comes from the Gram polynomial q, so no graph runs
+    an n x n characteristic polynomial, and every root answer from the
+    spectra._Roots.of_gram of q, which counts on the Sturm chain of sf(q).
     """
     if g.n < 2:
         raise ValueError("analysis needs at least 2 vertices")
     if eps <= 0:
         raise ValueError("epsilon must be positive")
 
-    c = coxeter_polynomial(g)
-    roots = _Roots(c)
+    q = _gram_polynomial(g)
+    c = _coxeter_from_gram(q, g.n)
+    roots = _Roots.of_gram(q, g.n)
     mrr = roots.max_root_cell(eps)
     if not is_alternating_sign(g):
         return AnalysisReport(
@@ -375,8 +381,7 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
                 large = random_vertex_extension(small, rng)
             graphs += 2
             record("radius-monotonicity",
-                   _radius_leq(_Roots(coxeter_polynomial(small)),
-                               _Roots(coxeter_polynomial(large))),
+                   _radius_leq(_graph_roots(small), _graph_roots(large)),
                    large)
 
     counters = tuple((name, counts[name][0], counts[name][1])
@@ -427,7 +432,7 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
     with 2..n_max vertices.
 
     Ties keep the earliest tree in enumeration order.  Each tree gets one
-    spectra._Roots of c.  A tree with a root of modulus at least hi, the
+    spectra._Roots.of_gram.  A tree with a root of modulus at least hi, the
     upper end of the best enclosure, cannot beat the best and is pruned
     by its count of roots r >= hi or r < -hi.  A root at exactly -hi is
     missed, which only skips the shortcut: such a tree at best ties, and
@@ -448,7 +453,7 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
         spot_left = _SPOT_ASSERTS_PER_SIZE if n > 2 else 0
         for g in enumerate_alternating_trees(n, dedup=dedup):
             examined += 1
-            roots = _Roots(coxeter_polynomial(g))
+            roots = _graph_roots(g)
             if best is not None and roots.outside(best[1].hi) >= 1:
                 pruned += 1
             else:
@@ -460,7 +465,7 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
                 spot_left -= 1
                 leaf = next(i for i in range(g.n) if len(g.neighbors[i]) == 1)
                 sub = remove_vertex(g, leaf)
-                if not _radius_leq(_Roots(coxeter_polynomial(sub)), roots):
+                if not _radius_leq(_graph_roots(sub), roots):
                     raise CertificationError(
                         "radius monotonicity violated by leaf removal\n"
                         + graph_to_text(g))

@@ -11,9 +11,8 @@ the bipartite Coxeter transformation C+- = C+ C-.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
-from .exact import IntMatrix, IntPolynomial
+from .exact import IntMatrix, IntPolynomial, _coxeter_from_gram
 from .graphs import (MixedSignCoxeterGraph, NotAlternatingError, adjacency_matrix,
                      graph_to_text, is_alternating_sign, sign_bipartition,
                      two_coloring)
@@ -132,15 +131,7 @@ def coxeter_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
     common neighbours.  correspondence_check in tests/matrix_oracles.py
     tests both routes against the n x n ones.
     """
-    q = _gram_polynomial(g).coeffs
-    n, s = g.n, len(q) - 1
-    # homogeneous Horner: acc = sum_k q_k u^k t^(s-k) with u = -(t+1)^2
-    u = IntPolynomial([-1, -2, -1])
-    acc = IntPolynomial([q[s]])
-    for k in range(s - 1, -1, -1):
-        acc = acc * u + IntPolynomial([0] * (s - k) + [q[k]])
-    acc = acc * IntPolynomial(comb(n - 2 * s, i) for i in range(n - 2 * s + 1))
-    return -acc if s % 2 else acc
+    return _coxeter_from_gram(_gram_polynomial(g), g.n)
 
 
 def require_alternating(g: MixedSignCoxeterGraph, what: str) -> None:

@@ -9,7 +9,7 @@ exactness of these primitives.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import comb, gcd as _int_gcd
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -246,6 +246,21 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
         return IntPolynomial([1])
     g = poly_gcd(f, f.derivative())
     return poly_divexact(f, g).primitive()
+
+
+def _coxeter_from_gram(q: IntPolynomial, n: int) -> IntPolynomial:
+    """A'Campo's substitution (-1)^s (t+1)^(n-2s) sum_k q_k (-(t+1)^2)^k
+    t^(s-k), s = deg q: the Coxeter polynomial of an n-vertex graph from
+    its Gram polynomial q, as proved in coxeter.coxeter_polynomial."""
+    q = q.coeffs
+    s = len(q) - 1
+    # homogeneous Horner: acc = sum_k q_k u^k t^(s-k) with u = -(t+1)^2
+    u = IntPolynomial([-1, -2, -1])
+    acc = IntPolynomial([q[s]])
+    for k in range(s - 1, -1, -1):
+        acc = acc * u + IntPolynomial([0] * (s - k) + [q[k]])
+    acc = acc * IntPolynomial(comb(n - 2 * s, i) for i in range(n - 2 * s + 1))
+    return -acc if s % 2 else acc
 
 
 class IntMatrix:

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import (IntPolynomial, _signed_remainders, poly_divexact, poly_gcd,
-                    squarefree_part)
+from .exact import (IntPolynomial, _coxeter_from_gram, _signed_remainders, poly_divexact,
+                    poly_gcd, squarefree_part)
 
 _ZERO = Fraction(0)
+_MINUS_FOUR = Fraction(-4)
 DEFAULT_EPSILON = Fraction(1, 10 ** 9)
 
 
@@ -117,7 +118,7 @@ def _check_width(chain: _SturmChain, width: Fraction) -> None:
                            "inconsistent Sturm chain")
 
 
-def _root_gap(chain: _SturmChain | _Roots, lo: Fraction, hi: Fraction, mid: Fraction) -> Fraction:
+def _root_gap(chain: _SturmChain | _GramChain | _Roots, lo: Fraction, hi: Fraction, mid: Fraction) -> Fraction:
     """Half-width w, at most (hi - lo) / 4, such that [mid - w, mid + w]
     holds no root but the root mid and its ends are not roots."""
     sf = chain.poly
@@ -129,7 +130,7 @@ def _root_gap(chain: _SturmChain | _Roots, lo: Fraction, hi: Fraction, mid: Frac
     return w
 
 
-def _top_cell(chain: _SturmChain | _Roots, lo: Fraction, hi: Fraction) -> RationalInterval | None:
+def _top_cell(chain: _SturmChain | _GramChain | _Roots, lo: Fraction, hi: Fraction) -> RationalInterval | None:
     """The cell of the largest root in (lo, hi], or None when there is no
     root there.  Follows the full isolation's bisection but keeps only
     the sub-cell holding the largest root, so with (lo, hi] = (-bound,
@@ -180,16 +181,124 @@ def _halve(sf: IntPolynomial, iv: RationalInterval) -> RationalInterval:
     return _refine(sf, iv, iv.width / 2) if not iv.is_point else iv
 
 
+class _GramChain:
+    """m = sf(-t)'s distinct real roots, sf the squarefree part of the
+    Coxeter polynomial c of an n-vertex graph, counted on the Sturm chain
+    of r = sf(q), q its Gram polynomial of degree s <= n/2.
+
+    Factorization.  With q = prod_k (y - mu_k), t^s q(-(t+1)^2 / t) =
+    (-1)^s prod_k ((t+1)^2 + mu_k t), so coxeter_polynomial's c is
+    (t+1)^(n-2s) prod_k (t^2 + (2 + mu_k) t + 1), whose factor of mu
+    vanishes at t = -x iff phi(x) = (x - 1)^2 / x = mu.  Real x come from
+    real mu outside (-4, 0): x > 1 > 1/x > 0 from mu > 0, x < -1 < 1/x < 0
+    from mu < -4, x = 1 from mu = 0 or n > 2s, and x = -1 from mu = -4.
+
+    Monotone map.  phi'(x) = 1 - 1/x^2, so phi rises on (-inf, -1] onto
+    (-inf, -4] and on [1, inf) onto [0, inf), and falls on [-1, 0) onto
+    (-inf, -4] and on (0, 1] onto [0, inf): on each branch x' <= x iff
+    phi(x') <= phi(x) where phi rises, >= where it falls.  Let A(u) count
+    r's roots above u, read up to top = 2^k above every root modulus, T =
+    A(-top), Z(u) = [r(u) = 0], e = [n > 2s or r(0) = 0] and neg = 2T -
+    2A(-4) - Z(-4), m's negative roots.  Adding the branches to the left,
+    N(x) = #{m's roots <= x} is, for phi = phi(x),
+        x <= -1: T - A(phi)      -1 < x < 0: neg - T + A(phi) + Z(phi)
+        0 <= x < 1: neg + A(phi) + Z(phi), neg at x = 0 (phi(0) = inf)
+        x >= 1: neg + 2A(0) + e - A(phi)
+    A count on (lo, hi] is N(hi) - N(lo): r's chain at phi(lo), phi(hi),
+    and at -top, -4 and 0 for the offsets only when the branches differ.
+
+    top = 2^k: every root has |z| <= 2 max_j |a_(d-j) / a_d|^(1/j)
+    (Fujiwara, Tohoku Math. J. 10, 1916) and |a_(d-j) / a_d| < 2^e_j for
+    e_j = bitlen(a_(d-j)) - bitlen(a_d) + 1, so k = 1 + max(0, ceil(e_j /
+    j)) will do.  2^k <= max(2, 16 d R), R the largest modulus, where
+    cauchy_bound(r) grows with r's largest coefficient.
+    """
+
+    def __init__(self, r: IntPolynomial, e: bool, m: IntPolynomial):
+        self.poly = m
+        self.min_width = _min_width(m)
+        self.gram = _SturmChain(r)
+        lead = abs(r.lead).bit_length()
+        self.k = 1 + max([0] + [-((lead - 1 - abs(c).bit_length()) // j)
+                                for j, c in enumerate(reversed(r.coeffs[:-1]), 1) if c])
+        self.top = Fraction(1 << self.k)
+        self.e = e
+        self._places: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def _above(self, u: Fraction) -> int:
+        return self.gram.count(u, self.top)
+
+    @cached_property
+    def _offsets(self) -> tuple[int, int, int, int]:
+        t, z = self._above(-self.top), self.gram.poly.eval_sign(_MINUS_FOUR) == 0
+        neg = 2 * t - 2 * self._above(_MINUS_FOUR) - z
+        return t, neg - t, neg, neg + 2 * self._above(_ZERO) + self.e
+
+    def _place(self, x: Fraction) -> tuple[int, int]:
+        """(branch of x, N(x) less the branch's offset), memoized."""
+        a, b = key = x.numerator, x.denominator  # cheaper to hash than x
+        place = self._places.get(key)
+        if place is None:
+            falls, num, den = -b < a < b, (a - b) ** 2, a * b  # phi(x) = num / den
+            if a == 0:
+                place = 2, 0
+            else:
+                if num >= abs(den) << self.k:  # |phi(x)| >= top: no root of r from there out
+                    above = 0 if a > 0 else self._above(-self.top)
+                else:
+                    mu = Fraction(num, den)
+                    above = self._above(mu) + (falls and self.gram.poly.eval_sign(mu) == 0)
+                place = (2 if a > 0 else 1, above) if falls else (3 if a > 0 else 0, -above)
+            self._places[key] = place
+        return place
+
+    def count(self, lo: Fraction, hi: Fraction) -> int:
+        """m's distinct roots in the half-open interval (lo, hi]."""
+        if lo >= hi:
+            return 0
+        (i, below), (j, upto) = self._place(lo), self._place(hi)
+        return upto - below + (self._offsets[j] - self._offsets[i] if i != j else 0)
+
+
 class _Roots:
-    """Every root question about p, answered on one Sturm chain: that of
-    m = sf(-t), for sf the squarefree part of p.  count reads it as a
-    chain of sf, so _top_cell and _root_gap take a _Roots for one."""
+    """Every root question about p, answered on one chain of m = sf(-t),
+    for sf the squarefree part of p: its Sturm chain, or the _GramChain
+    of a graph's Coxeter polynomial (of_gram).  count reads it as a chain
+    of sf, so _top_cell and _root_gap take a _Roots for one."""
 
     def __init__(self, p: IntPolynomial):
         self.poly = sf = squarefree_part(p)
         self.chain = _SturmChain(sf.mirror())
         self.bound = cauchy_bound(sf)  # m's as well
         self.min_width = self.chain.min_width
+
+    @classmethod
+    def of_gram(cls, q: IntPolynomial, n: int) -> _Roots:
+        """The _Roots of the Coxeter polynomial c of an n-vertex graph with
+        Gram polynomial q, with no squarefree part or chain above deg q.
+
+        sf identity.  By _GramChain's factorization, c's distinct roots are
+        -1 iff e, 1 iff r(-4) = 0, and the roots of t^2 + (2 + mu) t + 1
+        for r's other roots mu: simple (discriminant mu (mu + 4)), apart
+        for distinct mu (mu = -(t + 1/t) - 2).  For r' = r less y and y + 4,
+        of degree d', the substitution of degree 2d' + e is lc(r') (t+1)^e
+        prod_(r'(mu) = 0) (t^2 + (2 + mu) t + 1).  Times t - 1 iff r(-4) =
+        0, it is squarefree with c's roots: sf, once primitive.
+        """
+        r = rest = squarefree_part(q)
+        e = r.coeffs[0] == 0 or n > 2 * q.degree
+        if r.coeffs[0] == 0:
+            rest = IntPolynomial(r.coeffs[1:])
+        four = rest.eval_sign(_MINUS_FOUR) == 0
+        if four:
+            rest = poly_divexact(rest, IntPolynomial([4, 1]))
+        sf = _coxeter_from_gram(rest, 2 * rest.degree + e)
+        roots = cls.__new__(cls)
+        roots.poly = sf = (sf * IntPolynomial([-1, 1]) if four else sf).primitive()
+        roots.chain = _GramChain(r, e, sf.mirror())
+        roots.bound = cauchy_bound(sf)
+        roots.min_width = roots.chain.min_width
+        return roots
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
         """sf's distinct roots in [lo, hi), m's in (-hi, -lo]: those in

@@ -273,8 +273,8 @@ class TestMonodromyCertificate:
 
 
 class TestOneChainPerAnalyze:
-    """analyze answers every root question on one Sturm chain, of
-    sf(-t) for sf the squarefree part of c."""
+    """analyze answers every root question on one Sturm chain, of sf(q)
+    for q the Gram polynomial; see also tests/test_gram_roots.py."""
 
     @pytest.mark.parametrize("name", fixture_names())
     def test_one_squarefree_part_and_one_chain(self, monkeypatch, name):

@@ -22,6 +22,8 @@ from coxlinks.exact import IntMatrix
 from coxlinks.fixtures import fixture_names, fixture_text
 from coxlinks.graphs import parse_graph
 
+from test_gram_roots import TEST_GRAPHS
+
 TRIANGLE = """\
 vertex a +
 vertex b -
@@ -487,6 +489,74 @@ def test_analyze_text_report_is_byte_identical(capsys, argv):
     code, out, _ = run_cli(capsys, "analyze", *argv)
     assert code == 0
     assert out == ANALYZE_TEXT[argv]
+
+
+# Graphs at the edge cases of counting Coxeter roots on the chain of
+# sf(q): on the all-plus star K(1,4), q = y + 4 (mu = -4) and c = (t+1)^3
+# (t-1)^2; on the alternating 4-cycle and k33, n = 2s and q(0) = 0; on
+# e10-classical, Lehmer's polynomial, q has a root mu < -4.  Text and
+# --json stdout, byte for byte; the k33 and e10-classical text reports
+# are in ANALYZE_TEXT, and the star and the 4-cycle in TEST_GRAPHS.
+EDGE_CASE_REPORTS = {
+    ("star-k14", "--classical"): (
+        "graph: 5 vertices, 4 edges, classical signs\n"
+        "coxeter polynomial: t^5 + t^4 - 2t^3 - 2t^2 + t + 1\n"
+        "max real root in [1.000000000000, 1.000000000000]\n"
+        "classical signs: alternating-sign certifications omitted\n"
+    ),
+    ("star-k14", "--classical", "--json"): (
+        '{"graph": {"n": 5, "edges": 4, "alternating": false}, "polynomials": '
+        '{"coxeter": [1, 1, -2, -2, 1, 1], "alexander": null}, "flags": null, '
+        '"spectral_radius": null, "max_real_root": {"lo": "1/1", "hi": "1/1"}}\n'
+    ),
+    ("cycle-4",): (
+        "graph: 4 vertices, 4 edges, alternating signs\n"
+        "coxeter polynomial: t^4 + 8t^3 + 14t^2 + 8t + 1\n"
+        "alexander polynomial: t^4 - 8t^3 + 14t^2 - 8t + 1\n"
+        "spectral radius in [5.828427124593, 5.828427125117]\n"
+        "real stable (all alexander roots real and positive): yes\n"
+        "sign alternating: yes\n"
+        "trapezoidal: yes (plateau k = 2)\n"
+        "log-concave (strict): yes\n"
+        "bi-orderable implied (all monodromy eigenvalues real positive): yes\n"
+        "proof identities: ok\n"
+    ),
+    ("cycle-4", "--json"): (
+        '{"graph": {"n": 4, "edges": 4, "alternating": true}, "polynomials": '
+        '{"coxeter": [1, 8, 14, 8, 1], "alexander": [1, -8, 14, -8, 1]}, "flags": '
+        '{"real_stable": true, "sign_alternating": true, "trapezoidal": true, "plateau_k": 2, '
+        '"log_concave": true, "biorderable_implied": true, "proof_identities_ok": true}, '
+        '"spectral_radius": {"lo": "100131615549/17179869184", "hi": "50065807779/8589934592"}, '
+        '"max_real_root": {"lo": "-184224973/1073741824", "hi": "-46056243/268435456"}}\n'
+    ),
+    ("k33", "--json"): (
+        '{"graph": {"n": 6, "edges": 9, "alternating": true}, "polynomials": '
+        '{"coxeter": [1, 15, 51, 74, 51, 15, 1], "alexander": [1, -15, 51, -74, 51, -15, 1]}, '
+        '"flags": {"real_stable": true, "sign_alternating": true, "trapezoidal": true, '
+        '"plateau_k": 3, "log_concave": true, "biorderable_implied": true, '
+        '"proof_identities_ok": true}, "spectral_radius": {"lo": "1499229034963/137438953472", '
+        '"hi": "374807258771/34359738368"}, "max_real_root": {"lo": "-393732911/4294967296", '
+        '"hi": "-1574931631/17179869184"}}\n'
+    ),
+    ("e10-classical", "--classical", "--json"): (
+        '{"graph": {"n": 10, "edges": 9, "alternating": false}, "polynomials": '
+        '{"coxeter": [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1], "alexander": null}, "flags": null, '
+        '"spectral_radius": null, "max_real_root": {"lo": "1263021911/1073741824", '
+        '"hi": "157877739/134217728"}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", EDGE_CASE_REPORTS, ids=" ".join)
+def test_gram_count_edge_cases_are_byte_identical(capsys, tmp_path, argv):
+    source = argv[0]
+    if source in TEST_GRAPHS:
+        path = tmp_path / f"{source}.txt"
+        path.write_text(TEST_GRAPHS[source])
+        source = str(path)
+    code, out, _ = run_cli(capsys, "analyze", source, *argv[1:])
+    assert code == 0
+    assert out == EDGE_CASE_REPORTS[argv]
 
 
 # --json documents of the sweep reports, key order included.
