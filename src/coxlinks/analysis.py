@@ -39,7 +39,6 @@ from .spectra import (
     _Roots,
     compare_isolated_roots,
     interlace_check,
-    is_real_stable,
 )
 
 def sign_alternation_check(p: IntPolynomial) -> bool:
@@ -83,6 +82,12 @@ _WITNESS_EPS = Fraction(1, 1 << 10)
 
 def _graph_roots(g: MixedSignCoxeterGraph) -> _Roots:
     return _Roots.of_gram(_gram_polynomial(g), g.n)
+
+
+def _graph_spectrum(g: MixedSignCoxeterGraph) -> tuple[IntPolynomial, _Roots]:
+    """c and its _Roots, both from one Gram polynomial q of g."""
+    q = _gram_polynomial(g)
+    return _coxeter_from_gram(q, g.n), _Roots.of_gram(q, g.n)
 
 
 def _radius_leq(small: _Roots, big: _Roots) -> bool:
@@ -205,9 +210,7 @@ def analyze(g: MixedSignCoxeterGraph,
     if eps <= 0:
         raise ValueError("epsilon must be positive")
 
-    q = _gram_polynomial(g)
-    c = _coxeter_from_gram(q, g.n)
-    roots = _Roots.of_gram(q, g.n)
+    c, roots = _graph_spectrum(g)
     mrr = roots.max_root_cell(eps)
     if not is_alternating_sign(g):
         return AnalysisReport(
@@ -313,6 +316,9 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
                     dedup: bool = False) -> VerificationSummary:
     """Run every certified check over all alternating trees with at most
     n_max vertices, plus seeded random extension and inclusion pairs.
+    As in analyze, each tree takes c and Delta from one Gram polynomial q
+    and real stability from the spectra._Roots.of_gram of q; the n x n
+    Berkowitz runs on the monodromy and on -C+- are the slow check.
 
     dedup generates one tree per isomorphism class directly (Wright,
     Richmond, Odlyzko and McKay) instead of walking every labeled tree;
@@ -341,16 +347,14 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
         for g in enumerate_alternating_trees(n, dedup=dedup):
             graphs += 1
             c_bipartite = coxeter_transformation(g)
-            c = coxeter_polynomial(g)
+            c, roots = _graph_spectrum(g)
             delta = _alexander_from_coxeter(c)
             # Delta = +-c(-t): every root of c real and negative iff Delta
-            # is real stable, so one computation serves both checks
-            real_stable = is_real_stable(delta)
+            # is real stable, so one count serves both checks
+            real_stable = roots.all_negative
             record("symmetry", c_bipartite.is_symmetric(), g)
             record("real-negative-spectrum", real_stable, g)
             record("proof-identities", bool(verify_proof_identities(g)), g)
-            # c and Delta come from the fast route; the n x n Berkowitz
-            # runs on the monodromy and on -C+- are the slow one
             monodromy_cp = homological_monodromy(g).charpoly()
             negated_cp = (-c_bipartite).charpoly()
             record("monodromy-charpoly",

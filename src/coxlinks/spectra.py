@@ -177,10 +177,6 @@ def _refine(sf: IntPolynomial, iv: RationalInterval, eps: Fraction) -> RationalI
     return RationalInterval(lo, hi)
 
 
-def _halve(sf: IntPolynomial, iv: RationalInterval) -> RationalInterval:
-    return _refine(sf, iv, iv.width / 2) if not iv.is_point else iv
-
-
 class _GramChain:
     """m = sf(-t)'s distinct real roots, sf the squarefree part of the
     Coxeter polynomial c of an n-vertex graph, counted on the Sturm chain
@@ -489,5 +485,5 @@ def compare_isolated_roots(p_sf: IntPolynomial, ip: RationalInterval,
         if max(ip.width, iq.width) < floor:
             raise RuntimeError("root comparison exceeded its halving bound: "
                                "a cell holds no root of its polynomial")
-        ip = _halve(p_sf, ip)
-        iq = _halve(q_sf, iq)
+        ip = _refine(p_sf, ip, ip.width / 2)
+        iq = _refine(q_sf, iq, iq.width / 2)

@@ -7,8 +7,8 @@ from fractions import Fraction
 from math import prod
 
 from coxlinks.exact import IntPolynomial, poly_divexact, poly_gcd, squarefree_part
-from coxlinks.spectra import (DEFAULT_EPSILON, RationalInterval, _check_width, _halve,
-                              _refine, _root_gap, _SturmChain, cauchy_bound)
+from coxlinks.spectra import (DEFAULT_EPSILON, RationalInterval, _check_width, _refine,
+                              _root_gap, _SturmChain, cauchy_bound)
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ def separate(sf: IntPolynomial, intervals: list[RationalInterval]) -> list[Ratio
     # the closed intervals are pairwise disjoint
     for i in range(len(intervals) - 1):
         while intervals[i].hi >= intervals[i + 1].lo:
-            intervals[i] = _halve(sf, intervals[i])
-            intervals[i + 1] = _halve(sf, intervals[i + 1])
+            intervals[i] = _refine(sf, intervals[i], intervals[i].width / 2)
+            intervals[i + 1] = _refine(sf, intervals[i + 1], intervals[i + 1].width / 2)
     return intervals
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from coxlinks import spectra
-from coxlinks.analysis import analyze, min_dilatation_search
+from coxlinks.analysis import analyze, min_dilatation_search, verify_theorems
 from coxlinks.coxeter import _gram_polynomial, coxeter_polynomial
 from coxlinks.exact import IntPolynomial, squarefree_part
 from coxlinks.fixtures import fixture_graph, fixture_names
@@ -129,8 +129,8 @@ def spy_on_degrees(monkeypatch) -> list[int]:
 
 
 class TestNothingAboveTheGramDegree:
-    """analyze and min-search take no squarefree part and build no Sturm
-    chain of degree above s, the degree of q."""
+    """analyze, min-search and verify's tree battery take no squarefree
+    part and build no Sturm chain of degree above s, the degree of q."""
 
     @pytest.mark.parametrize("name", fixture_names() + tuple(TEST_GRAPHS))
     def test_analyze(self, monkeypatch, name):
@@ -144,4 +144,10 @@ class TestNothingAboveTheGramDegree:
     def test_min_search(self, monkeypatch, n_max, dedup):
         degrees = spy_on_degrees(monkeypatch)
         min_dilatation_search(n_max, dedup=dedup)
+        assert degrees and max(degrees) <= n_max // 2
+
+    @pytest.mark.parametrize("n_max,dedup", [(5, False), (8, True)])
+    def test_verify_tree_battery(self, monkeypatch, n_max, dedup):
+        degrees = spy_on_degrees(monkeypatch)
+        assert verify_theorems(n_max, extension_trials=0, dedup=dedup).ok
         assert degrees and max(degrees) <= n_max // 2

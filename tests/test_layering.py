@@ -157,6 +157,7 @@ ALLOWED_WITHOUT_CALLER = {
     "fixtures.fixture_graph": "README Library entry point: a built-in graph by name",
     "coxeter.alexander_polynomial": "README Library entry point: Delta of a graph",
     "spectra.spectral_radius_enclosure": "README Library entry point: radius of a polynomial",
+    "spectra.is_real_stable": "README Library entry point: real stability of a polynomial",
     "spectra.RationalInterval.contains": "value type: does an enclosure hold a rational",
     "spectra.RationalInterval.midpoint": "value type: the centre of an enclosure",
     "exact.IntPolynomial.eval": "value type: exact value at an int or Fraction",
