@@ -17,9 +17,9 @@ from .coxeter import (
     CertificationError,
     _alexander_from_coxeter,
     _gram_polynomial,
+    _proof_identities,
+    bipartite_factors,
     coxeter_polynomial,
-    coxeter_transformation,
-    homological_monodromy,
     verify_proof_identities,
 )
 from .exact import IntPolynomial, _coxeter_from_gram, fraction_to_decimal
@@ -319,6 +319,8 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
     As in analyze, each tree takes c and Delta from one Gram polynomial q
     and real stability from the spectra._Roots.of_gram of q; the n x n
     Berkowitz runs on the monodromy and on -C+- are the slow check.
+    Each tree certifies one factorization (C+, C-) as verify_proof_identities
+    does, and reads C+- = C+ C- and the monodromy -C- C+ off it.
 
     dedup generates one tree per isomorphism class directly (Wright,
     Richmond, Odlyzko and McKay) instead of walking every labeled tree;
@@ -346,7 +348,8 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
     for n in range(2, n_max + 1):
         for g in enumerate_alternating_trees(n, dedup=dedup):
             graphs += 1
-            c_bipartite = coxeter_transformation(g)
+            c_plus, c_minus = bipartite_factors(g)
+            c_bipartite = c_plus @ c_minus
             c, roots = _graph_spectrum(g)
             delta = _alexander_from_coxeter(c)
             # Delta = +-c(-t): every root of c real and negative iff Delta
@@ -354,8 +357,9 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
             real_stable = roots.all_negative
             record("symmetry", c_bipartite.is_symmetric(), g)
             record("real-negative-spectrum", real_stable, g)
-            record("proof-identities", bool(verify_proof_identities(g)), g)
-            monodromy_cp = homological_monodromy(g).charpoly()
+            record("proof-identities", bool(_proof_identities(g, c_plus, c_minus)), g)
+            # _proof_identities raised unless M^T M = -C- C+ (its checks 1 and 2)
+            monodromy_cp = (-(c_minus @ c_plus)).charpoly()
             negated_cp = (-c_bipartite).charpoly()
             record("monodromy-charpoly",
                    monodromy_cp == delta and negated_cp == delta, g)

@@ -26,14 +26,20 @@ class CertificationError(RuntimeError):
 def _part_product(g: MixedSignCoxeterGraph, part: frozenset[int]) -> IntMatrix:
     # The reflections of an independent set commute and each one touches
     # only its own row, so their product is assembled in a single pass.
-    rows = [list(r) for r in IntMatrix.identity(g.n).rows]
+    rows = [[0] * g.n for _ in range(g.n)]
+    for i, row in enumerate(rows):
+        row[i] = -1 if i in part else 1
     for i in part:
-        s = g.signs[i]
-        row = rows[i]
         for j in g.neighbors[i]:
-            row[j] = s
-        row[i] = -1
+            rows[i][j] = g.signs[i]
     return IntMatrix(rows)
+
+
+def _require_involution(g: MixedSignCoxeterGraph, m: IntMatrix) -> None:
+    """Raises CertificationError unless m m = I, tested entry by entry."""
+    for i, row in enumerate((m @ m).rows):
+        if row[i] != 1 or any(row[:i]) or any(row[i + 1:]):
+            raise CertificationError("C+ is not an involution\n" + graph_to_text(g))
 
 
 def bipartite_factors(g: MixedSignCoxeterGraph) -> tuple[IntMatrix, IntMatrix]:
@@ -162,8 +168,7 @@ def homological_monodromy(g: MixedSignCoxeterGraph) -> IntMatrix:
     check and its proof are in verify_proof_identities.
     """
     m = seifert_matrix(g)
-    if m @ m != IntMatrix.identity(g.n):
-        raise CertificationError("C+ is not an involution\n" + graph_to_text(g))
+    _require_involution(g, m)
     return m.transpose() @ m
 
 
@@ -211,9 +216,12 @@ def verify_proof_identities(g: MixedSignCoxeterGraph):
     IdentityMismatch, which is falsy; otherwise the result is True.
     """
     require_alternating(g, "verify_proof_identities")
-    c_plus, c_minus = bipartite_factors(g)
-    if c_plus @ c_plus != IntMatrix.identity(g.n):
-        raise CertificationError("C+ is not an involution\n" + graph_to_text(g))
+    return _proof_identities(g, *bipartite_factors(g))
+
+
+def _proof_identities(g: MixedSignCoxeterGraph, c_plus: IntMatrix, c_minus: IntMatrix):
+    """verify_proof_identities on the factors the caller already holds."""
+    _require_involution(g, c_plus)
     if c_plus.transpose() != -c_minus:
         raise CertificationError(
             "monodromy identity M^T M = -C- C+ failed\n" + graph_to_text(g))

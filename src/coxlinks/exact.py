@@ -276,10 +276,6 @@ class IntMatrix:
         self.rows = rs
         self.n = n
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
 
@@ -290,17 +286,8 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(a + b for a, b in zip(ra, rb))
                                for ra, rb in zip(self.rows, other.rows)))
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(tuple(tuple(a - b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.rows, other.rows)))
-
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(tuple(tuple(-a for a in r) for r in self.rows))
-
-    def __mul__(self, k: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(a * k for a in r) for r in self.rows))
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         # row i of the product is sum_j a_ij (row j of other), over the

@@ -7,6 +7,10 @@ from coxlinks.exact import IntMatrix, IntPolynomial
 from coxlinks.graphs import MixedSignCoxeterGraph, adjacency_matrix
 
 
+def identity(n: int) -> IntMatrix:
+    return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+
 def trace(m: IntMatrix) -> int:
     return sum(m.rows[i][i] for i in range(m.n))
 
@@ -91,7 +95,7 @@ def reflection(g: MixedSignCoxeterGraph, i: int) -> IntMatrix:
     the diagonal and -1 on it.  The oracle for coxeter._part_product."""
     if not 0 <= i < g.n:
         raise ValueError("vertex index out of range")
-    rows = [list(r) for r in IntMatrix.identity(g.n).rows]
+    rows = [list(r) for r in identity(g.n).rows]
     s = g.signs[i]
     for j in g.neighbors[i]:
         rows[i][j] = s

@@ -28,6 +28,7 @@ from coxlinks.spectra import (RationalInterval, cauchy_bound, is_real_stable, ma
                               spectral_radius_enclosure)
 
 from graph_strategies import connected_alternating_graphs, connected_random_sign_graphs
+from matrix_oracles import identity
 from root_oracles import sturm_count
 
 F = Fraction
@@ -212,6 +213,21 @@ class TestVerifyTheorems:
         verify_theorems(5, extension_trials=0)
         assert sorted(sizes) == [2] * 2 + [3] * 6 + [4] * 32 + [5] * 250
 
+    def test_one_factorization_per_tree(self, monkeypatch):
+        # both names are counted, so a second factorization through
+        # coxeter's public functions would show as well
+        calls = []
+        real = coxeter.bipartite_factors
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(analysis, "bipartite_factors", counting)
+        monkeypatch.setattr(coxeter, "bipartite_factors", counting)
+        verify_theorems(8, extension_trials=0, dedup=True)
+        assert len(calls) == 47
+
     def test_contract_checks(self):
         with pytest.raises(ValueError):
             verify_theorems(1)
@@ -321,7 +337,7 @@ class TestCertificationErrors:
     def test_monodromy_identity(self, monkeypatch):
         real = coxeter.bipartite_factors
         monkeypatch.setattr(coxeter, "bipartite_factors",
-                            lambda g: (IntMatrix.identity(g.n), real(g)[1]))
+                            lambda g: (identity(g.n), real(g)[1]))
         with pytest.raises(CertificationError, match=r"M\^T M = -C- C\+"):
             analyze(fixture_graph("a2"))
 
@@ -332,6 +348,21 @@ class TestCertificationErrors:
         monkeypatch.setattr(coxeter, "bipartite_factors", lambda _: (c_plus, -c_plus.transpose()))
         with pytest.raises(CertificationError, match=r"C\+ is not an involution"):
             analyze(fixture_graph("a2"))
+
+    # verify's tree battery reads the factors under its own name and reads
+    # the monodromy off them, which is sound only once they are certified
+    def test_monodromy_identity_in_verify(self, monkeypatch):
+        real = coxeter.bipartite_factors
+        monkeypatch.setattr(analysis, "bipartite_factors",
+                            lambda g: (identity(g.n), real(g)[1]))
+        with pytest.raises(CertificationError, match=r"M\^T M = -C- C\+"):
+            verify_theorems(3, extension_trials=0)
+
+    def test_non_involution_in_verify(self, monkeypatch):
+        c_plus = IntMatrix([[2, 0], [0, 1]])
+        monkeypatch.setattr(analysis, "bipartite_factors", lambda _: (c_plus, -c_plus.transpose()))
+        with pytest.raises(CertificationError, match=r"C\+ is not an involution"):
+            verify_theorems(3, extension_trials=0)
 
     def test_leaf_removal_monotonicity(self, monkeypatch):
         monkeypatch.setattr(analysis, "compare_isolated_roots", lambda *_: 1)

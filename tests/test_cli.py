@@ -15,13 +15,14 @@ from pathlib import Path
 import pytest
 
 import coxlinks
-from coxlinks import cli, coxeter, spectra
+from coxlinks import analysis, cli, coxeter, spectra
 from coxlinks.analysis import VerificationSummary
 from coxlinks.cli import main
 from coxlinks.exact import IntMatrix
 from coxlinks.fixtures import fixture_names, fixture_text
 from coxlinks.graphs import parse_graph
 
+from matrix_oracles import identity
 from test_gram_roots import TEST_GRAPHS
 
 TRIANGLE = """\
@@ -179,7 +180,7 @@ class TestCompareCommand:
         lines = out.splitlines()
         assert lines[1].split(": ")[1] == lines[2].split(": ")[1]
 
-    def test_alexander_contract_checked_after_interlacing(self, capsys, tmp_path):
+    def test_alexander_contract_checked_before_interlacing(self, capsys, tmp_path):
         single = tmp_path / "single.txt"
         single.write_text("vertex v0 +\n")
         code, out, err = run_cli(capsys, "compare", str(single), "a2")
@@ -273,8 +274,25 @@ class TestExitCodes:
     def test_failed_monodromy_identity_exits_1(self, capsys, monkeypatch):
         real = coxeter.bipartite_factors
         monkeypatch.setattr(coxeter, "bipartite_factors",
-                            lambda g: (IntMatrix.identity(g.n), real(g)[1]))
+                            lambda g: (identity(g.n), real(g)[1]))
         code, out, err = run_cli(capsys, "analyze", "a2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: monodromy identity M^T M = -C- C+ failed\n")
+
+    # verify's tree battery reads the factors under its own name
+    def test_verify_certified_violation_exits_1(self, capsys, monkeypatch):
+        real = coxeter.bipartite_factors
+        monkeypatch.setattr(analysis, "bipartite_factors",
+                            lambda g: (IntMatrix([[-1, -1], [0, -1]]), real(g)[1]))
+        code, out, err = run_cli(capsys, "verify", "--nmax", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: C+ is not an involution\n")
+
+    def test_verify_failed_monodromy_identity_exits_1(self, capsys, monkeypatch):
+        real = coxeter.bipartite_factors
+        monkeypatch.setattr(analysis, "bipartite_factors",
+                            lambda g: (identity(g.n), real(g)[1]))
+        code, out, err = run_cli(capsys, "verify", "--nmax", "3")
         assert (code, out) == (1, "")
         assert err.startswith("error: monodromy identity M^T M = -C- C+ failed\n")
 

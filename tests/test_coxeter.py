@@ -11,6 +11,7 @@ from coxlinks.coxeter import (
     CertificationError,
     IdentityMismatch,
     _gram_polynomial,
+    _require_involution,
     _tree_charpoly,
     alexander_polynomial,
     bipartite_factors,
@@ -39,7 +40,7 @@ from coxlinks.graphs import (
 )
 
 from graph_strategies import connected_alternating_graphs, connected_random_sign_graphs
-from matrix_oracles import correspondence_check, inverse_unimodular, reflection
+from matrix_oracles import correspondence_check, identity, inverse_unimodular, reflection
 
 # printed matrices for the 5-vertex fixture, vertex order p1 p2 p3 n1 n2
 C_PLUS_5 = IntMatrix([
@@ -56,7 +57,7 @@ C_MINUS_5 = IntMatrix([
     [-1, -1, 0, -1, 0],
     [-1, -1, -1, 0, -1],
 ])
-C_BIPARTITE_5 = -1 * IntMatrix([
+C_BIPARTITE_5 = -IntMatrix([
     [3, 2, 1, 1, 1],
     [2, 3, 1, 1, 1],
     [1, 1, 2, 0, 1],
@@ -95,7 +96,7 @@ class TestBilinearAndReflections:
             g = fixture_graph(name)
             for i in range(g.n):
                 r = reflection(g, i)
-                assert r @ r == IntMatrix.identity(g.n)
+                assert r @ r == identity(g.n)
 
 
 class TestBipartiteFactors:
@@ -112,7 +113,7 @@ class TestBipartiteFactors:
         c_plus, c_minus = bipartite_factors(g)
         for part, expect in ((bip.part_plus, c_plus), (bip.part_minus, c_minus)):
             for order in itertools.permutations(sorted(part)):
-                prod = IntMatrix.identity(g.n)
+                prod = identity(g.n)
                 for i in order:
                     prod = prod @ reflection(g, i)
                 assert prod == expect
@@ -121,7 +122,7 @@ class TestBipartiteFactors:
         for name in ("a2", "p3-alt", "paper-5", "k33"):
             g = fixture_graph(name)
             c_plus, c_minus = bipartite_factors(g)
-            ident = IntMatrix.identity(g.n)
+            ident = identity(g.n)
             assert c_plus @ c_plus == ident
             assert c_minus @ c_minus == ident
 
@@ -168,20 +169,20 @@ class TestPolynomials:
 class TestSeifertData:
     def test_seifert_matrix_is_minus_c_plus(self):
         g = fixture_graph("paper-5")
-        assert seifert_matrix(g) == -1 * C_PLUS_5
+        assert seifert_matrix(g) == -C_PLUS_5
 
     def test_c_minus_is_minus_inverse_transpose_of_c_plus(self):
         for name in ("a2", "p3-alt", "paper-5", "k33"):
             g = fixture_graph(name)
             c_plus, c_minus = bipartite_factors(g)
-            assert c_minus == -1 * inverse_unimodular(c_plus.transpose())
+            assert c_minus == -inverse_unimodular(c_plus.transpose())
 
     def test_transformation_factors_through_seifert_matrix(self):
         for name in ("a2", "paper-5", "k33"):
             g = fixture_graph(name)
             m = seifert_matrix(g)
             c = coxeter_transformation(g)
-            assert -1 * (m @ inverse_unimodular(m.transpose())) == c
+            assert -(m @ inverse_unimodular(m.transpose())) == c
 
     def test_monodromy_charpoly_is_alexander_polynomial(self):
         for name in ("a2", "p3-alt", "paper-5", "p5", "k33"):
@@ -205,6 +206,20 @@ class TestSeifertData:
             homological_monodromy(g)
         with pytest.raises(CertificationError):
             homological_monodromy(g)
+
+    # m m = I is tested entry by entry: a wrong diagonal entry, or a
+    # nonzero one above or below it, each fails it alone
+    @pytest.mark.parametrize("rows", [[[2, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [1, 1]]])
+    def test_involution_check_reads_every_entry(self, rows):
+        with pytest.raises(CertificationError, match=r"C\+ is not an involution"):
+            _require_involution(fixture_graph("a2"), IntMatrix(rows))
+
+    def test_involution_check_passes_the_factors(self):
+        for name in ("a2", "p3-alt", "paper-5", "k33"):
+            g = fixture_graph(name)
+            for factor in bipartite_factors(g):
+                _require_involution(g, factor)
+            _require_involution(g, identity(g.n))
 
     def test_seifert_requires_alternating(self):
         g = fixture_graph("e10-classical")
@@ -232,11 +247,11 @@ class TestProofIdentities:
         c_plus, c_minus = bipartite_factors(g)
         s = c_plus + c_minus
         assert homological_monodromy(g) == -(c_minus @ c_plus)
-        assert s @ s == 2 * IntMatrix.identity(g.n) + c_plus @ c_minus + c_minus @ c_plus
-        assert (c_plus @ c_minus) @ (c_minus @ c_plus) == IntMatrix.identity(g.n)
+        assert s @ s == identity(g.n) + identity(g.n) + c_plus @ c_minus + c_minus @ c_plus
+        assert (c_plus @ c_minus) @ (c_minus @ c_plus) == identity(g.n)
 
     def test_mismatch_is_falsy(self):
-        m = IdentityMismatch("x", IntMatrix.identity(1), IntMatrix.identity(1))
+        m = IdentityMismatch("x", identity(1), identity(1))
         assert not m
         assert m.identity == "x"
 

@@ -15,7 +15,7 @@ from coxlinks.exact import (
     squarefree_part,
 )
 
-from matrix_oracles import dense_matmul, det, inverse_unimodular, trace
+from matrix_oracles import dense_matmul, det, identity, inverse_unimodular, trace
 from root_oracles import squarefree_decomposition
 
 
@@ -218,14 +218,14 @@ class TestIntMatrix:
 
     def test_matmul_and_identity(self):
         a = M([[1, 2], [3, 4]])
-        i = IntMatrix.identity(2)
+        i = identity(2)
         assert a @ i == a
         assert (a @ a).rows == ((7, 10), (15, 22))
 
     def test_det_known(self):
         assert det(M([[1, 2], [3, 4]])) == -2
         assert det(M([[2, 0, 1], [0, 3, 0], [1, 0, 2]])) == 9
-        assert det(IntMatrix.identity(4)) == 1
+        assert det(identity(4)) == 1
 
     def test_det_with_pivoting(self):
         assert det(M([[0, 1], [1, 0]])) == -1
@@ -233,7 +233,7 @@ class TestIntMatrix:
 
     def test_charpoly_known(self):
         assert M([[0, 1], [1, 0]]).charpoly().coeffs == (-1, 0, 1)
-        assert IntMatrix.identity(3).charpoly().coeffs == (-1, 3, -3, 1)
+        assert identity(3).charpoly().coeffs == (-1, 3, -3, 1)
         assert M([[2]]).charpoly().coeffs == (-2, 1)
 
     def test_charpoly_trace_and_det(self):

@@ -156,6 +156,8 @@ def test_unused_import_finder_sees_every_form(tmp_path):
 ALLOWED_WITHOUT_CALLER = {
     "fixtures.fixture_graph": "README Library entry point: a built-in graph by name",
     "coxeter.alexander_polynomial": "README Library entry point: Delta of a graph",
+    "coxeter.coxeter_transformation": "README Library entry point: C+- = C+ C- of a graph",
+    "coxeter.homological_monodromy": "README Library entry point: M^T M for the Seifert matrix M",
     "spectra.spectral_radius_enclosure": "README Library entry point: radius of a polynomial",
     "spectra.is_real_stable": "README Library entry point: real stability of a polynomial",
     "spectra.RationalInterval.contains": "value type: does an enclosure hold a rational",
