@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd as _int_gcd
+from operator import index
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -20,13 +21,14 @@ class IntPolynomial:
 
     Coefficients are stored ascending, so ``coeffs[k]`` is the
     coefficient of ``t**k``.  Trailing zeros are stripped; the zero
-    polynomial has an empty coefficient tuple and degree -1.
+    polynomial has an empty coefficient tuple and degree -1.  A float or
+    Fraction coefficient raises TypeError, where int() would truncate it.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
+        cs = list(map(index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
@@ -264,12 +266,13 @@ def _coxeter_from_gram(q: IntPolynomial, n: int) -> IntPolynomial:
 
 
 class IntMatrix:
-    """Immutable square matrix over the integers."""
+    """Immutable square matrix over the integers; a float or Fraction
+    entry raises TypeError."""
 
     __slots__ = ("rows", "n")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        rs = tuple(tuple(int(x) for x in row) for row in rows)
+        rs = tuple(tuple(map(index, row)) for row in rows)
         n = len(rs)
         if any(len(r) != n for r in rs):
             raise ValueError("matrix must be square")

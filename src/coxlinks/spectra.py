@@ -84,32 +84,34 @@ def _min_width(sf: IntPolynomial) -> Fraction:
 
 
 class _SturmChain:
-    """Sturm chain of a squarefree polynomial, with memoized sign
-    variation counts at rational points."""
+    """Sturm chain of a squarefree polynomial, read once per rational
+    point: the reading, memoized, holds the chain's sign variations there
+    and whether the polynomial, its first entry, vanishes there."""
 
     def __init__(self, sf: IntPolynomial):
         self.poly = sf
         self.chain = _signed_remainders(sf, sf.derivative())
-        self._memo: dict[Fraction, int] = {}
+        self.min_width = _min_width(sf)
+        self._memo: dict[Fraction, tuple[int, bool]] = {}
 
-    @cached_property
-    def min_width(self) -> Fraction:
-        return _min_width(self.poly)
-
-    def variations(self, x: Fraction) -> int:
+    def _reading(self, x: Fraction) -> tuple[int, bool]:
         v = self._memo.get(x)
         if v is None:
-            v = self._memo[x] = _sign_changes(p.eval_sign(x) for p in self.chain)
+            signs = [p.eval_sign(x) for p in self.chain]
+            v = self._memo[x] = _sign_changes(signs), signs[0] == 0
         return v
+
+    def is_root(self, x: Fraction) -> bool:
+        return self._reading(x)[1]
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
         """Distinct roots in the half-open interval (lo, hi]."""
         if lo >= hi:
             return 0
-        return self.variations(lo) - self.variations(hi)
+        return self._reading(lo)[0] - self._reading(hi)[0]
 
 
-def _check_width(chain: _SturmChain, width: Fraction) -> None:
+def _check_width(chain: _SturmChain | _GramChain | _Roots, width: Fraction) -> None:
     """Raise when a bisection has gone below chain.min_width, which a
     correct chain never does: the halving loops end in an error, not a
     hang."""
@@ -121,10 +123,8 @@ def _check_width(chain: _SturmChain, width: Fraction) -> None:
 def _root_gap(chain: _SturmChain | _GramChain | _Roots, lo: Fraction, hi: Fraction, mid: Fraction) -> Fraction:
     """Half-width w, at most (hi - lo) / 4, such that [mid - w, mid + w]
     holds no root but the root mid and its ends are not roots."""
-    sf = chain.poly
     w = (hi - lo) / 4
-    while (chain.count(mid - w, mid + w) != 1
-           or sf.eval_sign(mid - w) == 0 or sf.eval_sign(mid + w) == 0):
+    while chain.count(mid - w, mid + w) != 1 or chain.is_root(mid - w) or chain.is_root(mid + w):
         w /= 2
         _check_width(chain, w)
     return w
@@ -137,14 +137,13 @@ def _top_cell(chain: _SturmChain | _GramChain | _Roots, lo: Fraction, hi: Fracti
     bound] it returns exactly the last interval that isolation returns
     (isolate_squarefree in tests/root_oracles.py, and the tests that
     compare the two)."""
-    sf = chain.poly
     cnt = chain.count(lo, hi)
     if cnt == 0:
         return None
     while cnt > 1:
         _check_width(chain, hi - lo)
         mid = (lo + hi) / 2
-        if sf.eval_sign(mid) == 0:
+        if chain.is_root(mid):
             w = _root_gap(chain, lo, hi, mid)
             right = chain.count(mid + w, hi)
             if right == 0:
@@ -226,41 +225,45 @@ class _GramChain:
 
     @cached_property
     def _offsets(self) -> tuple[int, int, int, int]:
-        t, z = self._above(-self.top), self.gram.poly.eval_sign(_MINUS_FOUR) == 0
-        neg = 2 * t - 2 * self._above(_MINUS_FOUR) - z
+        t = self._above(-self.top)
+        neg = 2 * t - 2 * self._above(_MINUS_FOUR) - self.gram.is_root(_MINUS_FOUR)
         return t, neg - t, neg, neg + 2 * self._above(_ZERO) + self.e
 
-    def _place(self, x: Fraction) -> tuple[int, int]:
-        """(branch of x, N(x) less the branch's offset), memoized."""
+    def _place(self, x: Fraction) -> tuple[int, int, bool]:
+        """(branch of x, N(x) less the branch's offset, m(x) = 0), memoized."""
         a, b = key = x.numerator, x.denominator  # cheaper to hash than x
         place = self._places.get(key)
         if place is None:
             falls, num, den = -b < a < b, (a - b) ** 2, a * b  # phi(x) = num / den
             if a == 0:
-                place = 2, 0
+                place = 2, 0, False  # m(0) != 0 as c(0) = +-1
             else:
                 if num >= abs(den) << self.k:  # |phi(x)| >= top: no root of r from there out
-                    above = 0 if a > 0 else self._above(-self.top)
+                    above, root = 0 if a > 0 else self._above(-self.top), False
                 else:
-                    mu = Fraction(num, den)
-                    above = self._above(mu) + (falls and self.gram.poly.eval_sign(mu) == 0)
-                place = (2 if a > 0 else 1, above) if falls else (3 if a > 0 else 0, -above)
+                    mu = Fraction(num, den)  # m(1) = 0 iff e, else m(x) = 0 iff r(mu) = 0
+                    above, root = self._above(mu), self.e if num == 0 else self.gram.is_root(mu)
+                    above += falls and root
+                place = (2 if a > 0 else 1, above, root) if falls else (3 if a > 0 else 0, -above, root)
             self._places[key] = place
         return place
+
+    def is_root(self, x: Fraction) -> bool:
+        return self._place(x)[2]
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
         """m's distinct roots in the half-open interval (lo, hi]."""
         if lo >= hi:
             return 0
-        (i, below), (j, upto) = self._place(lo), self._place(hi)
+        (i, below, _), (j, upto, _) = self._place(lo), self._place(hi)
         return upto - below + (self._offsets[j] - self._offsets[i] if i != j else 0)
 
 
 class _Roots:
     """Every root question about p, answered on one chain of m = sf(-t),
     for sf the squarefree part of p: its Sturm chain, or the _GramChain
-    of a graph's Coxeter polynomial (of_gram).  count reads it as a chain
-    of sf, so _top_cell and _root_gap take a _Roots for one."""
+    of a graph's Coxeter polynomial (of_gram).  count and is_root read it
+    as a chain of sf, so _top_cell and _root_gap take a _Roots for one."""
 
     def __init__(self, p: IntPolynomial):
         self.poly = sf = squarefree_part(p)
@@ -298,8 +301,12 @@ class _Roots:
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
         """sf's distinct roots in [lo, hi), m's in (-hi, -lo]: those in
-        (lo, hi] when neither end is a root, as in _top_cell and _root_gap."""
+        (lo, hi] when neither end is a root, which _top_cell and _root_gap
+        ask of is_root on the same readings."""
         return self.chain.count(-hi, -lo)
+
+    def is_root(self, x: Fraction) -> bool:
+        return self.chain.is_root(-x)
 
     @property
     def real_rooted(self) -> bool:

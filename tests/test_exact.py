@@ -48,6 +48,12 @@ class TestIntPolynomial:
         assert P(0, 0).coeffs == ()
         assert P().is_zero
 
+    def test_entries_must_be_integers(self):
+        assert P(True, False, 3).coeffs == (1, 0, 3)
+        for bad in (1.9, 2.0, Fraction(7, 2), Fraction(2)):
+            with pytest.raises(TypeError):
+                P(1, bad)
+
     def test_degree_and_lead(self):
         assert P(1, 2, 3).degree == 2
         assert P(1, 2, 3).lead == 3
@@ -215,6 +221,12 @@ class TestIntMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             IntMatrix([[1, 2]])
+
+    def test_entries_must_be_integers(self):
+        assert M([[True, 0], [False, 1]]).rows == ((1, 0), (0, 1))
+        for bad in (2.7, 2.0, Fraction(5, 2), Fraction(2)):
+            with pytest.raises(TypeError):
+                M([[bad, 0], [0, 1]])
 
     def test_matmul_and_identity(self):
         a = M([[1, 2], [3, 4]])

@@ -2,6 +2,7 @@
 the squarefree part of its half-size Gram polynomial (spectra._Roots.of_gram),
 against counts on the Sturm chain of m = sf(-t) (spectra._Roots of c)."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,7 +15,7 @@ from coxlinks.coxeter import _gram_polynomial, coxeter_polynomial
 from coxlinks.exact import IntPolynomial, squarefree_part
 from coxlinks.fixtures import fixture_graph, fixture_names
 from coxlinks.graphs import (MINUS, PLUS, MixedSignCoxeterGraph, enumerate_alternating_trees,
-                             parse_graph)
+                             parse_graph, random_alternating_tree)
 from coxlinks.spectra import _Roots, cauchy_bound
 
 from graph_strategies import connected_random_sign_graphs
@@ -54,8 +55,12 @@ def assert_gram_counts_match(g: MixedSignCoxeterGraph) -> None:
     assert fast.chain.poly == ref.chain.poly
     assert (fast.bound, fast.min_width) == (ref.bound, ref.min_width)
     far = cauchy_bound(ref.poly * ref.chain.poly)  # where the radius descent starts
-    for lo, hi in combinations(sorted(POINTS + [ref.bound, -ref.bound, far, -far]), 2):
+    points = sorted(POINTS + [ref.bound, -ref.bound, far, -far])
+    for lo, hi in combinations(points, 2):
         assert fast.chain.count(lo, hi) == ref.chain.count(lo, hi), (lo, hi)
+    for x in points:
+        assert fast.chain.is_root(x) == ref.chain.is_root(x) == (ref.chain.poly.eval_sign(x) == 0), x
+        assert fast.is_root(x) == (fast.poly.eval_sign(x) == 0), x
 
 
 def atlas_graphs() -> list[MixedSignCoxeterGraph]:
@@ -106,6 +111,37 @@ class TestGramCountsAgainstTheMirrorChain:
     @settings(max_examples=60, deadline=None)
     def test_random_sign_graphs(self, g):
         assert_gram_counts_match(g)
+
+
+class TestOneReadingPerPoint:
+    def test_dyadic_root_at_a_midpoint(self):
+        sf = IntPolynomial([-1, 2]) * IntPolynomial([3, 1])  # (2t - 1)(t + 3)
+        chain = spectra._SturmChain(sf)
+        for x in (F(-4), F(-3), F(0), F(1, 2), F(1, 2) + F(1, 1 << 40), F(5)):
+            assert chain.is_root(x) == (sf.eval_sign(x) == 0), x
+        # the first midpoint of (-4, 5] is the root 1/2, found on the
+        # readings the counts make
+        assert spectra._top_cell(chain, F(-4), F(5)) == spectra.RationalInterval(F(1, 2), F(1, 2))
+        assert chain.count(F(-4), F(1, 2)) == 2 and chain.count(F(1, 2), F(5)) == 0
+
+    def test_descents_evaluate_nothing_above_the_gram_degree(self, monkeypatch):
+        g = random_alternating_tree(40, random.Random(3))
+        q = _gram_polynomial(g)
+        d, s = squarefree_part(q).degree, q.degree
+        roots = _Roots.of_gram(q, g.n)
+        assert (s, d, roots.poly.degree) == (19, 18, 35)
+        degrees = []
+        real_eval_sign = IntPolynomial.eval_sign
+
+        def counting(p, x):
+            degrees.append(p.degree)
+            return real_eval_sign(p, x)
+
+        monkeypatch.setattr(IntPolynomial, "eval_sign", counting)
+        assert spectra._top_cell(roots, -roots.bound, roots.bound) is not None
+        far = cauchy_bound(roots.poly * roots.chain.poly)
+        assert spectra._top_cell(roots.chain, F(0), far) is not None
+        assert degrees and max(degrees) <= d
 
 
 def spy_on_degrees(monkeypatch) -> list[int]:

@@ -113,6 +113,31 @@ def test_analysis_asks_root_questions_through_one_spectra_type():
     assert private == {"_Roots"}
 
 
+def attributes_read(path: Path, name: str) -> set[str]:
+    """Attributes that the top-level def or class `name` of a source file
+    reads or calls, as poly and eval_sign in chain.poly.eval_sign(x)."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            return {a.attr for a in ast.walk(node)
+                    if isinstance(a, ast.Attribute) and isinstance(a.ctx, ast.Load)}
+    raise LookupError(name)
+
+
+@pytest.mark.parametrize("name,banned", [("_top_cell", {"eval_sign", "poly"}),
+                                         ("_root_gap", {"eval_sign", "poly"}),
+                                         ("_GramChain", {"eval_sign"})])
+def test_descents_take_root_tests_from_the_chain_readings(name, banned):
+    assert not attributes_read(PACKAGE / "spectra.py", name) & banned
+
+
+def test_attribute_finder_sees_every_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("def f(c):\n    return c.poly.eval_sign(1)\n\n"
+                   "class K:\n    def g(self):\n        self.poly = 1\n")
+    assert attributes_read(src, "f") == {"poly", "eval_sign"}
+    assert attributes_read(src, "K") == set()
+
+
 def test_name_parser_sees_relative_and_absolute_forms(tmp_path):
     src = tmp_path / "m.py"
     src.write_text("from .spectra import _SturmChain, x\nfrom coxlinks.coxeter import _y\n"
