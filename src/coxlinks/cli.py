@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .analysis import (AnalysisReport, MinSearchResult, VerificationSummary, analyze,
                        min_dilatation_search, verify_theorems)
@@ -134,6 +135,9 @@ def cmd_example(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# one parser per process, built on first use: parsing leaves it as it
+# was, and each cmd_* looks up the functions it calls at call time
+@cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="coxlinks",

@@ -93,14 +93,17 @@ class IntPolynomial:
         return acc
 
     def eval_sign(self, x: Fraction) -> int:
-        """Sign of self at a rational point, via integers only.
+        """Sign of self at a rational point, via integers only."""
+        return self.sign_at(x.numerator, x.denominator)
+
+    def sign_at(self, num: int, den: int) -> int:
+        """Sign of self at num / den, den > 0, via integers only.
 
         Computes den**deg * p(num/den), whose sign equals sign(p(x))
         because den > 0.  Avoids Fraction arithmetic in hot loops.
         """
         if self.is_zero:
             return 0
-        num, den = x.numerator, x.denominator
         acc = self.coeffs[-1]
         dp = 1
         for c in reversed(self.coeffs[:-1]):
@@ -329,13 +332,16 @@ class IntMatrix:
             akk = rows[k - 1][k - 1]
             q = [1, -akk]
             if k > 1:
-                r = rows[k - 1][:k - 1]
-                v = [rows[i][k - 1] for i in range(k - 1)]
-                q.append(-sum(a * b for a, b in zip(r, v)))
-                for _ in range(k - 2):
-                    v = [sum(rows[i][j] * v[j] for j in range(k - 1))
+                # r A^m c over the nonzero (j, a_ij) of each row of the
+                # leading (k-1) x (k-1) block A, and of r
+                block = [[(j, a) for j, a in enumerate(rows[i][:k - 1]) if a]
                          for i in range(k - 1)]
-                    q.append(-sum(a * b for a, b in zip(r, v)))
+                r = [(j, a) for j, a in enumerate(rows[k - 1][:k - 1]) if a]
+                v = [rows[i][k - 1] for i in range(k - 1)]
+                q.append(-sum(a * v[j] for j, a in r))
+                for _ in range(k - 2):
+                    v = [sum(a * v[j] for j, a in entries) for entries in block]
+                    q.append(-sum(a * v[j] for j, a in r))
             new = [0] * (k + 1)
             for j, pj in enumerate(poly):
                 if pj:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .exact import (IntPolynomial, _coxeter_from_gram, _signed_remainders, poly_divexact,
                     poly_gcd, squarefree_part)
@@ -159,21 +160,28 @@ def _top_cell(chain: _SturmChain | _GramChain | _Roots, lo: Fraction, hi: Fracti
 
 
 def _refine(sf: IntPolynomial, iv: RationalInterval, eps: Fraction) -> RationalInterval:
-    """Shrink an isolating interval to width <= eps by sign bisection."""
+    """Shrink an isolating interval to width <= eps by sign bisection.
+
+    In integers: with lo = a / d, hi = (a + w) / d, the cell after l
+    halvings is [a', a' + w] / (d 2^l), wider than eps until the least
+    level j with w eps.den <= eps.num d 2^j, which is the bit-length
+    difference of the two sides or one more."""
     if iv.is_point:
         return iv
-    lo, hi = iv.lo, iv.hi
-    slo = sf.eval_sign(lo)
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        s = sf.eval_sign(mid)
+    d = lcm(iv.lo.denominator, iv.hi.denominator)
+    a = iv.lo.numerator * (d // iv.lo.denominator)
+    w = iv.hi.numerator * (d // iv.hi.denominator) - a
+    big, small = w * eps.denominator, eps.numerator * d
+    j = max(0, big.bit_length() - small.bit_length())
+    j += (small << j) < big
+    slo = sf.sign_at(a, d)
+    for _ in range(j):
+        mid, d = 2 * a + w, 2 * d
+        s = sf.sign_at(mid, d)
         if s == 0:
-            return RationalInterval(mid, mid)
-        if s == slo:
-            lo = mid
-        else:
-            hi = mid
-    return RationalInterval(lo, hi)
+            return RationalInterval(Fraction(mid, d), Fraction(mid, d))
+        a = mid if s == slo else 2 * a
+    return RationalInterval(Fraction(a, d), Fraction(a + w, d))
 
 
 class _GramChain:

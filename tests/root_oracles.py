@@ -92,6 +92,26 @@ def isolate_squarefree(chain: _SturmChain) -> list[RationalInterval]:
     return out
 
 
+def refine_by_fractions(sf: IntPolynomial, iv: RationalInterval, eps: Fraction) -> RationalInterval:
+    """Sign bisection of an isolating interval to width <= eps, one
+    Fraction midpoint and one width test per halving: the oracle for the
+    integer levels of spectra._refine."""
+    if iv.is_point:
+        return iv
+    lo, hi = iv.lo, iv.hi
+    slo = sf.eval_sign(lo)
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        s = sf.eval_sign(mid)
+        if s == 0:
+            return RationalInterval(mid, mid)
+        if s == slo:
+            lo = mid
+        else:
+            hi = mid
+    return RationalInterval(lo, hi)
+
+
 def separate(sf: IntPolynomial, intervals: list[RationalInterval]) -> list[RationalInterval]:
     # isolation can leave neighbors sharing an endpoint; bisect until
     # the closed intervals are pairwise disjoint

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, output contracts, JSON
 schemas, and byte-for-byte determinism."""
 
+import argparse
 import ast
 import io
 import json
@@ -624,6 +625,56 @@ def test_module_entry_point():
         capture_output=True, text=True, check=False, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout == fixture_text("a2")
+
+
+class TestReusedParser:
+    """main parses every call with one parser, built on first use; no
+    call may leave state behind that changes the next."""
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        assert run_cli(capsys, "example", "a2")[0] == 0
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run_cli(capsys, "compare", "a2", "p3-alt")[0] == 0
+        assert run_cli(capsys, "example", "a2")[0] == 0
+        assert built == []
+
+    def test_json_flag_does_not_carry_over(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "p5", "--json")
+        assert code == 0 and json.loads(out)
+        code, out, _ = run_cli(capsys, "analyze", "p5")
+        assert code == 0
+        assert out == analysis.analyze(parse_graph(fixture_text("p5"))).render_text() + "\n"
+
+    def test_epsilon_does_not_carry_over(self, capsys):
+        g = parse_graph(fixture_text("p5"))
+        code, out, _ = run_cli(capsys, "analyze", "p5", "--epsilon", "1/10")
+        assert code == 0
+        assert out == analysis.analyze(g, Fraction(1, 10)).render_text() + "\n"
+        code, out, _ = run_cli(capsys, "analyze", "p5")
+        assert code == 0
+        assert out == analysis.analyze(g).render_text() + "\n"
+
+    def test_good_command_after_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "p5", "--no-such-flag"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "compare", "a2", "p3-alt")
+        assert (code, err) == (0, "")
+        assert out == ("vertex extension: yes\ncoxeter interlacing: yes\n"
+                       "alexander interlacing: yes\n")
+
+    def test_example_after_verify(self, capsys):
+        assert run_cli(capsys, "verify", "--nmax", "3")[0] == 0
+        code, out, _ = run_cli(capsys, "example", "a2")
+        assert (code, out) == (0, fixture_text("a2"))
 
 
 def test_console_help_lists_subcommands(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coxlinks import coxeter
 from coxlinks.exact import (
     IntMatrix,
     IntPolynomial,
@@ -17,6 +18,7 @@ from coxlinks.exact import (
 
 from matrix_oracles import dense_matmul, det, identity, inverse_unimodular, trace
 from root_oracles import squarefree_decomposition
+from test_coxeter import seeded_graphs_with_cycles
 
 
 def P(*coeffs):
@@ -215,6 +217,90 @@ class TestSquarefree:
 
 def M(rows):
     return IntMatrix(rows)
+
+
+def assert_charpoly_matches_det(a: IntMatrix) -> None:
+    """charpoly against the Bareiss determinant det(tI - A) at the n + 1
+    points t = 0..n, which fix a polynomial of degree n."""
+    c = a.charpoly()
+    assert (c.degree, c.lead) == (a.n, 1)
+    for t in range(a.n + 1):
+        shifted = IntMatrix([[t * (i == j) - x for j, x in enumerate(row)]
+                             for i, row in enumerate(a.rows)])
+        assert c.eval(t) == det(shifted), (a, t)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Integer matrices of size 0 to 9 with 0 to 90% of their entries
+    set to zero."""
+    n = draw(st.integers(0, 9))
+    zero_tenths = draw(st.integers(0, 9))
+    cells = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(-9, 9)),
+                          min_size=n * n, max_size=n * n))
+    flat = [0 if u < zero_tenths else x for u, x in cells]
+    return IntMatrix([flat[i * n:(i + 1) * n] for i in range(n)])
+
+
+class TestSparseCharpoly:
+    """Berkowitz runs over the nonzero entries of each row only; every
+    coefficient must stay the determinant's."""
+
+    @given(sparse_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_det_on_sparse_matrices(self, a):
+        assert_charpoly_matches_det(a)
+
+    @given(sparse_matrices().filter(lambda a: a.n > 0), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_zero_rows_and_columns(self, a, data):
+        i = data.draw(st.integers(0, a.n - 1))
+        j = data.draw(st.integers(0, a.n - 1))
+        rows = [list(r) for r in a.rows]
+        rows[i] = [0] * a.n
+        assert_charpoly_matches_det(IntMatrix(rows))
+        for r in rows:
+            r[j] = 0
+        assert_charpoly_matches_det(IntMatrix(rows))
+        assert_charpoly_matches_det(IntMatrix([[0 if k == j else x for k, x in enumerate(r)]
+                                               for r in a.rows]))
+
+    @given(sparse_matrices(), st.integers(0, 9).flatmap(lambda n: st.permutations(range(n))))
+    @settings(max_examples=80, deadline=None)
+    def test_strictly_triangular_and_permutation_matrices(self, a, perm):
+        upper = IntMatrix([[x if j > i else 0 for j, x in enumerate(r)]
+                           for i, r in enumerate(a.rows)])
+        for m in (upper, upper.transpose()):
+            assert m.charpoly() == IntPolynomial([0] * m.n + [1])
+            assert_charpoly_matches_det(m)
+        n = len(perm)
+        pm = IntMatrix([[int(perm[i] == j) for j in range(n)] for i in range(n)])
+        expected, seen = IntPolynomial([1]), set()
+        for start in range(n):
+            length, k = 0, start
+            while k not in seen:
+                seen.add(k)
+                k, length = perm[k], length + 1
+            if length:
+                expected = expected * IntPolynomial([-1] + [0] * (length - 1) + [1])
+        assert pm.charpoly() == expected
+        assert_charpoly_matches_det(pm)
+
+    def test_gram_matrices_of_graphs_with_cycles(self, monkeypatch):
+        seen = []
+        real = IntMatrix.charpoly
+
+        def recording(a):
+            seen.append(a)
+            return real(a)
+
+        monkeypatch.setattr(IntMatrix, "charpoly", recording)
+        for g in seeded_graphs_with_cycles():
+            coxeter._gram_polynomial(g)
+        monkeypatch.undo()
+        assert len(seen) == 60
+        for a in seen:
+            assert_charpoly_matches_det(a)
 
 
 class TestIntMatrix:

@@ -4,13 +4,14 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxlinks import spectra
+from coxlinks.analysis import analyze, min_dilatation_search
 from coxlinks.coxeter import alexander_polynomial, coxeter_polynomial
 from coxlinks.exact import (IntPolynomial, _pseudo_rem_positive, poly_divexact, poly_gcd,
                             squarefree_part)
@@ -31,8 +32,8 @@ from coxlinks.spectra import (
     spectral_radius_enclosure,
 )
 
-from root_oracles import (isolate_real_roots, isolate_squarefree, root_in, separate,
-                          squarefree_decomposition, sturm_count)
+from root_oracles import (isolate_real_roots, isolate_squarefree, refine_by_fractions, root_in,
+                          separate, squarefree_decomposition, sturm_count)
 from test_coxeter import seeded_graphs_with_cycles
 
 F = Fraction
@@ -740,6 +741,72 @@ class TestCompareIsolatedRoots:
         with within_seconds(20):
             with pytest.raises(RuntimeError, match="halving bound"):
                 compare_isolated_roots(P(-2, 0, 1), cell, P(-5, 1), cell)
+
+
+def refine_checked_against_fractions(monkeypatch) -> list[tuple[RationalInterval, Fraction]]:
+    """Route every spectra._refine call through a check against the
+    Fraction loop of the oracle; returns each call's (cell, eps)."""
+    calls = []
+    real = spectra._refine
+
+    def checked(sf, iv, eps):
+        out = real(sf, iv, eps)
+        assert out == refine_by_fractions(sf, iv, eps), (sf, iv, eps)
+        calls.append((iv, eps))
+        return out
+
+    monkeypatch.setattr(spectra, "_refine", checked)
+    return calls
+
+
+class TestIntegerRefine:
+    """_refine halves over one denominator and finds its stopping level
+    once from eps; every cell must be the one the Fraction loop gives."""
+
+    @pytest.mark.parametrize("eps", [DEFAULT_EPSILON, F(1, 10), F(2, 3)])
+    def test_every_fixture(self, monkeypatch, eps):
+        calls = refine_checked_against_fractions(monkeypatch)
+        for name in fixture_names():
+            analyze(fixture_graph(name), eps)
+        assert len(calls) >= len(fixture_names())
+
+    def test_every_tree_class_up_to_eight_vertices(self, monkeypatch):
+        calls = refine_checked_against_fractions(monkeypatch)
+        trees = [g for n in range(2, 9) for g in enumerate_alternating_trees(n, dedup=True)]
+        for g in trees:
+            analyze(g)
+        assert len(calls) >= len(trees)
+
+    def test_root_at_a_midpoint(self):
+        sf = P(-1, 2) * P(3, 1)  # (2t - 1)(t + 3)
+        half = RationalInterval(F(1, 2), F(1, 2))
+        for lo, hi, halvings in ((0, 1, 1), (-1, 1, 2), (F(1, 4), F(5, 4), 2), (F(1, 3), 1, 2)):
+            iv = RationalInterval(F(lo), F(hi))
+            for eps in (iv.width / (1 << (halvings - 1)), iv.width / (1 << halvings),
+                        iv.width / (1 << halvings) - F(1, 10 ** 6), F(1, 10 ** 9)):
+                expected = refine_by_fractions(sf, iv, eps)
+                assert spectra._refine(sf, iv, eps) == expected
+                assert (expected == half) == (eps < iv.width / (1 << (halvings - 1))), (iv, eps)
+
+    def test_stopping_level_at_and_next_to_each_width(self):
+        # x^2 - 2 on cells with unlike denominators around sqrt 2, no
+        # midpoint a root; eps on, just above and just below width / 2^j
+        sf = P(-2, 0, 1)
+        for b in range(1, 13):
+            for d in range(1, 13):
+                iv = RationalInterval(F(isqrt(2 * b * b), b), F(isqrt(2 * d * d) + 1, d))
+                for j in range(8):
+                    at = iv.width / (1 << j)
+                    for eps in (at, at + F(1, 10 ** 12), at - F(1, 10 ** 12), at / 3):
+                        assert spectra._refine(sf, iv, eps) == refine_by_fractions(sf, iv, eps)
+
+    def test_one_halving_calls_of_compare_isolated_roots(self, monkeypatch):
+        calls = refine_checked_against_fractions(monkeypatch)
+        a, b = P(-2, 0, 1), P(-7071, 5000)
+        assert compare_isolated_roots(a, max_real_root(a, F(1, 4)), b, max_real_root(b, F(1, 4))) == 1
+        min_dilatation_search(8, dedup=True)
+        halvings = [iv for iv, eps in calls if eps == iv.width / 2]
+        assert len(halvings) >= 10
 
 
 class TestRationalInterval:
