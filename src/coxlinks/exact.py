@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd as _int_gcd
 from operator import index
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -97,11 +97,13 @@ class IntPolynomial:
         return self.sign_at(x.numerator, x.denominator)
 
     def sign_at(self, num: int, den: int) -> int:
-        """Sign of self at num / den, den > 0, via integers only.
+        """Sign of self at num / den, den > 0, via integers only."""
+        v = self.homogeneous_at(num, den)
+        return (v > 0) - (v < 0)
 
-        Computes den**deg * p(num/den), whose sign equals sign(p(x))
-        because den > 0.  Avoids Fraction arithmetic in hot loops.
-        """
+    def homogeneous_at(self, num: int, den: int) -> int:
+        """den**deg * p(num/den) by Horner's rule in integers: for den > 0
+        an integer of p's sign at num / den, with no Fraction arithmetic."""
         if self.is_zero:
             return 0
         acc = self.coeffs[-1]
@@ -109,7 +111,7 @@ class IntPolynomial:
         for c in reversed(self.coeffs[:-1]):
             dp *= den
             acc = acc * num + c * dp
-        return (acc > 0) - (acc < 0)
+        return acc
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(k * c for k, c in enumerate(self.coeffs) if k)
@@ -120,10 +122,7 @@ class IntPolynomial:
 
     def content(self) -> int:
         """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = _int_gcd(g, c)
-        return g
+        return _int_gcd(*self.coeffs)
 
     def primitive(self) -> "IntPolynomial":
         """Primitive part with positive leading coefficient."""
@@ -160,22 +159,19 @@ class IntPolynomial:
         return f"IntPolynomial({self.pretty()!r})"
 
 
-def _pseudo_rem_positive(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Remainder of a by b scaled by a positive constant.
-
-    Integer pseudo-division computes lc(b)**(d+1) * a mod b; when that
-    multiplier is negative the result is negated so the output is always
-    a positive rational multiple of the true remainder.  Sign-sensitive
-    callers (Sturm chains) rely on this.
-    """
-    d = a.degree - b.degree
-    if d < 0:
-        return a
+def _pseudo_division(a: IntPolynomial, b: IntPolynomial) -> tuple[list[int], IntPolynomial]:
+    """(read, R): lc(b)^(d+1) a = Q b + R', d = deg a - deg b, by integer
+    pseudo-division, and R = R' or -R', a positive multiple of the true
+    remainder, which Sturm chains rely on.  read holds the coefficient of
+    t^s read at each step, s = d, ..., 0; the s later steps scale it by
+    lc(b), so Q_s = lc(b)^s read_(d-s)."""
     lc = b.lead
     r = list(a.coeffs)
     bc = b.coeffs
+    read = []
     for k in range(a.degree, b.degree - 1, -1):
         coef = r[k]
+        read.append(coef)
         for i in range(len(r)):
             r[i] *= lc
         if coef:
@@ -184,26 +180,27 @@ def _pseudo_rem_positive(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
                 r[i + shift] -= coef * c
         del r[k]
     rem = IntPolynomial(r)
-    if lc < 0 and (d + 1) % 2 == 1:
-        rem = -rem
-    return rem
+    return read, (-rem if lc < 0 and len(read) % 2 else rem)
+
+
+def _remainder_steps(a: IntPolynomial, b: IntPolynomial) -> Iterator[tuple[list[int], int, IntPolynomial]]:
+    """(read, g, p) for each entry p of the signed remainder sequence of
+    (a, b) past b: read as _pseudo_division(a, b) gives it for the two
+    entries a, b before p, and g p = -R with g > 0."""
+    while b.degree > 0:
+        read, rem = _pseudo_division(a, b)
+        if rem.is_zero:
+            return
+        g = rem.content()
+        a, b = b, IntPolynomial(-c // g for c in rem.coeffs)
+        yield read, g, b
 
 
 def _signed_remainders(a: IntPolynomial, b: IntPolynomial) -> list[IntPolynomial]:
     """Signed remainder sequence a, b, -rem(a, b), ... to its last nonzero
     entry, each a positive multiple of the true one, so signs agree.  The
     last entry is gcd(a, b) up to a constant."""
-    seq = [a, b]
-    while not seq[-1].is_zero and seq[-1].degree > 0:
-        rem = _pseudo_rem_positive(seq[-2], seq[-1])
-        if rem.is_zero:
-            break
-        # content removal must not flip the sign of the entry
-        g = rem.content()
-        seq.append(IntPolynomial(-c // g for c in rem.coeffs))
-    if seq[-1].is_zero:
-        seq.pop()
-    return seq
+    return [a] if b.is_zero else [a, b, *(p for *_, p in _remainder_steps(a, b))]
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:

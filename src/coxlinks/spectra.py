@@ -11,13 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
-from .exact import (IntPolynomial, _coxeter_from_gram, _signed_remainders, poly_divexact,
-                    poly_gcd, squarefree_part)
+from .exact import (IntPolynomial, _coxeter_from_gram, _remainder_steps, _signed_remainders,
+                    poly_divexact, poly_gcd, squarefree_part)
 
 _ZERO = Fraction(0)
-_MINUS_FOUR = Fraction(-4)
 DEFAULT_EPSILON = Fraction(1, 10 ** 9)
 
 
@@ -84,79 +83,117 @@ def _min_width(sf: IntPolynomial) -> Fraction:
     return Fraction(1, 1 << (k0 + 1 + d))
 
 
+def _point(num: int, den: int) -> tuple[int, int]:
+    """num / den, den > 0, in lowest terms: the key of a chain's readings."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 class _SturmChain:
-    """Sturm chain of a squarefree polynomial, read once per rational
-    point: the reading, memoized, holds the chain's sign variations there
-    and whether the polynomial, its first entry, vanishes there."""
+    """Sturm chain p_0 = sf, p_1 = sf', ... of a squarefree polynomial,
+    read once per point (a, b): the reading, memoized, holds the chain's
+    sign variations at a / b and whether sf vanishes there.
+
+    Quotient recurrence.  For delta_i = deg p_(i-1) - deg p_i, M_i =
+    |lc(p_i)|^(delta_i + 1) and Q_i the pseudo-quotient of p_(i-1) by p_i
+    times sign(lc(p_i)^(delta_i + 1)), _remainder_steps gives g_i p_(i+1)
+    = Q_i p_i - M_i p_(i-1), g_i > 0.  V_i = b^(deg p_i) p_i(a / b) is an
+    integer of p_i's sign at a / b, as b > 0, and times b^(deg p_(i-1))
+        g_i b^(deg p_(i-1) - deg p_(i+1)) V_(i+1) = b^delta_i Q_i(a / b) V_i - M_i V_(i-1).
+    So Horner's rule reads p_0 and p_1 only, and each later entry costs
+    O(delta_i) products and one division, exact as V_(i+1) is an integer:
+    a remainder means a corrupt chain, and raises."""
 
     def __init__(self, sf: IntPolynomial):
         self.poly = sf
-        self.chain = _signed_remainders(sf, sf.derivative())
+        self.head = a, b = sf, sf.derivative()
+        self.steps = []
+        for read, g, p in _remainder_steps(a, b):
+            q, power = [], -1 if b.lead < 0 and len(read) % 2 else 1
+            for coef in reversed(read):
+                q.append(coef * power)
+                power *= b.lead
+            self.steps.append((IntPolynomial(q), abs(power), g, a.degree - p.degree))
+            a, b = b, p
         self.min_width = _min_width(sf)
-        self._memo: dict[Fraction, tuple[int, bool]] = {}
+        self._memo: dict[tuple[int, int], tuple[int, bool]] = {}
 
-    def _reading(self, x: Fraction) -> tuple[int, bool]:
+    def values(self, x: tuple[int, int]) -> list[int]:
+        """V_i = b^(deg p_i) p_i(a / b) at x = (a, b), by the recurrence."""
+        a, b = x
+        out = [p.homogeneous_at(a, b) for p in self.head]
+        for q, m, g, drop in self.steps:
+            v, rem = divmod(q.homogeneous_at(a, b) * out[-1] - m * out[-2], g * b ** drop)
+            if rem:
+                raise RuntimeError("inexact Sturm-chain recurrence: inconsistent Sturm chain")
+            out.append(v)
+        return out
+
+    def _reading(self, x: tuple[int, int]) -> tuple[int, bool]:
         v = self._memo.get(x)
         if v is None:
-            signs = [p.eval_sign(x) for p in self.chain]
-            v = self._memo[x] = _sign_changes(signs), signs[0] == 0
+            values = self.values(x)
+            v = self._memo[x] = _sign_changes(values), values[0] == 0
         return v
 
-    def is_root(self, x: Fraction) -> bool:
+    def is_root(self, x: tuple[int, int]) -> bool:
         return self._reading(x)[1]
 
-    def count(self, lo: Fraction, hi: Fraction) -> int:
+    def count(self, lo: tuple[int, int], hi: tuple[int, int]) -> int:
         """Distinct roots in the half-open interval (lo, hi]."""
-        if lo >= hi:
+        if lo[0] * hi[1] >= hi[0] * lo[1]:
             return 0
         return self._reading(lo)[0] - self._reading(hi)[0]
 
 
-def _check_width(chain: _SturmChain | _GramChain | _Roots, width: Fraction) -> None:
-    """Raise when a bisection has gone below chain.min_width, which a
-    correct chain never does: the halving loops end in an error, not a
-    hang."""
-    if width < chain.min_width:
+def _check_width(chain: _SturmChain | _GramChain | _Roots, w: int, d: int) -> None:
+    """Raise when a bisection width w / d is below chain.min_width, which a
+    correct chain never reaches: halving loops end in an error, not a hang."""
+    if w * chain.min_width.denominator < d * chain.min_width.numerator:
         raise RuntimeError("root isolation exceeded its halving bound: "
                            "inconsistent Sturm chain")
 
 
-def _root_gap(chain: _SturmChain | _GramChain | _Roots, lo: Fraction, hi: Fraction, mid: Fraction) -> Fraction:
-    """Half-width w, at most (hi - lo) / 4, such that [mid - w, mid + w]
-    holds no root but the root mid and its ends are not roots."""
-    w = (hi - lo) / 4
-    while chain.count(mid - w, mid + w) != 1 or chain.is_root(mid - w) or chain.is_root(mid + w):
-        w /= 2
-        _check_width(chain, w)
-    return w
+def _root_gap(chain: _SturmChain | _GramChain | _Roots, a: int, b: int, m: int, d: int) -> tuple[int, int, int]:
+    """(m', w, e) with m' / e = m / d, the root, and w / e <= (b - a) / 4d:
+    [m' - w, m' + w] / e holds no other root, and its ends are not roots."""
+    m, w, e = 4 * m, b - a, 4 * d
+    while True:
+        lo, hi = _point(m - w, e), _point(m + w, e)
+        if chain.count(lo, hi) == 1 and not chain.is_root(lo) and not chain.is_root(hi):
+            return m, w, e
+        m, e = 2 * m, 2 * e
+        _check_width(chain, w, e)
 
 
 def _top_cell(chain: _SturmChain | _GramChain | _Roots, lo: Fraction, hi: Fraction) -> RationalInterval | None:
     """The cell of the largest root in (lo, hi], or None when there is no
-    root there.  Follows the full isolation's bisection but keeps only
-    the sub-cell holding the largest root, so with (lo, hi] = (-bound,
-    bound] it returns exactly the last interval that isolation returns
-    (isolate_squarefree in tests/root_oracles.py, and the tests that
-    compare the two)."""
-    cnt = chain.count(lo, hi)
+    root there.  Follows the full isolation's bisection in integers, as
+    _refine, but keeps only the sub-cell [a, b] / d holding the largest
+    root, so with (lo, hi] = (-bound, bound] it returns exactly the last
+    interval that isolation returns (isolate_squarefree in
+    tests/root_oracles.py, and the tests that compare the two)."""
+    d = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    cnt = chain.count(_point(a, d), _point(b, d))
     if cnt == 0:
         return None
     while cnt > 1:
-        _check_width(chain, hi - lo)
-        mid = (lo + hi) / 2
-        if chain.is_root(mid):
-            w = _root_gap(chain, lo, hi, mid)
-            right = chain.count(mid + w, hi)
-            if right == 0:
-                return RationalInterval(mid, mid)
-            lo, cnt = mid + w, right
+        _check_width(chain, b - a, d)
+        a, m, b, d = 2 * a, a + b, 2 * b, 2 * d
+        if chain.is_root(_point(m, d)):
+            m, w, e = _root_gap(chain, a, b, m, d)
+            a, b, d = m + w, b * (e // d), e
+            cnt = chain.count(_point(a, d), _point(b, d))
+            if cnt == 0:
+                return RationalInterval(Fraction(m, d), Fraction(m, d))
         else:
-            right = chain.count(mid, hi)
+            right = chain.count(_point(m, d), _point(b, d))
             if right == 0:
-                hi = mid
+                b = m
             else:
-                lo, cnt = mid, right
-    return RationalInterval(lo, hi)
+                a, cnt = m, right
+    return RationalInterval(Fraction(a, d), Fraction(b, d))
 
 
 def _refine(sf: IntPolynomial, iv: RationalInterval, eps: Fraction) -> RationalInterval:
@@ -224,44 +261,46 @@ class _GramChain:
         lead = abs(r.lead).bit_length()
         self.k = 1 + max([0] + [-((lead - 1 - abs(c).bit_length()) // j)
                                 for j, c in enumerate(reversed(r.coeffs[:-1]), 1) if c])
-        self.top = Fraction(1 << self.k)
+        self.top = 1 << self.k, 1
         self.e = e
-        self._places: dict[tuple[int, int], tuple[int, int]] = {}
+        self._places: dict[tuple[int, int], tuple[int, int, bool]] = {}
 
-    def _above(self, u: Fraction) -> int:
+    def _above(self, u: tuple[int, int]) -> int:
         return self.gram.count(u, self.top)
 
     @cached_property
     def _offsets(self) -> tuple[int, int, int, int]:
-        t = self._above(-self.top)
-        neg = 2 * t - 2 * self._above(_MINUS_FOUR) - self.gram.is_root(_MINUS_FOUR)
-        return t, neg - t, neg, neg + 2 * self._above(_ZERO) + self.e
+        t = self._above((-self.top[0], 1))
+        neg = 2 * t - 2 * self._above((-4, 1)) - self.gram.is_root((-4, 1))
+        return t, neg - t, neg, neg + 2 * self._above((0, 1)) + self.e
 
-    def _place(self, x: Fraction) -> tuple[int, int, bool]:
+    def _place(self, x: tuple[int, int]) -> tuple[int, int, bool]:
         """(branch of x, N(x) less the branch's offset, m(x) = 0), memoized."""
-        a, b = key = x.numerator, x.denominator  # cheaper to hash than x
-        place = self._places.get(key)
+        place = self._places.get(x)
         if place is None:
+            a, b = x
             falls, num, den = -b < a < b, (a - b) ** 2, a * b  # phi(x) = num / den
             if a == 0:
                 place = 2, 0, False  # m(0) != 0 as c(0) = +-1
             else:
                 if num >= abs(den) << self.k:  # |phi(x)| >= top: no root of r from there out
-                    above, root = 0 if a > 0 else self._above(-self.top), False
+                    above, root = 0 if a > 0 else self._above((-self.top[0], 1)), False
                 else:
-                    mu = Fraction(num, den)  # m(1) = 0 iff e, else m(x) = 0 iff r(mu) = 0
+                    # a point: a - b is prime to a and to b, so num / den is in lowest terms
+                    mu = (num, den) if den > 0 else (-num, -den)
+                    # m(1) = 0 iff e, else m(x) = 0 iff r(mu) = 0
                     above, root = self._above(mu), self.e if num == 0 else self.gram.is_root(mu)
                     above += falls and root
                 place = (2 if a > 0 else 1, above, root) if falls else (3 if a > 0 else 0, -above, root)
-            self._places[key] = place
+            self._places[x] = place
         return place
 
-    def is_root(self, x: Fraction) -> bool:
+    def is_root(self, x: tuple[int, int]) -> bool:
         return self._place(x)[2]
 
-    def count(self, lo: Fraction, hi: Fraction) -> int:
+    def count(self, lo: tuple[int, int], hi: tuple[int, int]) -> int:
         """m's distinct roots in the half-open interval (lo, hi]."""
-        if lo >= hi:
+        if lo[0] * hi[1] >= hi[0] * lo[1]:
             return 0
         (i, below, _), (j, upto, _) = self._place(lo), self._place(hi)
         return upto - below + (self._offsets[j] - self._offsets[i] if i != j else 0)
@@ -296,7 +335,7 @@ class _Roots:
         e = r.coeffs[0] == 0 or n > 2 * q.degree
         if r.coeffs[0] == 0:
             rest = IntPolynomial(r.coeffs[1:])
-        four = rest.eval_sign(_MINUS_FOUR) == 0
+        four = rest.sign_at(-4, 1) == 0
         if four:
             rest = poly_divexact(rest, IntPolynomial([4, 1]))
         sf = _coxeter_from_gram(rest, 2 * rest.degree + e)
@@ -307,27 +346,30 @@ class _Roots:
         roots.min_width = roots.chain.min_width
         return roots
 
-    def count(self, lo: Fraction, hi: Fraction) -> int:
+    def count(self, lo: tuple[int, int], hi: tuple[int, int]) -> int:
         """sf's distinct roots in [lo, hi), m's in (-hi, -lo]: those in
         (lo, hi] when neither end is a root, which _top_cell and _root_gap
         ask of is_root on the same readings."""
-        return self.chain.count(-hi, -lo)
+        return self.chain.count((-hi[0], hi[1]), (-lo[0], lo[1]))
 
-    def is_root(self, x: Fraction) -> bool:
-        return self.chain.is_root(-x)
+    def is_root(self, x: tuple[int, int]) -> bool:
+        return self.chain.is_root((-x[0], x[1]))
+
+    def _between(self, lo: Fraction, hi: Fraction) -> int:
+        return self.count(lo.as_integer_ratio(), hi.as_integer_ratio())
 
     @property
     def real_rooted(self) -> bool:
-        return self.count(-self.bound, self.bound) == self.poly.degree
+        return self._between(-self.bound, self.bound) == self.poly.degree
 
     @property
     def all_negative(self) -> bool:
         """Every root real and in [-bound, 0), so a root at 0 fails."""
-        return self.count(-self.bound, _ZERO) == self.poly.degree
+        return self._between(-self.bound, _ZERO) == self.poly.degree
 
     def outside(self, h: Fraction) -> int:
         """For h > 0, the distinct real roots r with r >= h or r < -h."""
-        return self.count(h, self.bound) + self.count(-self.bound, -h)
+        return self._between(h, self.bound) + self._between(-self.bound, -h)
 
     def max_root_cell(self, eps: Fraction) -> RationalInterval | None:
         """The cell, width <= eps, of the largest real root, or None."""
@@ -348,7 +390,7 @@ class _Roots:
         """
         m = self.chain.poly
         bound = cauchy_bound(self.poly * m)
-        if self.count(_ZERO, bound) == 0:
+        if self._between(_ZERO, bound) == 0:
             cell = _top_cell(self.chain, _ZERO, bound)
             if cell is None:
                 raise ValueError("polynomial has no real roots")
@@ -491,11 +533,9 @@ def compare_isolated_roots(p_sf: IntPolynomial, ip: RationalInterval,
             g_chain = _SturmChain(g) if g.degree > 0 else None
             floor = _min_width(poly_divexact(p_sf * q_sf, g))
         if g_chain is not None:
-            hull_lo = min(ip.lo, iq.lo)
-            hull_hi = max(ip.hi, iq.hi)
-            if (g_chain.count(ip.lo, ip.hi) == 1
-                    and g_chain.count(iq.lo, iq.hi) == 1
-                    and g_chain.count(hull_lo, hull_hi) == 1):
+            hull = min(ip.lo, iq.lo), max(ip.hi, iq.hi)
+            if all(g_chain.count(lo.as_integer_ratio(), hi.as_integer_ratio()) == 1
+                   for lo, hi in ((ip.lo, ip.hi), (iq.lo, iq.hi), hull)):
                 return 0
         if max(ip.width, iq.width) < floor:
             raise RuntimeError("root comparison exceeded its halving bound: "

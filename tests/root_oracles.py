@@ -1,14 +1,52 @@
-"""Test-only root oracles: full isolation with multiplicities and Yun's
-squarefree decomposition, independent of the one-chain routes the
-package takes to each root question."""
+"""Test-only root oracles: a Sturm chain read entry by entry with
+Horner's rule, full isolation with multiplicities and Yun's squarefree
+decomposition, independent of the one-chain routes the package takes to
+each root question."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from coxlinks.exact import IntPolynomial, poly_divexact, poly_gcd, squarefree_part
-from coxlinks.spectra import (DEFAULT_EPSILON, RationalInterval, _check_width, _refine,
-                              _root_gap, _SturmChain, cauchy_bound)
+from coxlinks.exact import (IntPolynomial, _signed_remainders, poly_divexact, poly_gcd,
+                            squarefree_part)
+from coxlinks.spectra import (DEFAULT_EPSILON, RationalInterval, _check_width, _min_width,
+                              _refine, cauchy_bound)
+
+
+def point(x: Fraction) -> tuple[int, int]:
+    """x as the (numerator, denominator) pair that spectra's chains read."""
+    return x.numerator, x.denominator
+
+
+def variations(values) -> int:
+    """Sign variations in a sequence of numbers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+class HornerChain:
+    """The Sturm chain of sf, each entry evaluated at a Fraction by Horner's
+    rule: the oracle for the quotient-recurrence reading of
+    spectra._SturmChain, built from the remainder sequence alone."""
+
+    def __init__(self, sf: IntPolynomial):
+        self.poly = sf
+        self.entries = _signed_remainders(sf, sf.derivative())
+        self.min_width = _min_width(sf)
+
+    def values(self, x: Fraction) -> list[int]:
+        """b^(deg p) p(x) for each entry p, x = a / b in lowest terms."""
+        return [p.eval(x) * x.denominator ** p.degree for p in self.entries]
+
+    def is_root(self, x: Fraction) -> bool:
+        return self.poly.eval(x) == 0
+
+    def count(self, lo: Fraction, hi: Fraction) -> int:
+        """Distinct roots in the half-open interval (lo, hi]."""
+        if lo >= hi:
+            return 0
+        return variations(p.eval_sign(lo) for p in self.entries) - \
+            variations(p.eval_sign(hi) for p in self.entries)
 
 
 @dataclass(frozen=True)
@@ -57,16 +95,27 @@ def sturm_count(p: IntPolynomial, interval: RationalInterval) -> int:
         raise ValueError("root counting needs a nonzero polynomial")
     if p.degree == 0:
         return 0
-    return _SturmChain(squarefree_part(p)).count(interval.lo, interval.hi)
+    return HornerChain(squarefree_part(p)).count(interval.lo, interval.hi)
 
 
-def isolate_squarefree(chain: _SturmChain) -> list[RationalInterval]:
-    """Disjoint intervals, one distinct root each, ascending.  Non-point
-    endpoints are never roots, so each bracket carries a sign change.
-    spectra._top_cell keeps the last of these and bisects no other."""
-    sf = chain.poly
+def root_gap(chain: HornerChain, lo: Fraction, hi: Fraction, mid: Fraction) -> Fraction:
+    """Half-width w, at most (hi - lo) / 4, such that [mid - w, mid + w]
+    holds no root but the root mid and its ends are not roots."""
+    w = (hi - lo) / 4
+    while chain.count(mid - w, mid + w) != 1 or chain.is_root(mid - w) or chain.is_root(mid + w):
+        w /= 2
+        _check_width(chain, w.numerator, w.denominator)
+    return w
+
+
+def isolate_squarefree(sf: IntPolynomial) -> list[RationalInterval]:
+    """Disjoint intervals, one distinct root each, ascending, by Fraction
+    bisection on the HornerChain of sf.  Non-point endpoints are never
+    roots, so each bracket carries a sign change.  spectra._top_cell
+    keeps the last of these and bisects no other."""
     if sf.degree <= 0:
         return []
+    chain = HornerChain(sf)
     bound = cauchy_bound(sf)
     out: list[RationalInterval] = []
 
@@ -76,10 +125,10 @@ def isolate_squarefree(chain: _SturmChain) -> list[RationalInterval]:
         if cnt == 1:
             out.append(RationalInterval(lo, hi))
             return
-        _check_width(chain, hi - lo)
+        _check_width(chain, (hi - lo).numerator, (hi - lo).denominator)
         mid = (lo + hi) / 2
-        if sf.eval_sign(mid) == 0:
-            w = _root_gap(chain, lo, hi, mid)
+        if chain.is_root(mid):
+            w = root_gap(chain, lo, hi, mid)
             explore(lo, mid - w, chain.count(lo, mid - w))
             out.append(RationalInterval(mid, mid))
             explore(mid + w, hi, chain.count(mid + w, hi))
@@ -139,8 +188,7 @@ def isolate_real_roots(p: IntPolynomial, eps: Fraction = DEFAULT_EPSILON) -> Roo
         raise ValueError("eps must be positive")
     decomp = squarefree_decomposition(p)
     sf = prod((f for f, _ in decomp), start=IntPolynomial([1]))  # no more gcds
-    chain = _SturmChain(sf)
-    intervals = separate(sf, [_refine(sf, iv, eps) for iv in isolate_squarefree(chain)])
+    intervals = separate(sf, [_refine(sf, iv, eps) for iv in isolate_squarefree(sf)])
     roots = []
     for iv in intervals:
         mult = next(m for f, m in decomp if root_in(f, iv))

@@ -297,6 +297,18 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: monodromy identity M^T M = -C- C+ failed\n")
 
+    def test_corrupt_sturm_chain_exits_4(self, capsys, monkeypatch):
+        class Swapped(spectra._SturmChain):
+            # M_i and g_i trade places, so a reading divides inexactly
+            def __init__(self, sf):
+                super().__init__(sf)
+                self.steps = [(q, g, m, drop) for q, m, g, drop in self.steps]
+
+        monkeypatch.setattr(spectra, "_SturmChain", Swapped)
+        code, out, err = run_cli(capsys, "analyze", "paper-5")
+        assert (code, out) == (4, "")
+        assert err == "error: internal error: inexact Sturm-chain recurrence: inconsistent Sturm chain\n"
+
     @pytest.mark.parametrize("error", [RuntimeError("stuck\nsecond line"),
                                        RecursionError("maximum recursion depth exceeded"),
                                        RuntimeError()])

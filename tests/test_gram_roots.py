@@ -5,6 +5,7 @@ against counts on the Sturm chain of m = sf(-t) (spectra._Roots of c)."""
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from coxlinks.graphs import (MINUS, PLUS, MixedSignCoxeterGraph, enumerate_alter
 from coxlinks.spectra import _Roots, cauchy_bound
 
 from graph_strategies import connected_random_sign_graphs
+from root_oracles import HornerChain, point
 
 F = Fraction
 
@@ -57,10 +59,27 @@ def assert_gram_counts_match(g: MixedSignCoxeterGraph) -> None:
     far = cauchy_bound(ref.poly * ref.chain.poly)  # where the radius descent starts
     points = sorted(POINTS + [ref.bound, -ref.bound, far, -far])
     for lo, hi in combinations(points, 2):
-        assert fast.chain.count(lo, hi) == ref.chain.count(lo, hi), (lo, hi)
+        assert fast.chain.count(point(lo), point(hi)) == ref.chain.count(point(lo), point(hi)), (lo, hi)
     for x in points:
-        assert fast.chain.is_root(x) == ref.chain.is_root(x) == (ref.chain.poly.eval_sign(x) == 0), x
-        assert fast.is_root(x) == (fast.poly.eval_sign(x) == 0), x
+        assert fast.chain.is_root(point(x)) == ref.chain.is_root(point(x)) == \
+            (ref.chain.poly.eval_sign(x) == 0), x
+        assert fast.is_root(point(x)) == (fast.poly.eval_sign(x) == 0), x
+    assert_descent_readings_match_horner(ref, fast, points)
+
+
+def assert_descent_readings_match_horner(ref: _Roots, fast: _Roots, points) -> None:
+    """Both descents run on the Gram chain; then every point that m's
+    chain or r's chain read, all in lowest terms, gives the entries that
+    Horner's rule gives."""
+    fast.max_root_cell(spectra.DEFAULT_EPSILON)
+    if fast.real_rooted:
+        fast.radius_cell(spectra.DEFAULT_EPSILON)
+    for chain, keys in ((ref.chain, {point(x) for x in points}),
+                        (fast.chain.gram, set(fast.chain.gram._memo))):
+        assert all(b > 0 and gcd(a, b) == 1 for a, b in keys | set(fast.chain._places))
+        oracle = HornerChain(chain.poly)
+        for a, b in keys:
+            assert chain.values((a, b)) == oracle.values(F(a, b)), (a, b)
 
 
 def atlas_graphs() -> list[MixedSignCoxeterGraph]:
@@ -93,7 +112,7 @@ class TestGramCountsAgainstTheMirrorChain:
             q = _gram_polynomial(g)
             assert 2 * q.degree == g.n and q.coeffs[0] == 0
         q = _gram_polynomial(named_graph("e10-classical"))  # Lehmer's: mu = -4.026...
-        assert spectra._SturmChain(squarefree_part(q)).count(-cauchy_bound(q), F(-4)) == 1
+        assert spectra._SturmChain(squarefree_part(q)).count(point(-cauchy_bound(q)), (-4, 1)) == 1
 
     def test_every_tree_class_up_to_ten_vertices(self):
         trees = [g for n in range(2, 11) for g in enumerate_alternating_trees(n, dedup=True)]
@@ -118,11 +137,11 @@ class TestOneReadingPerPoint:
         sf = IntPolynomial([-1, 2]) * IntPolynomial([3, 1])  # (2t - 1)(t + 3)
         chain = spectra._SturmChain(sf)
         for x in (F(-4), F(-3), F(0), F(1, 2), F(1, 2) + F(1, 1 << 40), F(5)):
-            assert chain.is_root(x) == (sf.eval_sign(x) == 0), x
+            assert chain.is_root(point(x)) == (sf.eval_sign(x) == 0), x
         # the first midpoint of (-4, 5] is the root 1/2, found on the
         # readings the counts make
         assert spectra._top_cell(chain, F(-4), F(5)) == spectra.RationalInterval(F(1, 2), F(1, 2))
-        assert chain.count(F(-4), F(1, 2)) == 2 and chain.count(F(1, 2), F(5)) == 0
+        assert chain.count((-4, 1), (1, 2)) == 2 and chain.count((1, 2), (5, 1)) == 0
 
     def test_descents_evaluate_nothing_above_the_gram_degree(self, monkeypatch):
         g = random_alternating_tree(40, random.Random(3))
@@ -131,13 +150,13 @@ class TestOneReadingPerPoint:
         roots = _Roots.of_gram(q, g.n)
         assert (s, d, roots.poly.degree) == (19, 18, 35)
         degrees = []
-        real_eval_sign = IntPolynomial.eval_sign
+        real_values = spectra._SturmChain.values
 
-        def counting(p, x):
-            degrees.append(p.degree)
-            return real_eval_sign(p, x)
+        def counting(chain, x):
+            degrees.append(chain.poly.degree)
+            return real_values(chain, x)
 
-        monkeypatch.setattr(IntPolynomial, "eval_sign", counting)
+        monkeypatch.setattr(spectra._SturmChain, "values", counting)
         assert spectra._top_cell(roots, -roots.bound, roots.bound) is not None
         far = cauchy_bound(roots.poly * roots.chain.poly)
         assert spectra._top_cell(roots.chain, F(0), far) is not None

@@ -123,11 +123,40 @@ def attributes_read(path: Path, name: str) -> set[str]:
     raise LookupError(name)
 
 
-@pytest.mark.parametrize("name,banned", [("_top_cell", {"eval_sign", "poly"}),
-                                         ("_root_gap", {"eval_sign", "poly"}),
-                                         ("_GramChain", {"eval_sign"})])
+def fractions_built(path: Path, name: str) -> int:
+    """Places in the top-level def or class `name` of a source file that
+    build a Fraction, by a true division or a call of Fraction, other than
+    a Fraction(...) handed straight to RationalInterval(...)."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            calls = [c for c in ast.walk(node) if isinstance(c, ast.Call)]
+            returned = {id(arg) for c in calls if getattr(c.func, "id", None) == "RationalInterval"
+                        for arg in c.args}
+            built = [c for c in calls if getattr(c.func, "id", None) == "Fraction"
+                     and id(c) not in returned]
+            return len(built) + sum(isinstance(a, ast.Div) for a in ast.walk(node))
+    raise LookupError(name)
+
+
+READINGS = {"eval_sign", "sign_at"}
+
+
+@pytest.mark.parametrize("name,banned", [("_top_cell", READINGS | {"poly"}),
+                                         ("_root_gap", READINGS | {"poly"}),
+                                         ("_GramChain", READINGS),
+                                         ("_SturmChain", READINGS)])
 def test_descents_take_root_tests_from_the_chain_readings(name, banned):
     assert not attributes_read(PACKAGE / "spectra.py", name) & banned
+    # integer points: a Fraction only in the RationalInterval returned
+    assert fractions_built(PACKAGE / "spectra.py", name) == 0
+
+
+def test_fraction_finder_sees_every_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("def f(a: Fraction, d):\n    return RationalInterval(Fraction(a, d), Fraction(a, d))\n\n"
+                   "def g(a, d):\n    return RationalInterval(Fraction(a, d), a / d)\n\n"
+                   "def h(a, d):\n    x = Fraction(a, d)\n    return RationalInterval(x, x)\n")
+    assert [fractions_built(src, name) for name in "fgh"] == [0, 1, 1]
 
 
 def test_attribute_finder_sees_every_form(tmp_path):

@@ -4,16 +4,16 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxlinks import spectra
+from coxlinks import exact, spectra
 from coxlinks.analysis import analyze, min_dilatation_search
 from coxlinks.coxeter import alexander_polynomial, coxeter_polynomial
-from coxlinks.exact import (IntPolynomial, _pseudo_rem_positive, poly_divexact, poly_gcd,
+from coxlinks.exact import (IntPolynomial, _pseudo_division, poly_divexact, poly_gcd,
                             squarefree_part)
 from coxlinks.fixtures import fixture_graph, fixture_names
 from coxlinks.graphs import (adjacency_matrix, enumerate_alternating_trees,
@@ -32,8 +32,9 @@ from coxlinks.spectra import (
     spectral_radius_enclosure,
 )
 
-from root_oracles import (isolate_real_roots, isolate_squarefree, refine_by_fractions, root_in,
-                          separate, squarefree_decomposition, sturm_count)
+from root_oracles import (HornerChain, isolate_real_roots, isolate_squarefree, point,
+                          refine_by_fractions, root_in, separate, squarefree_decomposition,
+                          sturm_count)
 from test_coxeter import seeded_graphs_with_cycles
 
 F = Fraction
@@ -143,20 +144,21 @@ class TestHalvingBound:
         assert len(iso.roots) == 3 and iso.roots[1][0] == RationalInterval(F(0), F(0))
 
     def test_wrong_chain_raises_instead_of_hanging(self, monkeypatch):
-        def unsigned_remainders(a, b):
-            # _signed_remainders with the remainder sign flipped
-            seq = [a, b]
-            while not seq[-1].is_zero and seq[-1].degree > 0:
-                rem = _pseudo_rem_positive(seq[-2], seq[-1])
+        def unsigned_steps(a, b):
+            # _remainder_steps with the remainder sign flipped, in the
+            # entries and in the recurrence that reads them
+            while b.degree > 0:
+                read, rem = _pseudo_division(a, b)
                 if rem.is_zero:
-                    break
+                    return
                 g = rem.content()
-                seq.append(IntPolynomial(c // g for c in rem.coeffs))
-            if seq[-1].is_zero:
-                seq.pop()
-            return seq
+                a, b = b, IntPolynomial(c // g for c in rem.coeffs)
+                yield read, -g, b
 
-        monkeypatch.setattr(spectra, "_signed_remainders", unsigned_remainders)
+        # every chain takes its entries from here: spectra's, and the
+        # oracle's through exact._signed_remainders
+        monkeypatch.setattr(spectra, "_remainder_steps", unsigned_steps)
+        monkeypatch.setattr(exact, "_remainder_steps", unsigned_steps)
         lehmer = coxeter_polynomial(fixture_graph("e10-classical"))
         gap_case = prod((P(-r, 1) for r in (0, 6, -2, 1, -1)), start=P(1, 0, 1))
         with within_seconds(20):
@@ -164,6 +166,91 @@ class TestHalvingBound:
                          lambda: isolate_real_roots(gap_case)):
                 with pytest.raises(RuntimeError, match="halving bound"):
                     call()
+
+
+INT_POLYS = st.lists(st.integers(-50, 50), min_size=1, max_size=9).map(IntPolynomial)
+# dyadic points, 0, and rationals with odd denominators
+READ_POINTS = [F(0), F(1), F(-1), F(1, 2), F(-3, 4), F(5, 1 << 20), F(-7, 3), F(2, 9),
+               F(1234567, 1 << 30), F(10 ** 6, 7)]
+
+
+def assert_readings_match_horner(chain, points):
+    """Every entry of every reading, by the quotient recurrence, against
+    the Horner oracle, and the memoized reading against its summary."""
+    oracle = HornerChain(chain.poly)
+    for x in points:
+        values = chain.values(point(x))
+        assert values == oracle.values(x), x
+        nonzero = [v > 0 for v in values if v]
+        assert chain._reading(point(x)) == (sum(a != b for a, b in zip(nonzero, nonzero[1:])),
+                                            values[0] == 0)
+
+
+class TestQuotientRecurrence:
+    """_SturmChain reads every entry past sf' by g_i V_(i+1) b^(drop) =
+    Q_i(a, b) V_i - M_i V_(i-1); exact.IntPolynomial.eval by Horner's rule
+    is the oracle."""
+
+    @given(INT_POLYS.filter(lambda p: p.degree > 0))
+    @settings(max_examples=200, deadline=None)
+    def test_pseudo_quotient_identity(self, p):
+        # step i divides a = p_(i-1) by b = p_i with remainder R = -g p_(i+1)
+        sf = squarefree_part(p)
+        chain, entries = spectra._SturmChain(sf), HornerChain(sf).entries
+        assert len(entries) == len(chain.steps) + 2
+        for (q, m, g, drop), (a, b, p) in zip(chain.steps, zip(entries, entries[1:], entries[2:])):
+            d = a.degree - b.degree
+            assert m == abs(b.lead) ** (d + 1) > 0 and g > 0
+            assert q.degree == d and drop == a.degree - p.degree and p.degree < b.degree
+            assert m * a == q * b - g * p
+
+    @given(INT_POLYS, INT_POLYS.filter(lambda b: not b.is_zero))
+    @settings(max_examples=200, deadline=None)
+    def test_pseudo_division_reads_the_quotient(self, a, b):
+        # lc^e a = Q b + R', e = max(d + 1, 0), with Q_s = lc^s read_(d-s),
+        # and R = sign(lc^e) R'
+        read, rem = _pseudo_division(a, b)
+        lc_e = b.lead ** max(a.degree - b.degree + 1, 0)
+        q = IntPolynomial(c * b.lead ** s for s, c in enumerate(reversed(read)))
+        assert len(read) == max(a.degree - b.degree + 1, 0) and rem.degree < b.degree
+        assert (a * lc_e - q * b) * (1 if lc_e > 0 else -1) == rem
+
+    @given(INT_POLYS.filter(lambda p: p.degree > 0))
+    @settings(max_examples=150, deadline=None)
+    def test_readings_match_horner(self, p):
+        sf = squarefree_part(p)
+        assert_readings_match_horner(spectra._SturmChain(sf), READ_POINTS)
+
+    def test_points_where_an_entry_vanishes(self):
+        # t^3 - t: p_0 vanishes at -1, 0, 1 and p_2 = t at 0.  (t + 4)(t + 1)
+        # (t - 4): p_1 = (3t + 8)(t - 2) vanishes at -8/3 and 2
+        for sf, zeros in ((P(0, -1, 0, 1), [F(-1), F(0), F(1)]),
+                          (P(-16, -16, 1, 1), [F(-8, 3), F(2), F(-4), F(-1), F(4)])):
+            assert all(any(e.eval(x) == 0 for e in HornerChain(sf).entries) for x in zeros)
+            assert_readings_match_horner(spectra._SturmChain(sf), READ_POINTS + zeros)
+        assert spectra._SturmChain(P(0, -1, 0, 1)).values((0, 1)) == [0, -1, 0, 1]
+        assert spectra._SturmChain(P(-16, -16, 1, 1)).values((-8, 3))[1] == 0
+
+    def test_degree_drops_by_more_than_one(self):
+        for sf in (P(1, 0, 0, 0, 1), P(0, -1, 0, 0, 0, 1), P(1, 0, 0, 0, 0, 0, 0, 1) * P(2, 1)):
+            chain = spectra._SturmChain(sf)
+            assert max(drop for *_, drop in chain.steps) > 2
+            assert_readings_match_horner(chain, READ_POINTS)
+
+    def test_inexact_recurrence_raises(self):
+        chain = spectra._SturmChain(P(0, -1, 0, 1))
+        q, m, g, drop = chain.steps[0]
+        chain.steps[0] = q, g, m, drop
+        with pytest.raises(RuntimeError, match="inexact Sturm-chain recurrence"):
+            chain.values((1, 3))
+
+    def test_point_keys_are_in_lowest_terms(self):
+        for name in fixture_names():
+            roots = _Roots(coxeter_polynomial(fixture_graph(name)))
+            roots.max_root_cell(DEFAULT_EPSILON)
+            roots.radius_cell(DEFAULT_EPSILON)
+            keys = list(roots.chain._memo)
+            assert keys and all(b > 0 and gcd(a, b) == 1 for a, b in keys), name
 
 
 class TestRealRootedAndStable:
@@ -242,7 +329,7 @@ class TestMaxRootAndRadius:
 def full_isolation_max_root(p, eps):
     """Reference for max_real_root: isolate every root, refine the top one."""
     sf = squarefree_part(p)
-    intervals = isolate_squarefree(spectra._SturmChain(sf))
+    intervals = isolate_squarefree(sf)
     if not intervals:
         raise ValueError("polynomial has no real roots")
     return spectra._refine(sf, intervals[-1], eps)
@@ -389,7 +476,7 @@ def yun_loop_real_rooted(p):
     """Reference for is_real_rooted: one Sturm chain per Yun factor."""
     for f, _ in squarefree_decomposition(p):
         b = cauchy_bound(f)
-        if spectra._SturmChain(f).count(-b, b) != f.degree:
+        if HornerChain(f).count(-b, b) != f.degree:
             return False
     return True
 
@@ -397,7 +484,7 @@ def yun_loop_real_rooted(p):
 def yun_loop_real_stable(p):
     """Reference for is_real_stable: one Sturm chain per Yun factor."""
     for f, _ in squarefree_decomposition(p):
-        if spectra._SturmChain(f).count(F(0), cauchy_bound(f)) != f.degree:
+        if HornerChain(f).count(F(0), cauchy_bound(f)) != f.degree:
             return False
     return True
 
@@ -579,7 +666,7 @@ def merged_isolation_interlace(p, q):
     sfp = prod((f for f, _ in dec_p), start=P(1))
     sfq = prod((f for f, _ in dec_q), start=P(1))
     union = sfp * poly_divexact(sfq, poly_gcd(sfp, sfq))
-    intervals = separate(union, isolate_squarefree(spectra._SturmChain(union)))
+    intervals = separate(union, isolate_squarefree(union))
     alpha, beta = [], []
     for idx, iv in enumerate(intervals):
         for sf, dec, roots in ((sfp, dec_p, alpha), (sfq, dec_q, beta)):
