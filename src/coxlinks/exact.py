@@ -92,10 +92,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def eval_sign(self, x: Fraction) -> int:
-        """Sign of self at a rational point, via integers only."""
-        return self.sign_at(x.numerator, x.denominator)
-
     def sign_at(self, num: int, den: int) -> int:
         """Sign of self at num / den, den > 0, via integers only."""
         v = self.homogeneous_at(num, den)

@@ -63,6 +63,9 @@ class MixedSignCoxeterGraph:
             raise GraphError("graph must have at least one vertex")
         if len(set(self.names)) != n:
             raise GraphError("duplicate vertex name")
+        # graph_to_text writes names that parse_graph reads back as themselves
+        if any(not isinstance(v, str) or v.split() != [v] for v in self.names):
+            raise GraphError("vertex names must be nonempty strings free of whitespace")
         if len(self.signs) != n or any(s not in (PLUS, MINUS) for s in self.signs):
             raise GraphError("every vertex needs a sign of +1 or -1")
         seen = set()

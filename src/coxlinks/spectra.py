@@ -66,9 +66,9 @@ def _sign_changes(values) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _min_width(sf: IntPolynomial) -> Fraction:
-    """2^-K for a halving count K past which no correct bisection
-    between the roots of the squarefree sf goes; see _check_width."""
+def _halving_depth(sf: IntPolynomial) -> int:
+    """A halving count K past which no correct bisection between the roots
+    of the squarefree sf goes: w / d is too narrow iff w << K < d."""
     # Mahler (1964): distinct roots of a squarefree integer polynomial
     # of degree d >= 2 are more than sep = sqrt(3) d^(-(d+2)/2)
     # ||f||_2^(1-d) apart.  With log2 d <= d.bit_length() and
@@ -80,7 +80,7 @@ def _min_width(sf: IntPolynomial) -> Fraction:
     d = max(sf.degree, 2)
     norm2 = sum(c * c for c in sf.coeffs)
     k0 = ((d + 2) * d.bit_length() + (d - 1) * norm2.bit_length() + 1) // 2
-    return Fraction(1, 1 << (k0 + 1 + d))
+    return k0 + 1 + d
 
 
 def _point(num: int, den: int) -> tuple[int, int]:
@@ -115,7 +115,7 @@ class _SturmChain:
                 power *= b.lead
             self.steps.append((IntPolynomial(q), abs(power), g, a.degree - p.degree))
             a, b = b, p
-        self.min_width = _min_width(sf)
+        self.depth = _halving_depth(sf)
         self._memo: dict[tuple[int, int], tuple[int, bool]] = {}
 
     def values(self, x: tuple[int, int]) -> list[int]:
@@ -147,9 +147,9 @@ class _SturmChain:
 
 
 def _check_width(chain: _SturmChain | _GramChain | _Roots, w: int, d: int) -> None:
-    """Raise when a bisection width w / d is below chain.min_width, which a
+    """Raise when a bisection width w / d is below 2^-chain.depth, which a
     correct chain never reaches: halving loops end in an error, not a hang."""
-    if w * chain.min_width.denominator < d * chain.min_width.numerator:
+    if w << chain.depth < d:
         raise RuntimeError("root isolation exceeded its halving bound: "
                            "inconsistent Sturm chain")
 
@@ -166,15 +166,13 @@ def _root_gap(chain: _SturmChain | _GramChain | _Roots, a: int, b: int, m: int, 
         _check_width(chain, w, e)
 
 
-def _top_cell(chain: _SturmChain | _GramChain | _Roots, lo: Fraction, hi: Fraction) -> RationalInterval | None:
-    """The cell of the largest root in (lo, hi], or None when there is no
-    root there.  Follows the full isolation's bisection in integers, as
-    _refine, but keeps only the sub-cell [a, b] / d holding the largest
-    root, so with (lo, hi] = (-bound, bound] it returns exactly the last
-    interval that isolation returns (isolate_squarefree in
+def _top_cell(chain: _SturmChain | _GramChain | _Roots, a: int, b: int, d: int) -> tuple[int, int, int] | None:
+    """The cell (a', b', d') of the largest root in (a / d, b / d], meaning
+    [a' / d', b' / d'], or None when there is no root there.  Follows the
+    full isolation's bisection in integers, but keeps only the sub-cell
+    holding the largest root, so from (-bound, bound] it gives exactly the
+    last interval that isolation returns (isolate_squarefree in
     tests/root_oracles.py, and the tests that compare the two)."""
-    d = lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
     cnt = chain.count(_point(a, d), _point(b, d))
     if cnt == 0:
         return None
@@ -186,39 +184,41 @@ def _top_cell(chain: _SturmChain | _GramChain | _Roots, lo: Fraction, hi: Fracti
             a, b, d = m + w, b * (e // d), e
             cnt = chain.count(_point(a, d), _point(b, d))
             if cnt == 0:
-                return RationalInterval(Fraction(m, d), Fraction(m, d))
+                return m, m, d
         else:
             right = chain.count(_point(m, d), _point(b, d))
             if right == 0:
                 b = m
             else:
                 a, cnt = m, right
-    return RationalInterval(Fraction(a, d), Fraction(b, d))
+    return a, b, d
 
 
-def _refine(sf: IntPolynomial, iv: RationalInterval, eps: Fraction) -> RationalInterval:
-    """Shrink an isolating interval to width <= eps by sign bisection.
+def _halve(sf: IntPolynomial, a: int, b: int, d: int, slo: int) -> tuple[int, int]:
+    """The half [a', b'] / 2d of the cell [a, b] / d that holds sf's root,
+    its left end of sf's sign slo there as well, or the point [m, m] when
+    the midpoint m / 2d is the root; a point cell stays the point [2a, 2a]."""
+    m = a + b
+    s = sf.sign_at(m, 2 * d) if a < b else 0
+    if s == 0:
+        return m, m
+    return (m, 2 * b) if s == slo else (2 * a, m)
 
-    In integers: with lo = a / d, hi = (a + w) / d, the cell after l
-    halvings is [a', a' + w] / (d 2^l), wider than eps until the least
-    level j with w eps.den <= eps.num d 2^j, which is the bit-length
-    difference of the two sides or one more."""
-    if iv.is_point:
-        return iv
-    d = lcm(iv.lo.denominator, iv.hi.denominator)
-    a = iv.lo.numerator * (d // iv.lo.denominator)
-    w = iv.hi.numerator * (d // iv.hi.denominator) - a
-    big, small = w * eps.denominator, eps.numerator * d
+
+def _refine(sf: IntPolynomial, cell: tuple[int, int, int], eps: Fraction) -> RationalInterval:
+    """Shrink the isolating cell (a, b, d), meaning [a / d, b / d], to an
+    interval of width <= eps by sign bisection.  After l halvings the cell
+    is [a', b'] / (d 2^l) with b' - a' = b - a or 0, wider than eps until
+    the least level j with (b - a) eps.den <= eps.num d 2^j, which is the
+    bit-length difference of the two sides or one more."""
+    a, b, d = cell
+    big, small = (b - a) * eps.denominator, eps.numerator * d
     j = max(0, big.bit_length() - small.bit_length())
     j += (small << j) < big
     slo = sf.sign_at(a, d)
     for _ in range(j):
-        mid, d = 2 * a + w, 2 * d
-        s = sf.sign_at(mid, d)
-        if s == 0:
-            return RationalInterval(Fraction(mid, d), Fraction(mid, d))
-        a = mid if s == slo else 2 * a
-    return RationalInterval(Fraction(a, d), Fraction(a + w, d))
+        (a, b), d = _halve(sf, a, b, d, slo), 2 * d
+    return RationalInterval(Fraction(a, d), Fraction(b, d))
 
 
 class _GramChain:
@@ -256,7 +256,7 @@ class _GramChain:
 
     def __init__(self, r: IntPolynomial, e: bool, m: IntPolynomial):
         self.poly = m
-        self.min_width = _min_width(m)
+        self.depth = _halving_depth(m)
         self.gram = _SturmChain(r)
         lead = abs(r.lead).bit_length()
         self.k = 1 + max([0] + [-((lead - 1 - abs(c).bit_length()) // j)
@@ -316,7 +316,7 @@ class _Roots:
         self.poly = sf = squarefree_part(p)
         self.chain = _SturmChain(sf.mirror())
         self.bound = cauchy_bound(sf)  # m's as well
-        self.min_width = self.chain.min_width
+        self.depth = self.chain.depth
 
     @classmethod
     def of_gram(cls, q: IntPolynomial, n: int) -> _Roots:
@@ -343,7 +343,7 @@ class _Roots:
         roots.poly = sf = (sf * IntPolynomial([-1, 1]) if four else sf).primitive()
         roots.chain = _GramChain(r, e, sf.mirror())
         roots.bound = cauchy_bound(sf)
-        roots.min_width = roots.chain.min_width
+        roots.depth = roots.chain.depth
         return roots
 
     def count(self, lo: tuple[int, int], hi: tuple[int, int]) -> int:
@@ -373,7 +373,7 @@ class _Roots:
 
     def max_root_cell(self, eps: Fraction) -> RationalInterval | None:
         """The cell, width <= eps, of the largest real root, or None."""
-        cell = _top_cell(self, -self.bound, self.bound)
+        cell = _top_cell(self, -self.bound.numerator, *self.bound.as_integer_ratio())
         return None if cell is None else _refine(self.poly, cell, eps)
 
     def radius_cell(self, eps: Fraction) -> tuple[IntPolynomial, RationalInterval]:
@@ -391,7 +391,7 @@ class _Roots:
         m = self.chain.poly
         bound = cauchy_bound(self.poly * m)
         if self._between(_ZERO, bound) == 0:
-            cell = _top_cell(self.chain, _ZERO, bound)
+            cell = _top_cell(self.chain, 0, *bound.as_integer_ratio())
             if cell is None:
                 raise ValueError("polynomial has no real roots")
             return m, _refine(m, cell, eps)
@@ -495,50 +495,45 @@ def compare_isolated_roots(p_sf: IntPolynomial, ip: RationalInterval,
     """Exact comparison (-1, 0, +1) of the unique root of p_sf in ip
     against the unique root of q_sf in iq, both squarefree.
 
-    Both cells halve each round, and their ends stay non-roots.  Let
-    sep be the least gap between distinct roots of the squarefree lcm
-    L = p_sf q_sf / gcd.  Once both widths are below sep / 2, two
-    distinct roots leave the cells disjoint, and an equal root, a root
-    of the gcd, leaves it alone in the hull, so the gcd counts decide.
-    _min_width(L) is below sep / 2, so two cells still overlapping
-    under it do not isolate roots, and the loop raises, not hangs.
+    The cells [a, b] / d and [c, e] / d share one denominator and halve
+    each round, their ends non-roots.  Let sep be the least gap between
+    distinct roots of the squarefree lcm L = p_sf q_sf / gcd.  Once both
+    widths are below sep / 2, two distinct roots leave the cells disjoint,
+    and an equal root, a root of the gcd, leaves it alone in the hull, so
+    the gcd counts decide.  2^-_halving_depth(L) is below sep / 2, so two
+    cells overlapping under it do not isolate roots: raise, not hang.
     """
+    d = lcm(ip.lo.denominator, ip.hi.denominator, iq.lo.denominator, iq.hi.denominator)
+    a, b, c, e = (x.numerator * (d // x.denominator) for x in (ip.lo, ip.hi, iq.lo, iq.hi))
     g = None
     while True:
-        if ip.is_point and iq.is_point:
-            r, s = ip.lo, iq.lo
-            return (r > s) - (r < s)
-        if ip.is_point ^ iq.is_point:
-            if ip.is_point:
-                point, other_sf, other = ip.lo, q_sf, iq
-                flip = 1
-            else:
-                point, other_sf, other = iq.lo, p_sf, ip
-                flip = -1
-            if point <= other.lo:
+        if a == b and c == e:
+            return (a > c) - (a < c)
+        if a == b or c == e:
+            # the point x against the cell [lo, hi] / d of other_sf's root
+            x, other_sf, lo, hi, flip = (a, q_sf, c, e, 1) if a == b else (c, p_sf, a, b, -1)
+            if x <= lo:
                 return -flip
-            if point >= other.hi:
+            if x >= hi:
                 return flip
-            s = other_sf.eval_sign(point)
+            s = other_sf.sign_at(x, d)
             if s == 0:
                 return 0
-            # root of other_sf lies right of point iff no crossing yet
-            return -flip if s == other_sf.eval_sign(other.lo) else flip
-        if ip.hi <= iq.lo:
+            # root of other_sf lies right of x iff no crossing yet
+            return -flip if s == other_sf.sign_at(lo, d) else flip
+        if b <= c:
             return -1
-        if iq.hi <= ip.lo:
+        if e <= a:
             return 1
         if g is None:
             g = poly_gcd(p_sf, q_sf)
             g_chain = _SturmChain(g) if g.degree > 0 else None
-            floor = _min_width(poly_divexact(p_sf * q_sf, g))
-        if g_chain is not None:
-            hull = min(ip.lo, iq.lo), max(ip.hi, iq.hi)
-            if all(g_chain.count(lo.as_integer_ratio(), hi.as_integer_ratio()) == 1
-                   for lo, hi in ((ip.lo, ip.hi), (iq.lo, iq.hi), hull)):
-                return 0
-        if max(ip.width, iq.width) < floor:
+            depth = _halving_depth(poly_divexact(p_sf * q_sf, g))
+            sp, sq = p_sf.sign_at(a, d), q_sf.sign_at(c, d)
+        if g_chain is not None and all(g_chain.count(_point(lo, d), _point(hi, d)) == 1
+                                       for lo, hi in ((a, b), (c, e), (min(a, c), max(b, e)))):
+            return 0
+        if max(b - a, e - c) << depth < d:
             raise RuntimeError("root comparison exceeded its halving bound: "
                                "a cell holds no root of its polynomial")
-        ip = _refine(p_sf, ip, ip.width / 2)
-        iq = _refine(q_sf, iq, iq.width / 2)
+        (a, b), (c, e), d = _halve(p_sf, a, b, d, sp), _halve(q_sf, c, e, d, sq), 2 * d

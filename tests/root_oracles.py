@@ -5,17 +5,35 @@ each root question."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from coxlinks.exact import (IntPolynomial, _signed_remainders, poly_divexact, poly_gcd,
                             squarefree_part)
-from coxlinks.spectra import (DEFAULT_EPSILON, RationalInterval, _check_width, _min_width,
+from coxlinks.spectra import (DEFAULT_EPSILON, RationalInterval, _check_width, _halving_depth,
                               _refine, cauchy_bound)
 
 
 def point(x: Fraction) -> tuple[int, int]:
     """x as the (numerator, denominator) pair that spectra's chains read."""
     return x.numerator, x.denominator
+
+
+def sign(p: IntPolynomial, x: Fraction) -> int:
+    """The sign of p at the rational x."""
+    return p.sign_at(x.numerator, x.denominator)
+
+
+def as_cell(iv: RationalInterval) -> tuple[int, int, int]:
+    """iv as the integer cell (a, b, d), [a / d, b / d], that spectra's
+    descents and refinement take."""
+    d = lcm(iv.lo.denominator, iv.hi.denominator)
+    return iv.lo.numerator * (d // iv.lo.denominator), iv.hi.numerator * (d // iv.hi.denominator), d
+
+
+def as_interval(cell: tuple[int, int, int]) -> RationalInterval:
+    """The integer cell (a, b, d) as the interval [a / d, b / d]."""
+    a, b, d = cell
+    return RationalInterval(Fraction(a, d), Fraction(b, d))
 
 
 def variations(values) -> int:
@@ -27,26 +45,35 @@ def variations(values) -> int:
 class HornerChain:
     """The Sturm chain of sf, each entry evaluated at a Fraction by Horner's
     rule: the oracle for the quotient-recurrence reading of
-    spectra._SturmChain, built from the remainder sequence alone."""
+    spectra._SturmChain, built from the remainder sequence alone.  A point
+    is read once: the memo keeps the sign variations of the entries'
+    Horner signs there and whether the first, sf, vanishes."""
 
     def __init__(self, sf: IntPolynomial):
         self.poly = sf
         self.entries = _signed_remainders(sf, sf.derivative())
-        self.min_width = _min_width(sf)
+        self.depth = _halving_depth(sf)
+        self._memo: dict[Fraction, tuple[int, bool]] = {}
 
     def values(self, x: Fraction) -> list[int]:
         """b^(deg p) p(x) for each entry p, x = a / b in lowest terms."""
         return [p.eval(x) * x.denominator ** p.degree for p in self.entries]
 
+    def _reading(self, x: Fraction) -> tuple[int, bool]:
+        v = self._memo.get(x)
+        if v is None:
+            signs = [sign(p, x) for p in self.entries]
+            v = self._memo[x] = variations(signs), signs[0] == 0
+        return v
+
     def is_root(self, x: Fraction) -> bool:
-        return self.poly.eval(x) == 0
+        return self._reading(x)[1]
 
     def count(self, lo: Fraction, hi: Fraction) -> int:
         """Distinct roots in the half-open interval (lo, hi]."""
         if lo >= hi:
             return 0
-        return variations(p.eval_sign(lo) for p in self.entries) - \
-            variations(p.eval_sign(hi) for p in self.entries)
+        return self._reading(lo)[0] - self._reading(hi)[0]
 
 
 @dataclass(frozen=True)
@@ -148,10 +175,10 @@ def refine_by_fractions(sf: IntPolynomial, iv: RationalInterval, eps: Fraction) 
     if iv.is_point:
         return iv
     lo, hi = iv.lo, iv.hi
-    slo = sf.eval_sign(lo)
+    slo = sign(sf, lo)
     while hi - lo > eps:
         mid = (lo + hi) / 2
-        s = sf.eval_sign(mid)
+        s = sign(sf, mid)
         if s == 0:
             return RationalInterval(mid, mid)
         if s == slo:
@@ -166,8 +193,8 @@ def separate(sf: IntPolynomial, intervals: list[RationalInterval]) -> list[Ratio
     # the closed intervals are pairwise disjoint
     for i in range(len(intervals) - 1):
         while intervals[i].hi >= intervals[i + 1].lo:
-            intervals[i] = _refine(sf, intervals[i], intervals[i].width / 2)
-            intervals[i + 1] = _refine(sf, intervals[i + 1], intervals[i + 1].width / 2)
+            intervals[i] = _refine(sf, as_cell(intervals[i]), intervals[i].width / 2)
+            intervals[i + 1] = _refine(sf, as_cell(intervals[i + 1]), intervals[i + 1].width / 2)
     return intervals
 
 
@@ -175,8 +202,8 @@ def root_in(factor: IntPolynomial, iv: RationalInterval) -> bool:
     """Does the squarefree factor have (the) root inside this isolating
     interval?  Exact: point check or endpoint sign change."""
     if iv.is_point:
-        return factor.eval_sign(iv.lo) == 0
-    return factor.eval_sign(iv.lo) * factor.eval_sign(iv.hi) < 0
+        return sign(factor, iv.lo) == 0
+    return sign(factor, iv.lo) * sign(factor, iv.hi) < 0
 
 
 def isolate_real_roots(p: IntPolynomial, eps: Fraction = DEFAULT_EPSILON) -> RootIsolation:
@@ -188,9 +215,53 @@ def isolate_real_roots(p: IntPolynomial, eps: Fraction = DEFAULT_EPSILON) -> Roo
         raise ValueError("eps must be positive")
     decomp = squarefree_decomposition(p)
     sf = prod((f for f, _ in decomp), start=IntPolynomial([1]))  # no more gcds
-    intervals = separate(sf, [_refine(sf, iv, eps) for iv in isolate_squarefree(sf)])
+    intervals = separate(sf, [_refine(sf, as_cell(iv), eps) for iv in isolate_squarefree(sf)])
     roots = []
     for iv in intervals:
         mult = next(m for f, m in decomp if root_in(f, iv))
         roots.append((iv, mult))
     return RootIsolation(tuple(roots), sf)
+
+
+def compare_by_fractions(p_sf: IntPolynomial, ip: RationalInterval,
+                         q_sf: IntPolynomial, iq: RationalInterval) -> int:
+    """The Fraction loop that spectra.compare_isolated_roots replaced, its
+    oracle: each round halves both intervals with refine_by_fractions,
+    reads the left-end signs again, and counts the gcd's roots on a
+    HornerChain; it raises past the same halving bound."""
+    g = None
+    while True:
+        if ip.is_point and iq.is_point:
+            r, s = ip.lo, iq.lo
+            return (r > s) - (r < s)
+        if ip.is_point ^ iq.is_point:
+            if ip.is_point:
+                x, other_sf, other, flip = ip.lo, q_sf, iq, 1
+            else:
+                x, other_sf, other, flip = iq.lo, p_sf, ip, -1
+            if x <= other.lo:
+                return -flip
+            if x >= other.hi:
+                return flip
+            s = sign(other_sf, x)
+            if s == 0:
+                return 0
+            # root of other_sf lies right of x iff no crossing yet
+            return -flip if s == sign(other_sf, other.lo) else flip
+        if ip.hi <= iq.lo:
+            return -1
+        if iq.hi <= ip.lo:
+            return 1
+        if g is None:
+            g = poly_gcd(p_sf, q_sf)
+            g_chain = HornerChain(g) if g.degree > 0 else None
+            floor = Fraction(1, 1 << _halving_depth(poly_divexact(p_sf * q_sf, g)))
+        if g_chain is not None:
+            hull = min(ip.lo, iq.lo), max(ip.hi, iq.hi)
+            if all(g_chain.count(lo, hi) == 1 for lo, hi in ((ip.lo, ip.hi), (iq.lo, iq.hi), hull)):
+                return 0
+        if max(ip.width, iq.width) < floor:
+            raise RuntimeError("root comparison exceeded its halving bound: "
+                               "a cell holds no root of its polynomial")
+        ip = refine_by_fractions(p_sf, ip, ip.width / 2)
+        iq = refine_by_fractions(q_sf, iq, iq.width / 2)

@@ -309,6 +309,18 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert err == "error: internal error: inexact Sturm-chain recurrence: inconsistent Sturm chain\n"
 
+    def test_rootless_comparison_cell_exits_4(self, capsys, monkeypatch):
+        # every radius cell moved to [100, 101], where no Coxeter
+        # polynomial has a root: min-search compares two of them
+        real = spectra._Roots.radius_cell
+        rootless = spectra.RationalInterval(Fraction(100), Fraction(101))
+        monkeypatch.setattr(spectra._Roots, "radius_cell",
+                            lambda roots, eps: (real(roots, eps)[0], rootless))
+        code, out, err = run_cli(capsys, "min-search", "--nmax", "4")
+        assert (code, out) == (4, "")
+        assert err == ("error: internal error: root comparison exceeded its halving bound: "
+                       "a cell holds no root of its polynomial\n")
+
     @pytest.mark.parametrize("error", [RuntimeError("stuck\nsecond line"),
                                        RecursionError("maximum recursion depth exceeded"),
                                        RuntimeError()])

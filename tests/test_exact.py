@@ -76,12 +76,12 @@ class TestIntPolynomial:
         assert p.eval(3) == 1
         assert p.eval(Fraction(1, 2)) == Fraction(-1, 4)
 
-    def test_eval_sign_matches_eval(self):
+    def test_sign_at_matches_eval(self):
         p = P(-2, 0, 1)
         for x in (Fraction(-3), Fraction(0), Fraction(7, 5), Fraction(141421356, 10**8)):
             v = p.eval(x)
             s = (v > 0) - (v < 0)
-            assert p.eval_sign(x) == s
+            assert p.sign_at(x.numerator, x.denominator) == s
 
     def test_derivative(self):
         assert P(5, 3, 0, 2).derivative().coeffs == (3, 0, 6)

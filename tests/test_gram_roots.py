@@ -20,7 +20,7 @@ from coxlinks.graphs import (MINUS, PLUS, MixedSignCoxeterGraph, enumerate_alter
 from coxlinks.spectra import _Roots, cauchy_bound
 
 from graph_strategies import connected_random_sign_graphs
-from root_oracles import HornerChain, point
+from root_oracles import HornerChain, point, sign
 
 F = Fraction
 
@@ -55,15 +55,15 @@ def assert_gram_counts_match(g: MixedSignCoxeterGraph) -> None:
     ref, fast = _Roots(c), _Roots.of_gram(_gram_polynomial(g), g.n)
     assert fast.poly == ref.poly == squarefree_part(c)
     assert fast.chain.poly == ref.chain.poly
-    assert (fast.bound, fast.min_width) == (ref.bound, ref.min_width)
+    assert (fast.bound, fast.depth) == (ref.bound, ref.depth)
     far = cauchy_bound(ref.poly * ref.chain.poly)  # where the radius descent starts
     points = sorted(POINTS + [ref.bound, -ref.bound, far, -far])
     for lo, hi in combinations(points, 2):
         assert fast.chain.count(point(lo), point(hi)) == ref.chain.count(point(lo), point(hi)), (lo, hi)
     for x in points:
         assert fast.chain.is_root(point(x)) == ref.chain.is_root(point(x)) == \
-            (ref.chain.poly.eval_sign(x) == 0), x
-        assert fast.is_root(point(x)) == (fast.poly.eval_sign(x) == 0), x
+            (sign(ref.chain.poly, x) == 0), x
+        assert fast.is_root(point(x)) == (sign(fast.poly, x) == 0), x
     assert_descent_readings_match_horner(ref, fast, points)
 
 
@@ -137,10 +137,11 @@ class TestOneReadingPerPoint:
         sf = IntPolynomial([-1, 2]) * IntPolynomial([3, 1])  # (2t - 1)(t + 3)
         chain = spectra._SturmChain(sf)
         for x in (F(-4), F(-3), F(0), F(1, 2), F(1, 2) + F(1, 1 << 40), F(5)):
-            assert chain.is_root(point(x)) == (sf.eval_sign(x) == 0), x
+            assert chain.is_root(point(x)) == (sign(sf, x) == 0), x
         # the first midpoint of (-4, 5] is the root 1/2, found on the
         # readings the counts make
-        assert spectra._top_cell(chain, F(-4), F(5)) == spectra.RationalInterval(F(1, 2), F(1, 2))
+        a, b, d = spectra._top_cell(chain, -4, 5, 1)
+        assert F(a, d) == F(b, d) == F(1, 2)
         assert chain.count((-4, 1), (1, 2)) == 2 and chain.count((1, 2), (5, 1)) == 0
 
     def test_descents_evaluate_nothing_above_the_gram_degree(self, monkeypatch):
@@ -157,9 +158,10 @@ class TestOneReadingPerPoint:
             return real_values(chain, x)
 
         monkeypatch.setattr(spectra._SturmChain, "values", counting)
-        assert spectra._top_cell(roots, -roots.bound, roots.bound) is not None
+        bound = roots.bound
+        assert spectra._top_cell(roots, -bound.numerator, bound.numerator, bound.denominator) is not None
         far = cauchy_bound(roots.poly * roots.chain.poly)
-        assert spectra._top_cell(roots.chain, F(0), far) is not None
+        assert spectra._top_cell(roots.chain, 0, far.numerator, far.denominator) is not None
         assert degrees and max(degrees) <= d
 
 

@@ -121,6 +121,18 @@ class TestParsing:
         with pytest.raises(GraphError):
             MixedSignCoxeterGraph(("a", "a"), (PLUS, MINUS), ((0, 1),))
 
+    @pytest.mark.parametrize("name", ["", "a b", " a", "a\t", "a\nb", "a\u00a0b", "a\u2028b",
+                                      "\x1c", 1, None])
+    def test_names_that_cannot_be_written_back_are_rejected(self, name):
+        with pytest.raises(GraphError, match="vertex names"):
+            MixedSignCoxeterGraph((name, "c"), (PLUS, MINUS), ((0, 1),))
+
+    def test_round_trip_of_odd_names(self):
+        odd = ("#x", "-", "+", "vertex", "edge", "λ", "頂点", "a#b", "ü-1", "😀", "\x00")
+        g = MixedSignCoxeterGraph(odd, (PLUS, MINUS) * 5 + (PLUS,),
+                                  tuple((i, i + 1) for i in range(len(odd) - 1)))
+        assert parse_graph(graph_to_text(g)) == g
+
 
 class TestBipartitions:
     def test_alternating_detection(self):

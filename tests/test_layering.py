@@ -141,10 +141,15 @@ def fractions_built(path: Path, name: str) -> int:
 READINGS = {"eval_sign", "sign_at"}
 
 
+# the descents read only their chain; the halving step, refinement and
+# the comparison of two enclosures read signs of sf itself, on integers
 @pytest.mark.parametrize("name,banned", [("_top_cell", READINGS | {"poly"}),
                                          ("_root_gap", READINGS | {"poly"}),
                                          ("_GramChain", READINGS),
-                                         ("_SturmChain", READINGS)])
+                                         ("_SturmChain", READINGS),
+                                         ("_halve", {"eval_sign", "poly"}),
+                                         ("_refine", {"eval_sign", "poly"}),
+                                         ("compare_isolated_roots", {"eval_sign", "poly"})])
 def test_descents_take_root_tests_from_the_chain_readings(name, banned):
     assert not attributes_read(PACKAGE / "spectra.py", name) & banned
     # integer points: a Fraction only in the RationalInterval returned
@@ -216,6 +221,8 @@ ALLOWED_WITHOUT_CALLER = {
     "spectra.is_real_stable": "README Library entry point: real stability of a polynomial",
     "spectra.RationalInterval.contains": "value type: does an enclosure hold a rational",
     "spectra.RationalInterval.midpoint": "value type: the centre of an enclosure",
+    "spectra.RationalInterval.width": "value type: the width of an enclosure",
+    "spectra.RationalInterval.is_point": "value type: is an enclosure one rational",
     "exact.IntPolynomial.eval": "value type: exact value at an int or Fraction",
     "exact.IntPolynomial.coefficient": "value type: the coefficient of t^k, 0 past the degree",
 }

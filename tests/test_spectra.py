@@ -2,6 +2,7 @@
 
 import random
 import signal
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, isqrt, prod
@@ -32,9 +33,9 @@ from coxlinks.spectra import (
     spectral_radius_enclosure,
 )
 
-from root_oracles import (HornerChain, isolate_real_roots, isolate_squarefree, point,
-                          refine_by_fractions, root_in, separate, squarefree_decomposition,
-                          sturm_count)
+from root_oracles import (HornerChain, as_cell, as_interval, compare_by_fractions,
+                          isolate_real_roots, isolate_squarefree, point, refine_by_fractions,
+                          root_in, separate, sign, squarefree_decomposition, sturm_count)
 from test_coxeter import seeded_graphs_with_cycles
 
 F = Fraction
@@ -332,7 +333,7 @@ def full_isolation_max_root(p, eps):
     intervals = isolate_squarefree(sf)
     if not intervals:
         raise ValueError("polynomial has no real roots")
-    return spectra._refine(sf, intervals[-1], eps)
+    return spectra._refine(sf, as_cell(intervals[-1]), eps)
 
 
 def fold_witness(p, eps):
@@ -357,8 +358,9 @@ def own_chain_top_cell(p, eps):
     on sf's own chain, which max_real_root ran before."""
     sf = squarefree_part(p)
     bound = cauchy_bound(sf)
-    cell = spectra._top_cell(spectra._SturmChain(sf), -bound, bound)
-    return None if cell is None else spectra._refine(sf, cell, eps)
+    top = spectra._top_cell(spectra._SturmChain(sf), -bound.numerator, bound.numerator,
+                            bound.denominator)
+    return None if top is None else spectra._refine(sf, top, eps)
 
 
 def dyadic_product(factors):
@@ -616,8 +618,8 @@ def roots_outside(p, h):
             return iv.lo >= x
         if not iv.lo < x < iv.hi:
             return x <= iv.lo
-        s = sf.eval_sign(x)
-        return s == 0 or s != sf.eval_sign(iv.hi)
+        s = sign(sf, x)
+        return s == 0 or s != sign(sf, iv.hi)
 
     return sum(at_least(iv, h) or not at_least(iv, -h) for iv, _ in iso.roots)
 
@@ -818,31 +820,56 @@ class TestCompareIsolatedRoots:
         b = P(-7071, 5000)
         ib = max_real_root(b, F(1, 4))
         assert not (ia.is_point or ib.is_point)
-        assert spectra._SturmChain(a).min_width == F(1, 1 << 9)
+        assert spectra._SturmChain(a).depth == 9
         assert compare_isolated_roots(a, ia, b, ib) == 1
         assert compare_isolated_roots(b, ib, a, ia) == -1
 
     def test_rootless_cells_raise_instead_of_hanging(self):
-        # neither x^2 - 2 nor x - 5 has a root in [3, 4]
-        cell = RationalInterval(F(3), F(4))
-        with within_seconds(20):
-            with pytest.raises(RuntimeError, match="halving bound"):
-                compare_isolated_roots(P(-2, 0, 1), cell, P(-5, 1), cell)
+        # neither x^2 - 2 nor x - 5 has a root in [3, 4], sqrt(2) is
+        # outside [2/3, 6/5], and 1 / sqrt(5) and 3/7 are outside
+        # [1/3, 2/5]; the Fraction oracle raises on each as well
+        for p_sf, q_sf, cell in ((P(-2, 0, 1), P(-5, 1), RationalInterval(F(3), F(4))),
+                                 (P(-2, 0, 1), P(-2, 0, 1) * P(-7, 1),
+                                  RationalInterval(F(2, 3), F(6, 5))),
+                                 (P(-1, 0, 5), P(-3, 7), RationalInterval(F(1, 3), F(2, 5)))):
+            for compare in (compare_isolated_roots, compare_by_fractions):
+                with within_seconds(20):
+                    with pytest.raises(RuntimeError, match="halving bound"):
+                        compare(p_sf, cell, q_sf, cell)
 
 
-def refine_checked_against_fractions(monkeypatch) -> list[tuple[RationalInterval, Fraction]]:
+def refine_checked_against_fractions(monkeypatch) -> list[tuple[tuple[int, int, int], Fraction]]:
     """Route every spectra._refine call through a check against the
     Fraction loop of the oracle; returns each call's (cell, eps)."""
     calls = []
     real = spectra._refine
 
-    def checked(sf, iv, eps):
-        out = real(sf, iv, eps)
-        assert out == refine_by_fractions(sf, iv, eps), (sf, iv, eps)
-        calls.append((iv, eps))
+    def checked(sf, cell, eps):
+        out = real(sf, cell, eps)
+        assert out == refine_by_fractions(sf, as_interval(cell), eps), (sf, cell, eps)
+        calls.append((cell, eps))
         return out
 
     monkeypatch.setattr(spectra, "_refine", checked)
+    return calls
+
+
+def compare_halvings_checked_against_fractions(monkeypatch) -> list[tuple[int, int, int]]:
+    """Route every spectra._halve call through a check against one halving
+    of the oracle's Fraction loop; returns the cells that
+    compare_isolated_roots halved."""
+    calls = []
+    real = spectra._halve
+
+    def checked(sf, a, b, d, slo):
+        out = real(sf, a, b, d, slo)
+        iv = as_interval((a, b, d))
+        assert as_interval((*out, 2 * d)) == refine_by_fractions(sf, iv, iv.width / 2), (sf, a, b, d)
+        if sys._getframe(1).f_code.co_name == "compare_isolated_roots":
+            calls.append((a, b, d))
+        return out
+
+    monkeypatch.setattr(spectra, "_halve", checked)
     return calls
 
 
@@ -872,7 +899,7 @@ class TestIntegerRefine:
             for eps in (iv.width / (1 << (halvings - 1)), iv.width / (1 << halvings),
                         iv.width / (1 << halvings) - F(1, 10 ** 6), F(1, 10 ** 9)):
                 expected = refine_by_fractions(sf, iv, eps)
-                assert spectra._refine(sf, iv, eps) == expected
+                assert spectra._refine(sf, as_cell(iv), eps) == expected
                 assert (expected == half) == (eps < iv.width / (1 << (halvings - 1))), (iv, eps)
 
     def test_stopping_level_at_and_next_to_each_width(self):
@@ -885,15 +912,96 @@ class TestIntegerRefine:
                 for j in range(8):
                     at = iv.width / (1 << j)
                     for eps in (at, at + F(1, 10 ** 12), at - F(1, 10 ** 12), at / 3):
-                        assert spectra._refine(sf, iv, eps) == refine_by_fractions(sf, iv, eps)
+                        assert spectra._refine(sf, as_cell(iv), eps) == refine_by_fractions(sf, iv, eps)
 
     def test_one_halving_calls_of_compare_isolated_roots(self, monkeypatch):
-        calls = refine_checked_against_fractions(monkeypatch)
+        halvings = compare_halvings_checked_against_fractions(monkeypatch)
         a, b = P(-2, 0, 1), P(-7071, 5000)
         assert compare_isolated_roots(a, max_real_root(a, F(1, 4)), b, max_real_root(b, F(1, 4))) == 1
         min_dilatation_search(8, dedup=True)
-        halvings = [iv for iv, eps in calls if eps == iv.width / 2]
         assert len(halvings) >= 10
+
+
+def assert_compare_matches_fractions(p_sf, ip, q_sf, iq):
+    """Both orders of one comparison against the Fraction oracle; returns
+    the verdict."""
+    verdict = compare_isolated_roots(p_sf, ip, q_sf, iq)
+    assert verdict == compare_by_fractions(p_sf, ip, q_sf, iq), (p_sf, ip, q_sf, iq)
+    assert compare_isolated_roots(q_sf, iq, p_sf, ip) == -verdict
+    return verdict
+
+
+class TestCompareAgainstFractionOracle:
+    """compare_isolated_roots on integer cells over one denominator
+    against the Fraction loop it replaced (root_oracles.compare_by_fractions)."""
+
+    def test_radius_cells_of_every_tree_class_up_to_nine_vertices(self):
+        trees = [g for n in range(2, 10) for g in enumerate_alternating_trees(n, dedup=True)]
+        assert len(trees) == 1 + 1 + 2 + 3 + 6 + 11 + 23 + 47
+        cells = [_Roots(coxeter_polynomial(g)).radius_cell(F(1, 4)) for g in trees]
+        verdicts = [assert_compare_matches_fractions(*cells[i], *cells[j])
+                    for i in range(len(cells)) for j in range(i, len(cells))]
+        # every pair in both orders, and the path on two vertices, first,
+        # attains the least radius, phi^2
+        assert {-1, 0, 1} == set(verdicts)
+        assert max(verdicts[:len(cells)]) == 0
+
+    def test_point_cells_on_both_sides(self):
+        sf, p = P(-1, 2), RationalInterval(F(1, 2), F(1, 2))  # the root 1/2 as a point
+        for q_sf, lo, hi, expected in (
+                (P(-3, 1) * P(1, 1), F(2), F(4), -1),      # 3; the point left of the cell
+                (P(-1, 4) * P(5, 1), F(0), F(1, 2), 1),    # 1/4; the point on its right end
+                (P(-1, 2) * P(-5, 1), F(1, 3), F(1), 0),   # inside, and the same root
+                (P(-2, 0, 9), F(1, 3), F(1), 1),           # sqrt(2) / 3 = 0.471..
+                (P(-1, 0, 3), F(1, 3), F(1), -1),          # 1 / sqrt(3) = 0.577..
+                (P(-1, 0, 5), F(1, 3), F(2, 3), 1)):       # 1 / sqrt(5) = 0.447..
+            iq = RationalInterval(lo, hi)
+            assert assert_compare_matches_fractions(sf, p, q_sf, iq) == expected, (q_sf, iq)
+        for q_sf, x, expected in ((P(-2, 3), F(2, 3), -1), (P(-2, 4), F(1, 2), 0),
+                                  (P(1, 5), F(-1, 5), 1)):
+            iq = RationalInterval(x, x)
+            assert assert_compare_matches_fractions(sf, p, q_sf, iq) == expected
+        # the midpoint root 3/4 turns a cell into a point while both halve
+        ip, iq = RationalInterval(F(0), F(1)), RationalInterval(F(1, 2), F(1))
+        assert assert_compare_matches_fractions(P(-3, 4) * P(5, 1), ip, P(-3, 0, 5), iq) == -1
+
+    def test_equal_roots_through_the_gcd_chain(self):
+        calls = 0
+        for g, others in ((P(-2, 0, 1), (P(5, 1), P(-1, 1), P(1, 1, 1))),
+                          (P(-1, -1, 1), (P(0, 1), P(1, 0, 1))),
+                          (P(-1, 3, 0, -1), (P(7, 2), P(2, -1, 1)))):
+            for other in others:
+                q = squarefree_part(g * other)
+                for eps in (F(1, 2), F(1, 3), F(1, 10)):
+                    ip, iq = max_real_root(g, eps), max_real_root(q, eps)
+                    # the same irrational root in both: overlapping cells
+                    assert not (ip.is_point or iq.is_point or ip.hi <= iq.lo or iq.hi <= ip.lo)
+                    assert assert_compare_matches_fractions(g, ip, q, iq) == 0
+                    calls += 1
+        assert calls == 21
+
+    def test_cells_whose_denominators_are_not_powers_of_two(self):
+        cases = (
+            (P(-1, 0, 5), (F(1, 3), F(1, 2)), P(-3, 7), (F(2, 5), F(4, 9)), 1),  # 0.447 > 3/7
+            (P(-1, 0, 5), (F(1, 3), F(1, 2)), P(-1, 0, 5) * P(1, 1), (F(2, 5), F(5, 11)), 0),
+            (P(-2, 0, 1), (F(4, 3), F(3, 2)), P(-99, 70), (F(7, 5), F(10, 7)), -1),  # < 99/70
+            (P(-10, 0, 7), (F(7, 6), F(6, 5)), P(-13, 0, 9), (F(11, 10), F(5, 4)), -1),
+        )
+        for p_sf, (a, b), q_sf, (c, e), expected in cases:
+            ip, iq = RationalInterval(a, b), RationalInterval(c, e)
+            assert root_in(p_sf, ip) and root_in(q_sf, iq)
+            assert not (b <= c or e <= a)
+            assert assert_compare_matches_fractions(p_sf, ip, q_sf, iq) == expected
+
+    @given(DYADIC_FACTORS, st.sampled_from(EXTRA_FACTORS), st.sampled_from(EXTRA_FACTORS),
+           st.sampled_from([F(1, 2), F(1, 3), F(2, 5), F(1, 7)]))
+    @settings(max_examples=100, deadline=None)
+    def test_top_roots_of_related_products(self, factors, extra_p, extra_q, eps):
+        # products sharing factors: ties, near ties and disjoint cells
+        base = dyadic_product(factors)
+        p, q = squarefree_part(base * extra_p), squarefree_part(base * extra_q * P(-1, 3))
+        ip, iq = max_real_root(p, eps), max_real_root(q, eps)
+        assert_compare_matches_fractions(p, ip, q, iq)
 
 
 class TestRationalInterval:
