@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import IntMatrix, IntPolynomial, _coxeter_from_gram
+from .exact import IntMatrix, IntPolynomial, _coxeter_from_gram, _kronecker_digits
 from .graphs import (MixedSignCoxeterGraph, NotAlternatingError, adjacency_matrix,
                      graph_to_text, is_alternating_sign, sign_bipartition,
                      two_coloring)
@@ -55,12 +55,16 @@ def coxeter_transformation(g: MixedSignCoxeterGraph) -> IntMatrix:
     return c_plus @ c_minus
 
 
-def _tree_charpoly(g: MixedSignCoxeterGraph) -> IntPolynomial:
-    """chi of a tree's A_w (see coxeter_polynomial) by the recursion
-    phi(T) = x phi(T - v) - sum_{u ~ v} w_uv phi(T - v - u), w_uv =
-    -s_u s_v, bottom-up over a breadth-first order.  Below v, prod[v] =
-    phi(T_v - v) is the product over the children u, and excl[v] sums
-    their w_vu phi(T_v - v - u) = w_vu prod[u] times the others' phi."""
+def _tree_gram(g: MixedSignCoxeterGraph, s: int) -> IntPolynomial:
+    """q of a tree (see coxeter_polynomial), q_j = M_(s-j), from the
+    matching polynomial M(z) = sum_k z^k sum_(k-edge matchings) prod s_u s_v
+    at z = 2^b.  A matching misses v or covers it by an edge vu, so bottom-up
+    over a breadth-first order, prod[v] = M(T_v - v) is the product over the
+    children u, excl[v] sums their s_v s_u M(T_u - u) times the others'
+    M(T_w), and M(T_v) = prod[v] + z excl[v].  |M_k| is at most the number
+    Z of matchings, and Z <= F_(m+1) (Fibonacci) on a forest of m vertices:
+    drop an isolated vertex, or split on a leaf v, Z(F) = Z(F - v) + Z(F -
+    v - u).  So |M_k| <= F_(n+1) <= phi^n < 2^(7n/10) < 2^(b-1)."""
     n, signs = g.n, g.signs
     order, parent = [0], [-1] * n
     for v in order:  # grows while it is read: a breadth-first walk
@@ -68,16 +72,15 @@ def _tree_charpoly(g: MixedSignCoxeterGraph) -> IntPolynomial:
             if u != parent[v]:
                 parent[u] = v
                 order.append(u)
-    x = IntPolynomial([0, 1])
-    prod = [IntPolynomial([1])] * n
-    excl = [IntPolynomial()] * n
+    b = (7 * n // 10 + 9) // 8 * 8
+    prod, excl = [1] * n, [0] * n
     for v in reversed(order):
-        phi = x * prod[v] - excl[v]
+        mv = prod[v] + (excl[v] << b)
         p = parent[v]
         if p >= 0:
-            excl[p] = excl[p] * phi - signs[p] * signs[v] * prod[v] * prod[p]
-            prod[p] = prod[p] * phi
-    return phi
+            excl[p] = excl[p] * mv + signs[p] * signs[v] * prod[v] * prod[p]
+            prod[p] *= mv
+    return IntPolynomial(reversed(_kronecker_digits(mv, b, s + 1)))
 
 
 def _gram_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
@@ -87,7 +90,7 @@ def _gram_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
     small = sorted(min(bip.part_plus, bip.part_minus, key=len))
     n, s, signs = g.n, len(small), g.signs
     if g.edge_count == n - 1:
-        return IntPolynomial(_tree_charpoly(g).coeffs[n - 2 * s::2])
+        return _tree_gram(g, s)
     # G_ij adds -s_i s_w for every common neighbour w of i and j in S
     index = {v: k for k, v in enumerate(small)}
     gram = [[0] * s for _ in range(s)]
@@ -130,12 +133,14 @@ def coxeter_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
     which gives -(A_w)_uv (A_w)_vu = s_u s_v, as a longer cycle needs a
     cycle in the graph.  So chi sums x^(n-2k) prod s_u s_v over the
     k-edge matchings, the matching polynomial on an alternating tree
-    (Godsil, Algebraic Combinatorics, ch. 1).  A matching misses v or
-    covers it by one edge vu: the recursion _tree_charpoly runs.  By the
-    Schur step q is every other coefficient of chi from x^(n-2s) on.  A
-    graph with a cycle runs Berkowitz on the s x s matrix G, built from
-    common neighbours.  correspondence_check in tests/matrix_oracles.py
-    tests both routes against the n x n ones.
+    (Godsil, Algebraic Combinatorics, ch. 1), so q_j sums over the
+    (s-j)-edge matchings by the Schur step.  _tree_gram runs the matching
+    recursion at z = 2^b on integers and reads q off the base-2^b digits,
+    2^(b-1) > 2^(7n/10) >= |q_j|; _coxeter_from_gram runs the substitution
+    at t = 2^b, 2^(b-1) > 2^n sum_k |q_k| >= |c_i|.  A graph with a cycle
+    runs Berkowitz on the s x s matrix G, built from common neighbours.
+    correspondence_check in tests/matrix_oracles.py tests both routes
+    against the n x n ones.
     """
     return _coxeter_from_gram(_gram_polynomial(g), g.n)
 

@@ -9,7 +9,7 @@ exactness of these primitives.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd as _int_gcd
+from math import gcd as _int_gcd
 from operator import index
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -246,19 +246,34 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     return poly_divexact(f, g).primitive()
 
 
+def _kronecker_digits(v: int, b: int, count: int) -> list[int]:
+    """Balanced base-2^b digits d_0, ..., d_(count-1) of v, in [-2^(b-1),
+    2^(b-1)), b a multiple of 8: p(2^b) reads back as p if all |p_i| <
+    2^(b-1).  Plus 2^(b-1) in every digit they are the bytes of one
+    integer, read in linear time.  RuntimeError if v is no such sum."""
+    w, half = b // 8, 1 << (b - 1)
+    try:
+        data = (v + int.from_bytes((bytes(w - 1) + b"\x80") * count, "little")).to_bytes(w * count, "little")
+    except OverflowError:
+        raise RuntimeError(f"Kronecker digits: value out of range of {count} digits") from None
+    return [int.from_bytes(data[i:i + w], "little") - half for i in range(0, w * count, w)]
+
+
 def _coxeter_from_gram(q: IntPolynomial, n: int) -> IntPolynomial:
     """A'Campo's substitution (-1)^s (t+1)^(n-2s) sum_k q_k (-(t+1)^2)^k
     t^(s-k), s = deg q: the Coxeter polynomial of an n-vertex graph from
-    its Gram polynomial q, as proved in coxeter.coxeter_polynomial."""
+    its Gram polynomial q, as proved in coxeter.coxeter_polynomial, at t =
+    2^b by the homogeneous Horner rule acc u + q_k t^(s-k), u = -(t+1)^2 by
+    shifts.  The terms of (t+1)^(n-2s+2k) t^(s-k) are nonnegative with sum
+    at most 2^n, so |c_i| <= 2^n sum_k |q_k| < 2^(b-1)."""
     q = q.coeffs
     s = len(q) - 1
-    # homogeneous Horner: acc = sum_k q_k u^k t^(s-k) with u = -(t+1)^2
-    u = IntPolynomial([-1, -2, -1])
-    acc = IntPolynomial([q[s]])
+    b = (n + sum(map(abs, q)).bit_length() + 9) // 8 * 8
+    acc = q[s]
     for k in range(s - 1, -1, -1):
-        acc = acc * u + IntPolynomial([0] * (s - k) + [q[k]])
-    acc = acc * IntPolynomial(comb(n - 2 * s, i) for i in range(n - 2 * s + 1))
-    return -acc if s % 2 else acc
+        acc = (q[k] << b * (s - k)) - (acc << 2 * b) - (acc << (b + 1)) - acc
+    acc *= ((1 << b) + 1) ** (n - 2 * s)
+    return IntPolynomial(_kronecker_digits(-acc if s % 2 else acc, b, n + 1))
 
 
 class IntMatrix:

@@ -40,3 +40,22 @@ def connected_random_sign_graphs(draw):
     g = draw(connected_alternating_graphs())
     signs = tuple(draw(st.sampled_from((PLUS, MINUS))) for _ in range(g.n))
     return MixedSignCoxeterGraph(g.names, signs, g.edges)
+
+
+@st.composite
+def signed_trees(draw, max_n=60):
+    """A random tree on 1..max_n vertices with alternating, all-plus or
+    independently drawn signs."""
+    n = draw(st.integers(1, max_n))
+    parent = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    kind = draw(st.sampled_from(("alternating", "plus", "mixed")))
+    if kind == "alternating":
+        signs = [draw(st.sampled_from((PLUS, MINUS)))]
+        for i in range(1, n):
+            signs.append(-signs[parent[i]])
+    elif kind == "plus":
+        signs = [PLUS] * n
+    else:
+        signs = [draw(st.sampled_from((PLUS, MINUS))) for _ in range(n)]
+    return MixedSignCoxeterGraph(tuple(f"v{i}" for i in range(n)), tuple(signs),
+                                 tuple((parent[i], i) for i in range(1, n)))

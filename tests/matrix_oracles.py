@@ -1,10 +1,11 @@
 """Test-only matrix oracles, independent of the routes the package takes."""
 
 from fractions import Fraction
+from math import comb
 
 from coxlinks import coxeter
 from coxlinks.exact import IntMatrix, IntPolynomial
-from coxlinks.graphs import MixedSignCoxeterGraph, adjacency_matrix
+from coxlinks.graphs import MixedSignCoxeterGraph, adjacency_matrix, two_coloring
 
 
 def identity(n: int) -> IntMatrix:
@@ -101,6 +102,55 @@ def reflection(g: MixedSignCoxeterGraph, i: int) -> IntMatrix:
         rows[i][j] = s
     rows[i][i] = -1
     return IntMatrix(rows)
+
+
+def tree_charpoly(g: MixedSignCoxeterGraph) -> IntPolynomial:
+    """chi of a tree's A_w (see coxeter.coxeter_polynomial) by the
+    recursion phi(T) = x phi(T - v) - sum_{u ~ v} w_uv phi(T - v - u),
+    w_uv = -s_u s_v, bottom-up over a breadth-first order, in IntPolynomial
+    products.  Below v, prod[v] = phi(T_v - v) is the product over the
+    children u, and excl[v] sums their w_vu phi(T_v - v - u) = w_vu prod[u]
+    times the others' phi.  The oracle for coxeter._tree_gram."""
+    n, signs = g.n, g.signs
+    order, parent = [0], [-1] * n
+    for v in order:
+        for u in g.neighbors[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    x = IntPolynomial([0, 1])
+    prod = [IntPolynomial([1])] * n
+    excl = [IntPolynomial()] * n
+    for v in reversed(order):
+        phi = x * prod[v] - excl[v]
+        p = parent[v]
+        if p >= 0:
+            excl[p] = excl[p] * phi - signs[p] * signs[v] * prod[v] * prod[p]
+            prod[p] = prod[p] * phi
+    return phi
+
+
+def tree_gram(g: MixedSignCoxeterGraph) -> IntPolynomial:
+    """q of a tree as every other coefficient of tree_charpoly from
+    x^(n-2s) on, by the Schur step chi(x) = x^(n-2s) q(x^2)."""
+    bip = two_coloring(g)
+    s = min(len(bip.part_plus), len(bip.part_minus))
+    return IntPolynomial(tree_charpoly(g).coeffs[g.n - 2 * s::2])
+
+
+def coxeter_from_gram(q: IntPolynomial, n: int) -> IntPolynomial:
+    """A'Campo's substitution (-1)^s (t+1)^(n-2s) sum_k q_k (-(t+1)^2)^k
+    t^(s-k), s = deg q, by the homogeneous Horner rule in IntPolynomial
+    products and the binomial coefficients of (t+1)^(n-2s).  The oracle
+    for exact._coxeter_from_gram."""
+    q = q.coeffs
+    s = len(q) - 1
+    u = IntPolynomial([-1, -2, -1])
+    acc = IntPolynomial([q[s]])
+    for k in range(s - 1, -1, -1):
+        acc = acc * u + IntPolynomial([0] * (s - k) + [q[k]])
+    acc = acc * IntPolynomial(comb(n - 2 * s, i) for i in range(n - 2 * s + 1))
+    return -acc if s % 2 else acc
 
 
 def correspondence_check(g: MixedSignCoxeterGraph) -> bool:

@@ -4,7 +4,8 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coxlinks import coxeter
 from coxlinks.coxeter import (
@@ -12,7 +13,6 @@ from coxlinks.coxeter import (
     IdentityMismatch,
     _gram_polynomial,
     _require_involution,
-    _tree_charpoly,
     alexander_polynomial,
     bipartite_factors,
     coxeter_polynomial,
@@ -21,7 +21,7 @@ from coxlinks.coxeter import (
     seifert_matrix,
     verify_proof_identities,
 )
-from coxlinks.exact import IntMatrix, IntPolynomial
+from coxlinks.exact import IntMatrix, IntPolynomial, _coxeter_from_gram
 from coxlinks.fixtures import fixture_graph, fixture_names
 from coxlinks.graphs import (
     MINUS,
@@ -31,6 +31,7 @@ from coxlinks.graphs import (
     NotBipartiteError,
     adjacency_matrix,
     enumerate_alternating_trees,
+    is_alternating_sign,
     parse_graph,
     random_alternating_tree,
     random_edge_augmentation,
@@ -39,8 +40,10 @@ from coxlinks.graphs import (
     two_coloring,
 )
 
-from graph_strategies import connected_alternating_graphs, connected_random_sign_graphs
-from matrix_oracles import correspondence_check, identity, inverse_unimodular, reflection
+from graph_strategies import (connected_alternating_graphs, connected_random_sign_graphs,
+                              signed_trees)
+from matrix_oracles import (correspondence_check, coxeter_from_gram, identity,
+                            inverse_unimodular, reflection, tree_gram)
 
 # printed matrices for the 5-vertex fixture, vertex order p1 p2 p3 n1 n2
 C_PLUS_5 = IntMatrix([
@@ -330,15 +333,16 @@ class TestFastCoxeterPolynomial:
                 IntPolynomial([1, 1])
 
     def test_long_path_needs_no_recursion(self):
-        # chi of a path obeys p_n = x p_(n-1) - p_(n-2); the tree walk
-        # is iterative, so a path past the recursion limit is fine
+        # chi of a path obeys p_n = x p_(n-1) - p_(n-2), and q is every
+        # other coefficient of chi; the tree walk is iterative, so a path
+        # past the recursion limit is fine
         n = 1100
         path = parse_graph("".join(f"vertex v{i} {'+-'[i % 2]}\n" for i in range(n))
                            + "".join(f"edge v{i} v{i + 1}\n" for i in range(n - 1)))
         prev, cur = IntPolynomial([1]), IntPolynomial([0, 1])
         for _ in range(n - 1):
             prev, cur = cur, IntPolynomial([0, 1]) * cur - prev
-        assert _tree_charpoly(path) == cur
+        assert _gram_polynomial(path) == IntPolynomial(cur.coeffs[n % 2::2])
 
     def test_gram_polynomial_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -351,6 +355,56 @@ class TestFastCoxeterPolynomial:
             b = sympy.Matrix([[int(g.has_edge(i, j)) for j in large] for i in small])
             expect = (b * b.T).charpoly().all_coeffs()
             assert _gram_polynomial(g).coeffs == tuple(int(x) for x in reversed(expect))
+
+
+class TestKroneckerKernels:
+    """_gram_polynomial on trees and _coxeter_from_gram, which run at z =
+    2^b on single integers, against the IntPolynomial recursion and the
+    IntPolynomial Horner substitution of tests/matrix_oracles.py."""
+
+    @staticmethod
+    def assert_kernels_match_oracles(g):
+        q = _gram_polynomial(g)
+        if g.edge_count == g.n - 1:
+            assert q == tree_gram(g), g
+        assert _coxeter_from_gram(q, g.n) == coxeter_from_gram(q, g.n), g
+
+    def test_every_tree_class_through_ten_vertices(self):
+        rng = random.Random(21)
+        for n in range(1, 11):
+            for g in enumerate_alternating_trees(n, dedup=True):
+                for signs in (g.signs, [PLUS] * n, [rng.choice((PLUS, MINUS)) for _ in range(n)]):
+                    self.assert_kernels_match_oracles(resigned(g, signs))
+                assert n == 1 or correspondence_check(g) is True
+
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixtures(self, name):
+        g = fixture_graph(name)
+        self.assert_kernels_match_oracles(g)
+        if name in ALTERNATING_FIXTURES:
+            assert correspondence_check(g) is True
+
+    @given(signed_trees(60))
+    @settings(max_examples=150, deadline=None)
+    def test_trees_up_to_sixty_vertices(self, g):
+        self.assert_kernels_match_oracles(g)
+        if g.n > 1 and is_alternating_sign(g):
+            assert correspondence_check(g) is True
+
+    def test_gram_polynomials_of_graphs_with_cycles(self):
+        for g in seeded_graphs_with_cycles() + signed_graphs_with_cycles():
+            self.assert_kernels_match_oracles(g)
+
+    @given(st.lists(st.integers(-(1 << 260), 1 << 260), max_size=12),
+           st.integers(200, 260), st.sampled_from((1, -1)), st.integers(1, 9))
+    @settings(max_examples=150, deadline=None)
+    @example([], 200, 1, 1)
+    @example([(1 << 259) - 1, -(1 << 259) + 1, 0], 259, -1, 1)
+    def test_synthetic_gram_polynomials_with_wide_coefficients(self, low, bits, sign, extra):
+        # q of degree s = len(low) with leading coefficient +-2^bits, n > 2s
+        q = IntPolynomial(low + [sign << bits])
+        n = 2 * q.degree + extra
+        assert _coxeter_from_gram(q, n) == coxeter_from_gram(q, n)
 
 
 def resigned(g, signs):

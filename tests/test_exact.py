@@ -10,6 +10,7 @@ from coxlinks import coxeter
 from coxlinks.exact import (
     IntMatrix,
     IntPolynomial,
+    _kronecker_digits,
     fraction_to_decimal,
     poly_divexact,
     poly_gcd,
@@ -105,6 +106,41 @@ class TestIntPolynomial:
         assert P(2, 4, 6).primitive().coeffs == (1, 2, 3)
         assert P(-2, -4, -6).primitive().coeffs == (1, 2, 3)
         assert P(2, -4).primitive().coeffs == (-1, 2)
+
+
+def kronecker_value(digits, b):
+    return sum(d << (b * i) for i, d in enumerate(digits))
+
+
+class TestKroneckerDigits:
+    """_kronecker_digits reads the balanced base-2^b digits of one
+    integer, and refuses a value that has no count such digits."""
+
+    @pytest.mark.parametrize("b", [8, 16, 64, 256, 1008])
+    def test_round_trip_at_the_extreme_digits_and_zero(self, b):
+        top = (1 << (b - 1)) - 1
+        for digits in ([0], [top], [-top], [-top - 1], [0] * 5, [top] * 5, [-top] * 5,
+                       [top, -top, 0, -top, top], [0, 0, top, 0, 0], [-top, 0, 0, 0, 1],
+                       [top, 0, 0, -top, 0], [1, -1, 1, -1, 0, 0]):
+            assert _kronecker_digits(kronecker_value(digits, b), b, len(digits)) == digits
+
+    @given(st.integers(1, 8).flatmap(lambda w: st.tuples(
+        st.just(8 * w), st.lists(st.integers(-(1 << (8 * w - 1)), (1 << (8 * w - 1)) - 1),
+                                 min_size=1, max_size=20))))
+    def test_round_trip(self, case):
+        b, digits = case
+        assert _kronecker_digits(kronecker_value(digits, b), b, len(digits)) == digits
+
+    @pytest.mark.parametrize("b,count", [(8, 1), (8, 4), (64, 3), (1008, 2)])
+    def test_value_out_of_range_raises(self, b, count):
+        top = (1 << (b - 1)) - 1
+        hi = kronecker_value([top] * count, b)
+        lo = kronecker_value([-top - 1] * count, b)
+        assert _kronecker_digits(hi, b, count) == [top] * count
+        assert _kronecker_digits(lo, b, count) == [-top - 1] * count
+        for v in (hi + 1, lo - 1, hi << b, -(hi << b), 1 << (b * count)):
+            with pytest.raises(RuntimeError, match="out of range"):
+                _kronecker_digits(v, b, count)
 
 
 class TestPolyGcd:
