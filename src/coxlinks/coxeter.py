@@ -26,19 +26,16 @@ class CertificationError(RuntimeError):
 def _part_product(g: MixedSignCoxeterGraph, part: frozenset[int]) -> IntMatrix:
     # The reflections of an independent set commute and each one touches
     # only its own row, so their product is assembled in a single pass.
-    rows = [[0] * g.n for _ in range(g.n)]
-    for i, row in enumerate(rows):
-        row[i] = -1 if i in part else 1
+    entries = [{i: 1} for i in range(g.n)]
     for i in part:
-        for j in g.neighbors[i]:
-            rows[i][j] = g.signs[i]
-    return IntMatrix(rows)
+        entries[i] = {**dict.fromkeys(g.neighbors[i], g.signs[i]), i: -1}
+    return IntMatrix._of(entries)
 
 
 def _require_involution(g: MixedSignCoxeterGraph, m: IntMatrix) -> None:
-    """Raises CertificationError unless m m = I, tested entry by entry."""
-    for i, row in enumerate((m @ m).rows):
-        if row[i] != 1 or any(row[:i]) or any(row[i + 1:]):
+    """Raises CertificationError unless m m = I, tested row by row."""
+    for i, row in enumerate((m @ m)._entries):
+        if row != {i: 1}:
             raise CertificationError("C+ is not an involution\n" + graph_to_text(g))
 
 
@@ -93,7 +90,7 @@ def _gram_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
         return _tree_gram(g, s)
     # G_ij adds -s_i s_w for every common neighbour w of i and j in S
     index = {v: k for k, v in enumerate(small)}
-    gram = [[0] * s for _ in range(s)]
+    gram: list[dict[int, int]] = [{} for _ in range(s)]
     for w in range(n):
         if w not in index:
             around = [index[u] for u in g.neighbors[w]]
@@ -101,8 +98,8 @@ def _gram_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
                 row = gram[i]
                 weight = -signs[small[i]] * signs[w]
                 for j in around:
-                    row[j] += weight
-    return IntMatrix(gram).charpoly()
+                    row[j] = row.get(j, 0) + weight
+    return IntMatrix._of([{j: a for j, a in row.items() if a} for row in gram]).charpoly()
 
 
 def coxeter_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:

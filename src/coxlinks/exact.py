@@ -278,51 +278,78 @@ def _coxeter_from_gram(q: IntPolynomial, n: int) -> IntPolynomial:
 
 class IntMatrix:
     """Immutable square matrix over the integers; a float or Fraction
-    entry raises TypeError."""
+    entry raises TypeError.  Each row is held as one {column: value} map
+    of its nonzero entries, so every operation runs over the nonzeros
+    and an entry that cancels to 0 is dropped; .rows is the dense view."""
 
-    __slots__ = ("rows", "n")
+    __slots__ = ("_entries", "n")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        rs = tuple(tuple(map(index, row)) for row in rows)
+        rs = [list(map(index, row)) for row in rows]
         n = len(rs)
         if any(len(r) != n for r in rs):
             raise ValueError("matrix must be square")
-        self.rows = rs
+        self._entries = tuple({j: a for j, a in enumerate(r) if a} for r in rs)
         self.n = n
 
+    @classmethod
+    def _of(cls, entries: Sequence[dict[int, int]]) -> "IntMatrix":
+        """The matrix whose row i has the nonzero entries entries[i], taken
+        unchecked: int values, none of them 0, columns below len(entries)."""
+        m = object.__new__(cls)
+        m._entries, m.n = tuple(entries), len(entries)
+        return m
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        n = self.n
+        return tuple(tuple(r.get(j, 0) for j in range(n)) for r in self._entries)
+
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntMatrix) and self.rows == other.rows
+        return isinstance(other, IntMatrix) and self._entries == other._entries
 
     def __hash__(self) -> int:
         return hash(self.rows)
 
+    def _require_size(self, other: "IntMatrix") -> None:
+        if self.n != other.n:
+            raise ValueError(f"matrix sizes differ: {self.n} and {other.n}")
+
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(tuple(tuple(a + b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.rows, other.rows)))
+        self._require_size(other)
+        out = []
+        for ra, rb in zip(self._entries, other._entries):
+            row = dict(ra)
+            for j, b in rb.items():
+                row[j] = row.get(j, 0) + b
+            out.append({j: v for j, v in row.items() if v})
+        return IntMatrix._of(out)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in r) for r in self.rows))
+        return IntMatrix._of([{j: -a for j, a in r.items()} for r in self._entries])
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        # row i of the product is sum_j a_ij (row j of other), over the
-        # nonzero a_ij and the nonzero entries of that row only
-        nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
+        # row i of the product is sum_k a_ik (row k of other)
+        self._require_size(other)
+        rows_b = other._entries
         out = []
-        for row in self.rows:
-            acc = [0] * other.n
-            for a, entries in zip(row, nonzero):
-                if a:
-                    for j, b in entries:
-                        acc[j] += a * b
-            out.append(acc)
-        return IntMatrix(out)
+        for ra in self._entries:
+            acc: dict[int, int] = {}
+            for k, a in ra.items():
+                for j, b in rows_b[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: v for j, v in acc.items() if v})
+        return IntMatrix._of(out)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
+        cols: list[dict[int, int]] = [{} for _ in range(self.n)]
+        for i, r in enumerate(self._entries):
+            for j, a in r.items():
+                cols[j][i] = a
+        return IntMatrix._of(cols)
 
     def is_symmetric(self) -> bool:
-        return all(self.rows[i][j] == self.rows[j][i]
-                   for i in range(self.n) for j in range(i + 1, self.n))
+        return self.transpose() == self
 
     def charpoly(self) -> IntPolynomial:
         """Characteristic polynomial det(tI - A), monic, by the Berkowitz
@@ -334,18 +361,17 @@ class IntMatrix:
         n = self.n
         if n == 0:
             return IntPolynomial([1])
-        rows = self.rows
+        rows = self._entries
         poly = [1]
         for k in range(1, n + 1):
-            akk = rows[k - 1][k - 1]
-            q = [1, -akk]
+            q = [1, -rows[k - 1].get(k - 1, 0)]
             if k > 1:
                 # r A^m c over the nonzero (j, a_ij) of each row of the
                 # leading (k-1) x (k-1) block A, and of r
-                block = [[(j, a) for j, a in enumerate(rows[i][:k - 1]) if a]
+                block = [[(j, a) for j, a in rows[i].items() if j < k - 1]
                          for i in range(k - 1)]
-                r = [(j, a) for j, a in enumerate(rows[k - 1][:k - 1]) if a]
-                v = [rows[i][k - 1] for i in range(k - 1)]
+                r = [(j, a) for j, a in rows[k - 1].items() if j < k - 1]
+                v = [rows[i].get(k - 1, 0) for i in range(k - 1)]
                 q.append(-sum(a * v[j] for j, a in r))
                 for _ in range(k - 2):
                     v = [sum(a * v[j] for j, a in entries) for entries in block]

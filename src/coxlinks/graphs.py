@@ -165,12 +165,7 @@ def graph_to_text(g: MixedSignCoxeterGraph) -> str:
 
 
 def adjacency_matrix(g: MixedSignCoxeterGraph) -> IntMatrix:
-    n = g.n
-    rows = [[0] * n for _ in range(n)]
-    for i, j in g.edges:
-        rows[i][j] = 1
-        rows[j][i] = 1
-    return IntMatrix(rows)
+    return IntMatrix._of([dict.fromkeys(nbrs, 1) for nbrs in g.neighbors])
 
 
 def is_alternating_sign(g: MixedSignCoxeterGraph) -> bool:

@@ -60,6 +60,25 @@ def dense_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         for row in a.rows))
 
 
+def dense_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Sum entry by entry over the dense rows, zeros included."""
+    return IntMatrix(tuple(tuple(x + y for x, y in zip(ra, rb))
+                           for ra, rb in zip(a.rows, b.rows)))
+
+
+def dense_neg(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(tuple(tuple(-x for x in row) for row in m.rows))
+
+
+def dense_transpose(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(tuple(zip(*m.rows)))
+
+
+def dense_is_symmetric(m: IntMatrix) -> bool:
+    rows = m.rows
+    return all(rows[i][j] == rows[j][i] for i in range(m.n) for j in range(m.n))
+
+
 def det(m: IntMatrix) -> int:
     """Determinant by fraction-free Bareiss elimination, algorithmically
     independent of IntMatrix.charpoly so the two can cross-check."""

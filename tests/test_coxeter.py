@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxlinks import coxeter
+from coxlinks.analysis import analyze
+from coxlinks.cli import main
 from coxlinks.coxeter import (
     CertificationError,
     IdentityMismatch,
@@ -42,8 +44,8 @@ from coxlinks.graphs import (
 
 from graph_strategies import (connected_alternating_graphs, connected_random_sign_graphs,
                               signed_trees)
-from matrix_oracles import (correspondence_check, coxeter_from_gram, identity,
-                            inverse_unimodular, reflection, tree_gram)
+from matrix_oracles import (correspondence_check, coxeter_from_gram, dense_add, dense_matmul,
+                            dense_neg, identity, inverse_unimodular, reflection, tree_gram)
 
 # printed matrices for the 5-vertex fixture, vertex order p1 p2 p3 n1 n2
 C_PLUS_5 = IntMatrix([
@@ -252,6 +254,31 @@ class TestProofIdentities:
         assert homological_monodromy(g) == -(c_minus @ c_plus)
         assert s @ s == identity(g.n) + identity(g.n) + c_plus @ c_minus + c_minus @ c_plus
         assert (c_plus @ c_minus) @ (c_minus @ c_plus) == identity(g.n)
+
+    # (I, -I) passes checks 1 and 2, and (C+ + C-)^2 = 0 is not -A^2
+    @staticmethod
+    def inject_plus_and_minus_identity(monkeypatch):
+        monkeypatch.setattr(coxeter, "bipartite_factors",
+                            lambda g: (identity(g.n), dense_neg(identity(g.n))))
+
+    def test_third_identity_failure_returns_the_mismatch(self, monkeypatch):
+        self.inject_plus_and_minus_identity(monkeypatch)
+        result = verify_proof_identities(fixture_graph("a2"))
+        assert isinstance(result, IdentityMismatch) and not result
+        assert result.identity == "(C+ + C-)^2 = -A^2"
+        s = dense_add(identity(2), dense_neg(identity(2)))
+        a = adjacency_matrix(fixture_graph("a2"))
+        assert result.lhs == dense_matmul(s, s) == IntMatrix([[0, 0], [0, 0]])
+        assert result.rhs == dense_neg(dense_matmul(a, a)) == IntMatrix([[-1, 0], [0, -1]])
+
+    def test_third_identity_failure_in_analyze(self, monkeypatch):
+        self.inject_plus_and_minus_identity(monkeypatch)
+        assert analyze(fixture_graph("a2")).proof_identities_ok is False
+
+    def test_third_identity_failure_in_the_cli(self, monkeypatch, capsys):
+        self.inject_plus_and_minus_identity(monkeypatch)
+        assert main(["analyze", "a2"]) == 0
+        assert "\nproof identities: FAILED\n" in capsys.readouterr().out
 
     def test_mismatch_is_falsy(self):
         m = IdentityMismatch("x", identity(1), identity(1))

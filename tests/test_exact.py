@@ -1,5 +1,6 @@
 """Exact integer polynomial and matrix core."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from coxlinks.exact import (
     squarefree_part,
 )
 
-from matrix_oracles import dense_matmul, det, identity, inverse_unimodular, trace
+from matrix_oracles import (dense_add, dense_is_symmetric, dense_matmul, dense_neg,
+                            dense_transpose, det, identity, inverse_unimodular, trace)
 from root_oracles import squarefree_decomposition
 from test_coxeter import seeded_graphs_with_cycles
 
@@ -339,10 +341,72 @@ class TestSparseCharpoly:
             assert_charpoly_matches_det(a)
 
 
+@st.composite
+def cancelling_pairs(draw):
+    """(a, b) of one size 0 to 7 with up to two zero rows each, where
+    a + b and a @ b cancel: b is -a, or b's row k2 is minus its row k1
+    while a's column k2 equals its column k1, so the terms of every
+    product entry through k1 and k2 sum to 0, or b is unrelated to a."""
+    n = draw(st.integers(0, 7))
+    cell = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+    a = [draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(n)]
+    b = [draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(n)]
+    for rows in (a, b):
+        for i in draw(st.sets(st.integers(0, n - 1), max_size=2)) if n else ():
+            rows[i] = [0] * n
+    kind = draw(st.sampled_from(("negated", "cancelling", "unrelated")))
+    if kind == "negated":
+        b = [[-x for x in row] for row in a]
+    elif kind == "cancelling" and n >= 2:
+        k1, k2 = draw(st.permutations(range(n)))[:2]
+        only = draw(st.booleans())  # then every entry of a @ b cancels
+        for row in a:
+            row[k2] = row[k1]
+            if only:
+                row[:] = [x if k in (k1, k2) else 0 for k, x in enumerate(row)]
+        b[k2] = [-x for x in b[k1]]
+    return IntMatrix(a), IntMatrix(b)
+
+
+class TestSparseAgainstDense:
+    """Every IntMatrix operation runs over the nonzero entries of each row
+    and drops the entries that cancel; against the dense oracles, a result
+    must equal, and hash as, the matrix built from its dense rows."""
+
+    @staticmethod
+    def assert_same(result, expected):
+        assert result == expected
+        assert hash(result) == hash(expected)
+        assert result.rows == expected.rows
+        assert result == IntMatrix(result.rows)
+
+    @given(cancelling_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_every_operation_matches_the_dense_oracle(self, pair):
+        a, b = pair
+        self.assert_same(a + b, dense_add(a, b))
+        self.assert_same(a @ b, dense_matmul(a, b))
+        self.assert_same(-a, dense_neg(a))
+        self.assert_same(a + -a, IntMatrix([[0] * a.n] * a.n))
+        self.assert_same(a.transpose(), dense_transpose(a))
+        assert a.is_symmetric() == dense_is_symmetric(a)
+        assert (a + b.transpose()).is_symmetric() == dense_is_symmetric(dense_add(a, dense_transpose(b)))
+        assert (a + a.transpose()).is_symmetric()
+        assert (a == b) == (a.rows == b.rows)
+
+
 class TestIntMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             IntMatrix([[1, 2]])
+
+    @pytest.mark.parametrize("op", [operator.add, operator.matmul])
+    def test_sizes_must_match(self, op):
+        a = M([[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match=r"^matrix sizes differ: 2 and 3$"):
+            op(a, identity(3))
+        with pytest.raises(ValueError, match=r"^matrix sizes differ: 3 and 2$"):
+            op(identity(3), a)
 
     def test_entries_must_be_integers(self):
         assert M([[True, 0], [False, 1]]).rows == ((1, 0), (0, 1))
