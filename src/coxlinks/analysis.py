@@ -317,10 +317,10 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
     """Run every certified check over all alternating trees with at most
     n_max vertices, plus seeded random extension and inclusion pairs.
     As in analyze, each tree takes c and Delta from one Gram polynomial q
-    and real stability from the spectra._Roots.of_gram of q; the n x n
-    Berkowitz runs on the monodromy and on -C+- are the slow check.
-    Each tree certifies one factorization (C+, C-) as verify_proof_identities
-    does, and reads C+- = C+ C- and the monodromy -C- C+ off it.
+    and real stability from the spectra._Roots.of_gram of q; one n x n
+    Berkowitz run on C+- = C+ C- is the slow check.  Each tree certifies
+    one factorization (C+, C-) as verify_proof_identities does, which
+    makes the monodromy C+ (-C+-) C+, so that one run covers it too.
 
     dedup generates one tree per isomorphism class directly (Wright,
     Richmond, Odlyzko and McKay) instead of walking every labeled tree;
@@ -358,11 +358,10 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
             record("symmetry", c_bipartite.is_symmetric(), g)
             record("real-negative-spectrum", real_stable, g)
             record("proof-identities", bool(_proof_identities(g, c_plus, c_minus)), g)
-            # _proof_identities raised unless M^T M = -C- C+ (its checks 1 and 2)
-            monodromy_cp = (-(c_minus @ c_plus)).charpoly()
-            negated_cp = (-c_bipartite).charpoly()
-            record("monodromy-charpoly",
-                   monodromy_cp == delta and negated_cp == delta, g)
+            # c = det(tI - C+-) is the claim.  _proof_identities raised unless
+            # C+ C+ = I and M^T M = -C- C+, so the monodromy is C+ (-C+-) C+,
+            # of characteristic polynomial det(tI + C+-) = (-1)^n c(-t) = Delta
+            record("monodromy-charpoly", c_bipartite.charpoly() == c, g)
             record("reciprocality", c.coeffs == tuple(reversed(c.coeffs)), g)
             record("real-stability", real_stable, g)
             record("sign-alternation", sign_alternation_check(delta), g)

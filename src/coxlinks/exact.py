@@ -129,7 +129,7 @@ class IntPolynomial:
             g = -g
         return IntPolynomial(c // g for c in self.coeffs)
 
-    def pretty(self, var: str = "t") -> str:
+    def pretty(self) -> str:
         """Human-readable form, descending powers."""
         if self.is_zero:
             return "0"
@@ -138,13 +138,8 @@ class IntPolynomial:
             c = self.coeffs[k]
             if c == 0:
                 continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            elif k == 1:
-                body = var if mag == 1 else f"{mag}{var}"
-            else:
-                body = f"{var}^{k}" if mag == 1 else f"{mag}{var}^{k}"
+            power = "" if k == 0 else "t" if k == 1 else f"t^{k}"
+            body = power if abs(c) == 1 and k else f"{abs(c)}{power}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -155,41 +150,43 @@ class IntPolynomial:
         return f"IntPolynomial({self.pretty()!r})"
 
 
-def _pseudo_division(a: IntPolynomial, b: IntPolynomial) -> tuple[list[int], IntPolynomial]:
-    """(read, R): lc(b)^(d+1) a = Q b + R', d = deg a - deg b, by integer
-    pseudo-division, and R = R' or -R', a positive multiple of the true
-    remainder, which Sturm chains rely on.  read holds the coefficient of
-    t^s read at each step, s = d, ..., 0; the s later steps scale it by
-    lc(b), so Q_s = lc(b)^s read_(d-s)."""
-    lc = b.lead
+def _pseudo_division(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, int, IntPolynomial]:
+    """(q, m, r) with m a = q b + r and deg r < deg b, by integer
+    pseudo-division: m = |lc(b)|^(d+1), d = deg a - deg b (m = 1 and q = 0
+    when d < 0).  The sign of lc(b)^(d+1) is folded into q and r, so r is
+    a positive multiple of the true remainder, which Sturm chains rely on."""
+    lc, db = b.lead, b.degree
     r = list(a.coeffs)
-    bc = b.coeffs
-    read = []
-    for k in range(a.degree, b.degree - 1, -1):
+    bc = b.coeffs[:-1]
+    # Each step keeps the coefficient it reads at t^k, s = k - db, and the
+    # s later steps scale it by lc: r ends as Q above the remainder R', for
+    # lc^(d+1) a = Q b + R'
+    for k in range(a.degree, db - 1, -1):
         coef = r[k]
-        read.append(coef)
         for i in range(len(r)):
             r[i] *= lc
+        r[k] = coef
         if coef:
-            shift = k - b.degree
+            shift = k - db
             for i, c in enumerate(bc):
                 r[i + shift] -= coef * c
-        del r[k]
-    rem = IntPolynomial(r)
-    return read, (-rem if lc < 0 and len(read) % 2 else rem)
+    e = max(a.degree - db + 1, 0)
+    if lc < 0 and e % 2:
+        r = [-c for c in r]
+    return IntPolynomial(r[db:]), abs(lc) ** e, IntPolynomial(r[:db])
 
 
-def _remainder_steps(a: IntPolynomial, b: IntPolynomial) -> Iterator[tuple[list[int], int, IntPolynomial]]:
-    """(read, g, p) for each entry p of the signed remainder sequence of
-    (a, b) past b: read as _pseudo_division(a, b) gives it for the two
-    entries a, b before p, and g p = -R with g > 0."""
+def _remainder_steps(a: IntPolynomial, b: IntPolynomial) -> Iterator[tuple[IntPolynomial, int, IntPolynomial, IntPolynomial]]:
+    """(q, m, g, p) for each entry p of the signed remainder sequence of
+    (a, b) past b: (q, m) as _pseudo_division(a, b) gives them for the two
+    entries a, b before p, and g p = -r with g > 0, so m a = q b - g p."""
     while b.degree > 0:
-        read, rem = _pseudo_division(a, b)
+        q, m, rem = _pseudo_division(a, b)
         if rem.is_zero:
             return
         g = rem.content()
         a, b = b, IntPolynomial(-c // g for c in rem.coeffs)
-        yield read, g, b
+        yield q, m, g, b
 
 
 def _signed_remainders(a: IntPolynomial, b: IntPolynomial) -> list[IntPolynomial]:
@@ -309,7 +306,7 @@ class IntMatrix:
         return isinstance(other, IntMatrix) and self._entries == other._entries
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(tuple(frozenset(r.items()) for r in self._entries))
 
     def _require_size(self, other: "IntMatrix") -> None:
         if self.n != other.n:

@@ -96,9 +96,10 @@ class _SturmChain:
 
     Quotient recurrence.  For delta_i = deg p_(i-1) - deg p_i, M_i =
     |lc(p_i)|^(delta_i + 1) and Q_i the pseudo-quotient of p_(i-1) by p_i
-    times sign(lc(p_i)^(delta_i + 1)), _remainder_steps gives g_i p_(i+1)
-    = Q_i p_i - M_i p_(i-1), g_i > 0.  V_i = b^(deg p_i) p_i(a / b) is an
-    integer of p_i's sign at a / b, as b > 0, and times b^(deg p_(i-1))
+    times sign(lc(p_i)^(delta_i + 1)), _remainder_steps gives (Q_i, M_i,
+    g_i, p_(i+1)) with g_i p_(i+1) = Q_i p_i - M_i p_(i-1), g_i > 0.
+    V_i = b^(deg p_i) p_i(a / b) is an integer of p_i's sign at a / b, as
+    b > 0, and times b^(deg p_(i-1))
         g_i b^(deg p_(i-1) - deg p_(i+1)) V_(i+1) = b^delta_i Q_i(a / b) V_i - M_i V_(i-1).
     So Horner's rule reads p_0 and p_1 only, and each later entry costs
     O(delta_i) products and one division, exact as V_(i+1) is an integer:
@@ -108,12 +109,8 @@ class _SturmChain:
         self.poly = sf
         self.head = a, b = sf, sf.derivative()
         self.steps = []
-        for read, g, p in _remainder_steps(a, b):
-            q, power = [], -1 if b.lead < 0 and len(read) % 2 else 1
-            for coef in reversed(read):
-                q.append(coef * power)
-                power *= b.lead
-            self.steps.append((IntPolynomial(q), abs(power), g, a.degree - p.degree))
+        for q, m, g, p in _remainder_steps(a, b):
+            self.steps.append((q, m, g, a.degree - p.degree))
             a, b = b, p
         self.depth = _halving_depth(sf)
         self._memo: dict[tuple[int, int], tuple[int, bool]] = {}

@@ -201,7 +201,8 @@ class TestVerifyTheorems:
 
     def test_slow_route_on_every_tree(self, monkeypatch):
         # c comes from the fast route; the monodromy-charpoly check runs
-        # the n x n Berkowitz of the monodromy and of -C+- on each tree
+        # one n x n Berkowitz on each tree, of C+-, and the certified
+        # conjugation carries it to the monodromy
         sizes = []
         real_charpoly = IntMatrix.charpoly
 
@@ -211,7 +212,40 @@ class TestVerifyTheorems:
 
         monkeypatch.setattr(IntMatrix, "charpoly", counting)
         verify_theorems(5, extension_trials=0)
-        assert sorted(sizes) == [2] * 2 + [3] * 6 + [4] * 32 + [5] * 250
+        assert sorted(sizes) == [2] + [3] * 3 + [4] * 16 + [5] * 125
+
+    def test_four_products_per_tree(self, monkeypatch):
+        # C+ C-, and C+ C+, (C+ + C-)^2 and A^2 of the certificate
+        count = [0]
+        real_matmul = IntMatrix.__matmul__
+
+        def counting(a, b):
+            count[0] += 1
+            return real_matmul(a, b)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+        verify_theorems(5, extension_trials=0)
+        assert count[0] == 4 * (1 + 3 + 16 + 125)
+
+    @pytest.mark.parametrize("fault", ["fast c", "slow charpoly"])
+    def test_slow_check_catches_either_side(self, monkeypatch, fault):
+        # c from the Gram route with a t term added, or a Berkowitz result
+        # off by one: either way every tree fails monodromy-charpoly first
+        if fault == "fast c":
+            real = analysis._graph_spectrum
+
+            def wrong(g):
+                c, roots = real(g)
+                return c + P(0, 1), roots
+
+            monkeypatch.setattr(analysis, "_graph_spectrum", wrong)
+        else:
+            real_charpoly = IntMatrix.charpoly
+            monkeypatch.setattr(IntMatrix, "charpoly", lambda m: real_charpoly(m) + P(1))
+        s = verify_theorems(5, extension_trials=0)
+        counters = dict((name, (p, f)) for name, p, f in s.counters)
+        assert counters["monodromy-charpoly"] == (0, 1 + 3 + 16 + 125)
+        assert s.counterexample.startswith("# failed check: monodromy-charpoly\n")
 
     def test_one_factorization_per_tree(self, monkeypatch):
         # both names are counted, so a second factorization through

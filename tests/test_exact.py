@@ -394,6 +394,18 @@ class TestSparseAgainstDense:
         assert (a + a.transpose()).is_symmetric()
         assert (a == b) == (a.rows == b.rows)
 
+    def test_hash_reads_no_dense_view(self, monkeypatch):
+        # a product's entries come in another order than its dense rows give
+        # them; hashing reads the per-row maps, never the n x n view
+        a, b = M([[0, 1, 2], [3, 0, 0], [0, 4, 5]]), M([[1, 0, 1], [0, 2, 0], [6, 0, 0]])
+        expected = hash(dense_matmul(a, b))
+
+        def dense(_):
+            raise AssertionError("hash built the dense view")
+
+        monkeypatch.setattr(IntMatrix, "rows", property(dense))
+        assert hash(a @ b) == expected
+
 
 class TestIntMatrix:
     def test_rejects_non_square(self):

@@ -149,12 +149,12 @@ class TestHalvingBound:
             # _remainder_steps with the remainder sign flipped, in the
             # entries and in the recurrence that reads them
             while b.degree > 0:
-                read, rem = _pseudo_division(a, b)
+                q, m, rem = _pseudo_division(a, b)
                 if rem.is_zero:
                     return
                 g = rem.content()
                 a, b = b, IntPolynomial(c // g for c in rem.coeffs)
-                yield read, -g, b
+                yield q, m, -g, b
 
         # every chain takes its entries from here: spectra's, and the
         # oracle's through exact._signed_remainders
@@ -208,13 +208,12 @@ class TestQuotientRecurrence:
     @given(INT_POLYS, INT_POLYS.filter(lambda b: not b.is_zero))
     @settings(max_examples=200, deadline=None)
     def test_pseudo_division_reads_the_quotient(self, a, b):
-        # lc^e a = Q b + R', e = max(d + 1, 0), with Q_s = lc^s read_(d-s),
-        # and R = sign(lc^e) R'
-        read, rem = _pseudo_division(a, b)
-        lc_e = b.lead ** max(a.degree - b.degree + 1, 0)
-        q = IntPolynomial(c * b.lead ** s for s, c in enumerate(reversed(read)))
-        assert len(read) == max(a.degree - b.degree + 1, 0) and rem.degree < b.degree
-        assert (a * lc_e - q * b) * (1 if lc_e > 0 else -1) == rem
+        # m a = q b + r with m = |lc|^e, e = max(d + 1, 0), and deg r < deg b:
+        # as m > 0, r is a positive multiple of the true remainder
+        q, m, rem = _pseudo_division(a, b)
+        e = max(a.degree - b.degree + 1, 0)
+        assert m == abs(b.lead) ** e and rem.degree < b.degree and q.degree == e - 1
+        assert m * a == q * b + rem
 
     @given(INT_POLYS.filter(lambda p: p.degree > 0))
     @settings(max_examples=150, deadline=None)
