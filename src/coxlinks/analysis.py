@@ -19,7 +19,7 @@ from .coxeter import (
     _gram_polynomial,
     _proof_identities,
     bipartite_factors,
-    coxeter_polynomial,
+    gram_interlacing_pair,
     verify_proof_identities,
 )
 from .exact import IntPolynomial, _coxeter_from_gram, fraction_to_decimal
@@ -39,6 +39,7 @@ from .spectra import (
     _Roots,
     compare_isolated_roots,
     interlace_check,
+    mu_max_cell,
 )
 
 def sign_alternation_check(p: IntPolynomial) -> bool:
@@ -77,22 +78,10 @@ def log_concavity_check(p: IntPolynomial) -> bool:
     return all(m[i] * m[i] > m[i - 1] * m[i + 1] for i in range(1, len(m) - 1))
 
 
-_WITNESS_EPS = Fraction(1, 1 << 10)
-
-
-def _graph_roots(g: MixedSignCoxeterGraph) -> _Roots:
-    return _Roots.of_gram(_gram_polynomial(g), g.n)
-
-
 def _graph_spectrum(g: MixedSignCoxeterGraph) -> tuple[IntPolynomial, _Roots]:
     """c and its _Roots, both from one Gram polynomial q of g."""
     q = _gram_polynomial(g)
     return _coxeter_from_gram(q, g.n), _Roots.of_gram(q, g.n)
-
-
-def _radius_leq(small: _Roots, big: _Roots) -> bool:
-    return compare_isolated_roots(*small.radius_cell(_WITNESS_EPS),
-                                  *big.radius_cell(_WITNESS_EPS)) <= 0
 
 
 def _interval_json(iv: RationalInterval | None) -> dict | None:
@@ -321,6 +310,8 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
     Berkowitz run on C+- = C+ C- is the slow check.  Each tree certifies
     one factorization (C+, C-) as verify_proof_identities does, which
     makes the monodromy C+ (-C+-) C+, so that one run covers it too.
+    The pairs are decided on their Gram polynomials, at half c's degree:
+    interlacing by gram_interlacing_pair, radius order by mu_max_cell.
 
     dedup generates one tree per isomorphism class directly (Wright,
     Richmond, Odlyzko and McKay) instead of walking every labeled tree;
@@ -374,11 +365,8 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
             graphs += 2
             # Delta = +-c(-t), so the Coxeter verdict is also the
             # Alexander one (see interlace_check)
-            try:
-                interlaced = interlace_check(coxeter_polynomial(base),
-                                             coxeter_polynomial(ext))
-            except ValueError:
-                interlaced = False
+            pair = gram_interlacing_pair(base, ext)
+            interlaced = pair is not None and interlace_check(*pair)
             record("coxeter-interlacing", interlaced, ext)
             record("alexander-interlacing", interlaced, ext)
 
@@ -387,8 +375,10 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
             if large.edge_count == small.edge_count:
                 large = random_vertex_extension(small, rng)
             graphs += 2
+            # the radii are ordered as the mu_max of q are (mu_max_cell)
             record("radius-monotonicity",
-                   _radius_leq(_graph_roots(small), _graph_roots(large)),
+                   compare_isolated_roots(*mu_max_cell(_gram_polynomial(small)),
+                                          *mu_max_cell(_gram_polynomial(large))) <= 0,
                    large)
 
     counters = tuple((name, counts[name][0], counts[name][1])
@@ -446,7 +436,9 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
     a tie never replaces the best.  Survivors descend on the same chain
     and are compared exactly, so overlapping enclosures never misrank
     candidates.  Along the way a few leaf-removal pairs per size
-    spot-check radius monotonicity and raise on any violation.
+    spot-check radius monotonicity on the largest roots of their Gram
+    polynomials (spectra.mu_max_cell), the tree's on the chain its
+    _Roots holds, and raise on any violation.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -460,7 +452,7 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
         spot_left = _SPOT_ASSERTS_PER_SIZE if n > 2 else 0
         for g in enumerate_alternating_trees(n, dedup=dedup):
             examined += 1
-            roots = _graph_roots(g)
+            roots = _Roots.of_gram(_gram_polynomial(g), g.n)
             if best is not None and roots.outside(best[1].hi) >= 1:
                 pruned += 1
             else:
@@ -472,7 +464,8 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
                 spot_left -= 1
                 leaf = next(i for i in range(g.n) if len(g.neighbors[i]) == 1)
                 sub = remove_vertex(g, leaf)
-                if not _radius_leq(_graph_roots(sub), roots):
+                if compare_isolated_roots(*mu_max_cell(_gram_polynomial(sub)),
+                                          *roots.mu_max_cell()) > 0:
                     raise CertificationError(
                         "radius monotonicity violated by leaf removal\n"
                         + graph_to_text(g))

@@ -18,7 +18,7 @@ from functools import cache
 
 from .analysis import (AnalysisReport, MinSearchResult, VerificationSummary, analyze,
                        min_dilatation_search, verify_theorems)
-from .coxeter import CertificationError, coxeter_polynomial, require_alternating
+from .coxeter import CertificationError, gram_interlacing_pair, require_alternating
 from .fixtures import fixture_names, fixture_text
 from .graphs import (
     GraphParseError,
@@ -92,12 +92,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # which maps the chain beta_1 <= alpha_1 <= ... <= beta_{s+1} onto
     # itself; c is real-rooted iff Delta is and the degrees match.  So
     # the Alexander verdict is the Coxeter one, and only Delta's contract
-    # is left to check, before any polynomial work.
+    # is left to check, before any polynomial work.  The Coxeter verdict
+    # is read off the Gram polynomials (gram_interlacing_pair).
     for g in (small, large):
         require_alternating(g, "alexander_polynomial")
     extension = is_vertex_extension(small, large)
-    c_small, c_large = coxeter_polynomial(small), coxeter_polynomial(large)
-    cox = interlace_check(c_small, c_large)
+    pair = gram_interlacing_pair(small, large)
+    cox = pair is not None and interlace_check(*pair)
     if args.json:
         print(json.dumps({
             "vertex_extension": extension,

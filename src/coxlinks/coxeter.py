@@ -11,6 +11,8 @@ the bipartite Coxeter transformation C+- = C+ C-.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import dropwhile
+from operator import not_
 
 from .exact import IntMatrix, IntPolynomial, _coxeter_from_gram, _kronecker_digits
 from .graphs import (MixedSignCoxeterGraph, NotAlternatingError, adjacency_matrix,
@@ -140,6 +142,36 @@ def coxeter_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
     against the n x n ones.
     """
     return _coxeter_from_gram(_gram_polynomial(g), g.n)
+
+
+def gram_interlacing_pair(small: MixedSignCoxeterGraph,
+                          large: MixedSignCoxeterGraph) -> tuple[IntPolynomial, IntPolynomial] | None:
+    """(f, y^(1 - (p' - p)) h), on which interlace_check decides whether
+    the Coxeter polynomials of alternating graphs with n >= 2 and n + 1
+    vertices interlace, or None when p' - p is not 0 or 1: they do not.
+    f and h are their Gram polynomials with the roots at 0 divided out,
+    of degrees p and p', at most half that of c.
+
+    Proof.  G = B B^T is positive semidefinite, so f and h have positive
+    roots.  By coxeter_polynomial, c_small = (t+1)^(n-2p) prod_(f(u) = 0)
+    (t^2 + (2 + u) t + 1), with multiplicity, and the factor of u has the
+    roots -x < -1 < -1/x for phi(x) = (x - 1)^2 / x = u; c_large likewise.
+    They interlace iff D(t) = #{beta <= t} - #{alpha <= t}, over the roots
+    beta of c_large and alpha of c_small, is 0 or 1 for all t.  D = 0 on
+    the far left and 1 from 0 on.  On t < -1, u(t) = (t+1)^2 / (-t) falls,
+    and D = N_h(>= u) - N_f(>= u), N counting roots; D(-1) = 1 + p - p';
+    on (-1, 0), u(t) rises, and D = 1 - (N_h(> u) - N_f(> u)).  As N(>= u)
+    is the limit of N(> v) for v rising to u, they interlace iff p' - p is
+    0 or 1 and E(u) = N_h(> u) - N_f(> u) is 0 or 1 for all u > 0.  With Q
+    = y^(1 - (p' - p)) h, of degree p + 1, interlace_check(f, Q) asks that
+    #{Q's roots > u} - N_f(> u), 1 for u < 0, p' - p at 0 and E(u) for u >
+    0, is 0 or 1: the same condition.
+    """
+    f, h = (IntPolynomial(dropwhile(not_, _gram_polynomial(g).coeffs)) for g in (small, large))
+    gap = h.degree - f.degree
+    if gap not in (0, 1):
+        return None
+    return f, IntPolynomial([0] * (1 - gap) + list(h.coeffs))
 
 
 def require_alternating(g: MixedSignCoxeterGraph, what: str) -> None:

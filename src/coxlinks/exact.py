@@ -150,11 +150,13 @@ class IntPolynomial:
         return f"IntPolynomial({self.pretty()!r})"
 
 
-def _pseudo_division(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, int, IntPolynomial]:
+def _pseudo_division(a: IntPolynomial, b: IntPolynomial,
+                     quotient: bool = True) -> tuple[IntPolynomial | None, int | None, IntPolynomial]:
     """(q, m, r) with m a = q b + r and deg r < deg b, by integer
     pseudo-division: m = |lc(b)|^(d+1), d = deg a - deg b (m = 1 and q = 0
     when d < 0).  The sign of lc(b)^(d+1) is folded into q and r, so r is
-    a positive multiple of the true remainder, which Sturm chains rely on."""
+    a positive multiple of the true remainder, which Sturm chains rely on.
+    With quotient False, q and m are None: only r is built."""
     lc, db = b.lead, b.degree
     r = list(a.coeffs)
     bc = b.coeffs[:-1]
@@ -173,15 +175,19 @@ def _pseudo_division(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial,
     e = max(a.degree - db + 1, 0)
     if lc < 0 and e % 2:
         r = [-c for c in r]
+    if not quotient:
+        return None, None, IntPolynomial(r[:db])
     return IntPolynomial(r[db:]), abs(lc) ** e, IntPolynomial(r[:db])
 
 
-def _remainder_steps(a: IntPolynomial, b: IntPolynomial) -> Iterator[tuple[IntPolynomial, int, IntPolynomial, IntPolynomial]]:
+def _remainder_steps(a: IntPolynomial, b: IntPolynomial,
+                     quotients: bool = True) -> Iterator[tuple[IntPolynomial | None, int | None, int, IntPolynomial]]:
     """(q, m, g, p) for each entry p of the signed remainder sequence of
-    (a, b) past b: (q, m) as _pseudo_division(a, b) gives them for the two
-    entries a, b before p, and g p = -r with g > 0, so m a = q b - g p."""
+    (a, b) past b: (q, m) as _pseudo_division(a, b, quotients) gives them
+    for the two entries a, b before p, and g p = -r with g > 0, so m a =
+    q b - g p when quotients is True."""
     while b.degree > 0:
-        q, m, rem = _pseudo_division(a, b)
+        q, m, rem = _pseudo_division(a, b, quotients)
         if rem.is_zero:
             return
         g = rem.content()
@@ -193,7 +199,7 @@ def _signed_remainders(a: IntPolynomial, b: IntPolynomial) -> list[IntPolynomial
     """Signed remainder sequence a, b, -rem(a, b), ... to its last nonzero
     entry, each a positive multiple of the true one, so signs agree.  The
     last entry is gcd(a, b) up to a constant."""
-    return [a] if b.is_zero else [a, b, *(p for *_, p in _remainder_steps(a, b))]
+    return [a] if b.is_zero else [a, b, *(p for *_, p in _remainder_steps(a, b, quotients=False))]
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:

@@ -153,9 +153,10 @@ def parse_graph(text: str) -> MixedSignCoxeterGraph:
             raise GraphParseError(f"unknown directive {tokens[0]!r}", lineno)
     if not names:
         raise GraphParseError("empty graph: no vertices declared")
-    if 0 in _bipartite_signs(len(names), edges):
-        raise GraphParseError("graph is not connected")
-    return MixedSignCoxeterGraph(tuple(names), tuple(signs), tuple(edges))
+    try:
+        return MixedSignCoxeterGraph(tuple(names), tuple(signs), tuple(edges))
+    except GraphError as e:  # all that is left to fail: "graph is not connected"
+        raise GraphParseError(str(e)) from None
 
 
 def graph_to_text(g: MixedSignCoxeterGraph) -> str:

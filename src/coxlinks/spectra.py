@@ -218,6 +218,18 @@ def _refine(sf: IntPolynomial, cell: tuple[int, int, int], eps: Fraction) -> Rat
     return RationalInterval(Fraction(a, d), Fraction(b, d))
 
 
+def _fujiwara_exponent(r: IntPolynomial) -> int:
+    """k with every root of r of modulus below 2^k.  Every root has |z| <=
+    2 max_j |a_(d-j) / a_d|^(1/j) (Fujiwara, Tohoku Math. J. 10, 1916) and
+    |a_(d-j) / a_d| < 2^e_j for e_j = bitlen(a_(d-j)) - bitlen(a_d) + 1,
+    so k = 1 + max(0, ceil(e_j / j)) will do.  2^k <= max(2, 16 d R), R
+    the largest modulus, where cauchy_bound(r) grows with r's largest
+    coefficient."""
+    lead = abs(r.lead).bit_length()
+    return 1 + max([0] + [-((lead - 1 - abs(c).bit_length()) // j)
+                          for j, c in enumerate(reversed(r.coeffs[:-1]), 1) if c])
+
+
 class _GramChain:
     """m = sf(-t)'s distinct real roots, sf the squarefree part of the
     Coxeter polynomial c of an n-vertex graph, counted on the Sturm chain
@@ -243,21 +255,14 @@ class _GramChain:
         x >= 1: neg + 2A(0) + e - A(phi)
     A count on (lo, hi] is N(hi) - N(lo): r's chain at phi(lo), phi(hi),
     and at -top, -4 and 0 for the offsets only when the branches differ.
-
-    top = 2^k: every root has |z| <= 2 max_j |a_(d-j) / a_d|^(1/j)
-    (Fujiwara, Tohoku Math. J. 10, 1916) and |a_(d-j) / a_d| < 2^e_j for
-    e_j = bitlen(a_(d-j)) - bitlen(a_d) + 1, so k = 1 + max(0, ceil(e_j /
-    j)) will do.  2^k <= max(2, 16 d R), R the largest modulus, where
-    cauchy_bound(r) grows with r's largest coefficient.
+    top = 2^k for k the _fujiwara_exponent of r.
     """
 
     def __init__(self, r: IntPolynomial, e: bool, m: IntPolynomial):
         self.poly = m
         self.depth = _halving_depth(m)
         self.gram = _SturmChain(r)
-        lead = abs(r.lead).bit_length()
-        self.k = 1 + max([0] + [-((lead - 1 - abs(c).bit_length()) // j)
-                                for j, c in enumerate(reversed(r.coeffs[:-1]), 1) if c])
+        self.k = _fujiwara_exponent(r)
         self.top = 1 << self.k, 1
         self.e = e
         self._places: dict[tuple[int, int], tuple[int, int, bool]] = {}
@@ -342,6 +347,11 @@ class _Roots:
         roots.bound = cauchy_bound(sf)
         roots.depth = roots.chain.depth
         return roots
+
+    def mu_max_cell(self) -> tuple[IntPolynomial, RationalInterval]:
+        """mu_max_cell of q, for the _Roots of_gram(q, n), on the chain of
+        sf(q) that it holds."""
+        return _mu_max_cell(self.chain.gram, self.chain.k)
 
     def count(self, lo: tuple[int, int], hi: tuple[int, int]) -> int:
         """sf's distinct roots in [lo, hi), m's in (-hi, -lo]: those in
@@ -534,3 +544,35 @@ def compare_isolated_roots(p_sf: IntPolynomial, ip: RationalInterval,
             raise RuntimeError("root comparison exceeded its halving bound: "
                                "a cell holds no root of its polynomial")
         (a, b), (c, e), d = _halve(p_sf, a, b, d, sp), _halve(q_sf, c, e, d, sq), 2 * d
+
+
+def _mu_max_cell(chain: _SturmChain, k: int) -> tuple[IntPolynomial, RationalInterval]:
+    """mu_max_cell on the chain of r = sf(q) and its _fujiwara_exponent k."""
+    r = chain.poly
+    cell = _top_cell(chain, 0, 1 << k, 1)
+    if cell is None:
+        raise ValueError("Gram polynomial has no positive root")
+    a, b, d = cell
+    return (IntPolynomial(r.coeffs[1:]) if r.coeffs[0] == 0 else r,
+            RationalInterval(Fraction(a, d), Fraction(b, d)))
+
+
+def mu_max_cell(q: IntPolynomial) -> tuple[IntPolynomial, RationalInterval]:
+    """(f, cell), f = r / y^[r(0) = 0] for r = sf(q) and cell isolating
+    f's largest root mu_max, for the Gram polynomial q of an alternating
+    graph with n >= 2 vertices.  compare_isolated_roots on the pairs of
+    two graphs orders their spectral radii, with no squarefree part,
+    chain or refinement of c.
+
+    Proof.  G = B B^T is positive semidefinite with trace the edge count,
+    so q's roots are mu >= 0 and mu_max > 0.  By _GramChain's
+    factorization c's roots are -1 and, for each root mu, -x and -1/x with
+    x >= 1 and phi(x) = (x - 1)^2 / x = mu.  So the radius is the x >= 1
+    with phi(x) = mu_max, and as phi rises on [1, inf), radii are ordered
+    as their mu_max are.  _top_cell on r's chain from (0, 2^k], k the
+    _fujiwara_exponent of r, gives a cell with no other root of r and no
+    root of r at its ends, but for the lower end 0 when r(0) = 0, which f
+    does not vanish at.  ValueError when q has no positive root.
+    """
+    r = squarefree_part(q)
+    return _mu_max_cell(_SturmChain(r), _fujiwara_exponent(r))

@@ -19,7 +19,7 @@ import coxlinks
 from coxlinks import analysis, cli, coxeter, spectra
 from coxlinks.analysis import VerificationSummary
 from coxlinks.cli import main
-from coxlinks.exact import IntMatrix
+from coxlinks.exact import IntMatrix, IntPolynomial
 from coxlinks.fixtures import fixture_names, fixture_text
 from coxlinks.graphs import parse_graph
 
@@ -115,6 +115,13 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "line 2" in err
 
+    def test_disconnected_file_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "two.graph"
+        path.write_text("vertex a +\nvertex b -\n")
+        for argv in (["analyze", str(path)], ["compare", "a2", str(path)]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (2, "", "error: graph is not connected\n")
+
     def test_zero_epsilon_is_contract_violation(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "a2", "--epsilon", "0")
         assert code == 3
@@ -167,8 +174,16 @@ class TestCompareCommand:
         assert "coxeter interlacing: no" in out
         assert "alexander interlacing: no" in out
 
-    @pytest.mark.parametrize("small,large", [("a2", "p3-alt"), ("p5", "k33")])
+    # the Gram polynomials with their roots at 0 divided out: a2 y - 1 and
+    # p3-alt y - 2, of equal degree, so one check of (y - 1, y (y - 2));
+    # p5 y^2 - 4y + 3 and k33 y - 9 (q = y^2 (y - 9)), one degree less,
+    # which decides "no" with no check
+    GRAM_CHECKS = {("a2", "p3-alt"): [(IntPolynomial([-1, 1]), IntPolynomial([0, -2, 1]))],
+                   ("p5", "k33"): []}
+
+    @pytest.mark.parametrize("small,large", list(GRAM_CHECKS))
     def test_one_interlacing_per_pair(self, capsys, monkeypatch, small, large):
+        expected = self.GRAM_CHECKS[small, large]
         calls = []
 
         def counting(p, q):
@@ -177,7 +192,7 @@ class TestCompareCommand:
 
         monkeypatch.setattr(cli, "interlace_check", counting)
         code, out, _ = run_cli(capsys, "compare", small, large)
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and calls == expected
         lines = out.splitlines()
         assert lines[1].split(": ")[1] == lines[2].split(": ")[1]
 

@@ -1,6 +1,8 @@
 """Counts of a graph's Coxeter roots read on the Sturm chain of sf(q),
 the squarefree part of its half-size Gram polynomial (spectra._Roots.of_gram),
-against counts on the Sturm chain of m = sf(-t) (spectra._Roots of c)."""
+against counts on the Sturm chain of m = sf(-t) (spectra._Roots of c); and
+the two pair checks, interlacing and radius order, decided on q against
+the same checks on c."""
 
 import random
 from fractions import Fraction
@@ -9,17 +11,20 @@ from math import gcd
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coxlinks import spectra
+from coxlinks import analysis, spectra
 from coxlinks.analysis import analyze, min_dilatation_search, verify_theorems
-from coxlinks.coxeter import _gram_polynomial, coxeter_polynomial
+from coxlinks.coxeter import _gram_polynomial, coxeter_polynomial, gram_interlacing_pair
 from coxlinks.exact import IntPolynomial, squarefree_part
 from coxlinks.fixtures import fixture_graph, fixture_names
-from coxlinks.graphs import (MINUS, PLUS, MixedSignCoxeterGraph, enumerate_alternating_trees,
-                             parse_graph, random_alternating_tree)
-from coxlinks.spectra import _Roots, cauchy_bound
+from coxlinks.graphs import (MINUS, PLUS, MixedSignCoxeterGraph, add_edge,
+                             enumerate_alternating_trees, is_vertex_extension, parse_graph,
+                             random_alternating_tree, vertex_extension)
+from coxlinks.spectra import (_Roots, cauchy_bound, compare_isolated_roots, interlace_check,
+                              mu_max_cell)
 
-from graph_strategies import connected_random_sign_graphs
+from graph_strategies import connected_alternating_graphs, connected_random_sign_graphs
 from root_oracles import HornerChain, point, sign
 
 F = Fraction
@@ -187,7 +192,8 @@ def spy_on_degrees(monkeypatch) -> list[int]:
 
 class TestNothingAboveTheGramDegree:
     """analyze, min-search and verify's tree battery take no squarefree
-    part and build no Sturm chain of degree above s, the degree of q."""
+    part and build no Sturm chain of degree above s, the degree of q, and
+    verify's pair checks none above s + 1."""
 
     @pytest.mark.parametrize("name", fixture_names() + tuple(TEST_GRAPHS))
     def test_analyze(self, monkeypatch, name):
@@ -208,3 +214,122 @@ class TestNothingAboveTheGramDegree:
         degrees = spy_on_degrees(monkeypatch)
         assert verify_theorems(n_max, extension_trials=0, dedup=dedup).ok
         assert degrees and max(degrees) <= n_max // 2
+
+    def test_verify_pair_checks(self, monkeypatch):
+        # the pairs have up to 9 vertices, so q has degree 4 at most: the
+        # interlacing check takes y h, of degree 5 at most, and the radius
+        # order compares roots of sf(q)
+        degrees = spy_on_degrees(monkeypatch)
+        for name in ("interlace_check", "compare_isolated_roots"):
+            def spy(*args, real=getattr(analysis, name)):
+                degrees.extend(a.degree for a in args if isinstance(a, IntPolynomial))
+                return real(*args)
+
+            monkeypatch.setattr(analysis, name, spy)
+        assert verify_theorems(8, extension_trials=20, dedup=True).ok
+        assert degrees and max(degrees) <= 5
+
+
+def positive_roots(q: IntPolynomial) -> int:
+    """The degree of q with its roots at 0 divided out."""
+    return q.degree - next(k for k, c in enumerate(q.coeffs) if c)
+
+
+class PairRoutes:
+    """Both pair checks on one set of graphs, each polynomial, cell and
+    chain taken once per graph: the Gram routes of compare, verify and
+    min-search, and the routes on c that they replaced."""
+
+    def __init__(self):
+        self.memo: dict[MixedSignCoxeterGraph, tuple] = {}
+
+    def of(self, g: MixedSignCoxeterGraph) -> tuple:
+        got = self.memo.get(g)
+        if got is None:
+            c = coxeter_polynomial(g)
+            got = self.memo[g] = c, _Roots(c).radius_cell(F(1, 1 << 10)), mu_max_cell(_gram_polynomial(g))
+        return got
+
+    def interlacing(self, small: MixedSignCoxeterGraph, large: MixedSignCoxeterGraph) -> bool:
+        pair = gram_interlacing_pair(small, large)
+        return pair is not None and interlace_check(*pair)
+
+    def interlacing_on_c(self, small: MixedSignCoxeterGraph, large: MixedSignCoxeterGraph) -> bool:
+        return interlace_check(self.of(small)[0], self.of(large)[0])
+
+    def radius_order(self, a: MixedSignCoxeterGraph, b: MixedSignCoxeterGraph) -> int:
+        return compare_isolated_roots(*self.of(a)[2], *self.of(b)[2])
+
+    def radius_order_on_c(self, a: MixedSignCoxeterGraph, b: MixedSignCoxeterGraph) -> int:
+        return compare_isolated_roots(*self.of(a)[1], *self.of(b)[1])
+
+    def assert_routes_agree(self, small: MixedSignCoxeterGraph, large: MixedSignCoxeterGraph) -> tuple[bool, int]:
+        """The interlacing verdict and radius order of (small, large), after
+        checking each against its route on c, the order in both orders."""
+        verdict = self.interlacing(small, large)
+        assert verdict == self.interlacing_on_c(small, large), (small, large)
+        order = self.radius_order(small, large)
+        assert order == self.radius_order_on_c(small, large), (small, large)
+        assert self.radius_order(large, small) == self.radius_order_on_c(large, small) == -order
+        return verdict, order
+
+
+@st.composite
+def alternating_pairs_with_cycles(draw):
+    """(small, large) with n and n + 1 vertices: small an alternating graph
+    with up to four edges past a tree, large a vertex extension of it,
+    and in half the draws with one more opposite-sign edge among the old
+    vertices, which makes it no extension."""
+    small = draw(connected_alternating_graphs())
+    sign = draw(st.sampled_from((PLUS, MINUS)))
+    others = [v for v in range(small.n) if small.signs[v] != sign]
+    large = vertex_extension(small, sign, draw(st.lists(st.sampled_from(others), min_size=1,
+                                                        max_size=3, unique=True)))
+    non_edges = [(i, j) for i in range(small.n) for j in range(i + 1, small.n)
+                 if small.signs[i] != small.signs[j] and not small.has_edge(i, j)]
+    if non_edges and draw(st.booleans()):
+        large = add_edge(large, *draw(st.sampled_from(non_edges)))
+    return small, large
+
+
+class TestPairChecksOnTheGramPolynomials:
+    """gram_interlacing_pair with one interlace_check, and mu_max_cell with
+    one compare_isolated_roots, against interlace_check on the Coxeter
+    polynomials and the comparison of their radius_cell enclosures."""
+
+    def test_every_pair_of_tree_classes_up_to_nine_vertices(self):
+        routes, verdicts, orders, gaps = PairRoutes(), set(), set(), set()
+        classes = {n: list(enumerate_alternating_trees(n, dedup=True)) for n in range(2, 10)}
+        for n in range(2, 9):
+            for small in classes[n]:
+                for large in classes[n + 1]:
+                    verdict, order = routes.assert_routes_agree(small, large)
+                    verdicts.add((verdict, is_vertex_extension(small, large)))
+                    orders.add(order)
+                    p, p_large = (positive_roots(_gram_polynomial(g)) for g in (small, large))
+                    gaps.add(p_large - p)
+        assert sum(len(classes[n]) * len(classes[n + 1]) for n in range(2, 9)) == 1427
+        # both verdicts, ties of radius, and nonzero Gram degrees p and p'
+        # with p' - p outside 0 and 1, which decide "no" unchecked
+        assert {(True, False), (False, False)} <= verdicts and orders == {-1, 0, 1}
+        assert {-1, 0, 1, 2} <= gaps
+
+    def test_same_size_radius_ties_and_orders(self):
+        routes = PairRoutes()
+        trees = list(enumerate_alternating_trees(8, dedup=True))
+        orders = [routes.radius_order(a, b) for a, b in combinations(trees, 2)]
+        assert orders == [routes.radius_order_on_c(a, b) for a, b in combinations(trees, 2)]
+        assert set(orders) == {-1, 0, 1}
+
+    @given(alternating_pairs_with_cycles())
+    @settings(max_examples=150, deadline=None)
+    def test_alternating_graphs_with_cycles(self, pair):
+        PairRoutes().assert_routes_agree(*pair)
+
+    def test_zero_roots_and_full_matching(self):
+        # k33: q = y^2 (y - 9), so p' = 1 after the zero roots go; cycle-4
+        # q = y (y - 4); the pairs reach both degree cases and a root at 0
+        routes = PairRoutes()
+        for small, large in (("p5", "k33"), ("cycle-4", "p5"), ("a2", "p3-alt"),
+                             ("p3-alt", "cycle-4"), ("cycle-4", "paper-5")):
+            routes.assert_routes_agree(named_graph(small), named_graph(large))

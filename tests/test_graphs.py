@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from coxlinks import graphs
 from coxlinks.graphs import (
     MINUS,
     PLUS,
@@ -114,6 +115,22 @@ class TestParsing:
         for edges in ((), ((0, 1),), ((1, 2),)):
             with pytest.raises(GraphError, match="not connected"):
                 MixedSignCoxeterGraph(("a", "b", "c"), (PLUS, MINUS, PLUS), edges)
+
+    def test_one_connectivity_walk_per_parse(self, monkeypatch):
+        # the constructor's walk is the only one, its error a parse error
+        calls = []
+        real = graphs._bipartite_signs
+
+        def counting(n, edges):
+            calls.append(n)
+            return real(n, edges)
+
+        monkeypatch.setattr(graphs, "_bipartite_signs", counting)
+        parse_graph("vertex a +\nvertex b -\nedge a b\n")
+        assert calls == [2]
+        with pytest.raises(GraphParseError, match="^graph is not connected$") as exc:
+            parse_graph("vertex a +\nvertex b -\n")
+        assert exc.value.line is None and calls == [2, 2]
 
     def test_constructor_validation(self):
         with pytest.raises(GraphError):

@@ -145,7 +145,7 @@ class TestHalvingBound:
         assert len(iso.roots) == 3 and iso.roots[1][0] == RationalInterval(F(0), F(0))
 
     def test_wrong_chain_raises_instead_of_hanging(self, monkeypatch):
-        def unsigned_steps(a, b):
+        def unsigned_steps(a, b, quotients=True):
             # _remainder_steps with the remainder sign flipped, in the
             # entries and in the recurrence that reads them
             while b.degree > 0:
@@ -214,6 +214,16 @@ class TestQuotientRecurrence:
         e = max(a.degree - b.degree + 1, 0)
         assert m == abs(b.lead) ** e and rem.degree < b.degree and q.degree == e - 1
         assert m * a == q * b + rem
+
+    @given(INT_POLYS, INT_POLYS.filter(lambda b: not b.is_zero))
+    @settings(max_examples=200, deadline=None)
+    def test_remainders_alone_are_the_chain_entries(self, a, b):
+        # poly_gcd, squarefree_part and interlace_check build no quotient,
+        # and take the entries and contents that the Sturm chain takes
+        full = list(exact._remainder_steps(a, b))
+        bare = list(exact._remainder_steps(a, b, quotients=False))
+        assert [(g, p) for _, _, g, p in bare] == [(g, p) for _, _, g, p in full]
+        assert all(q is None and m is None for q, m, _, _ in bare)
 
     @given(INT_POLYS.filter(lambda p: p.degree > 0))
     @settings(max_examples=150, deadline=None)
