@@ -92,8 +92,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # which maps the chain beta_1 <= alpha_1 <= ... <= beta_{s+1} onto
     # itself; c is real-rooted iff Delta is and the degrees match.  So
     # the Alexander verdict is the Coxeter one, and only Delta's contract
-    # is left to check, before any polynomial work.  The Coxeter verdict
-    # is read off the Gram polynomials (gram_interlacing_pair).
+    # is left to check, before any polynomial work.
     for g in (small, large):
         require_alternating(g, "alexander_polynomial")
     extension = is_vertex_extension(small, large)
