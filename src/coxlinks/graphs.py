@@ -77,7 +77,7 @@ class MixedSignCoxeterGraph:
                 raise GraphError(f"repeated edge {e}")
             seen.add(e)
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        if 0 in _bipartite_signs(n, self.edges):
+        if 0 in self._coloring:
             raise GraphError("graph is not connected")
 
     @property
@@ -95,6 +95,12 @@ class MixedSignCoxeterGraph:
             adj[i].append(j)
             adj[j].append(i)
         return tuple(tuple(sorted(a)) for a in adj)
+
+    @cached_property
+    def _coloring(self) -> tuple[Sign, ...]:
+        """_bipartite_signs of the graph: the one walk that checks it is
+        connected, and that two_coloring reads."""
+        return _bipartite_signs(self.n, self.edges)
 
     @cached_property
     def _edge_set(self) -> frozenset[tuple[int, int]]:
@@ -184,7 +190,7 @@ def sign_bipartition(g: MixedSignCoxeterGraph) -> Bipartition:
 def two_coloring(g: MixedSignCoxeterGraph) -> Bipartition:
     """Proper 2-coloring; vertex 0 lands in part_plus.  Raises
     NotBipartiteError on an odd cycle."""
-    signs = _bipartite_signs(g.n, g.edges)
+    signs = g._coloring
     for i, j in g.edges:
         if signs[i] == signs[j]:
             raise NotBipartiteError(
@@ -289,11 +295,12 @@ def _bipartite_signs(n: int, edges: Sequence[tuple[int, int]]) -> tuple[Sign, ..
     return tuple(signs)
 
 
+def _tree(n: int, signs: Sequence[Sign], edges: Sequence[tuple[int, int]]) -> MixedSignCoxeterGraph:
+    return MixedSignCoxeterGraph(tuple(f"v{i}" for i in range(n)), tuple(signs), tuple(edges))
+
+
 def _tree_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> MixedSignCoxeterGraph:
-    return MixedSignCoxeterGraph(
-        tuple(f"v{i}" for i in range(n)),
-        _bipartite_signs(n, edges),
-        tuple(sorted(edges)))
+    return _tree(n, _bipartite_signs(n, edges), edges)
 
 
 def _free_tree_level_sequences(n: int) -> Iterator[list[int]]:
@@ -364,7 +371,8 @@ def enumerate_alternating_trees(n: int, dedup: bool = False) -> Iterator[MixedSi
             for i in range(1, n):
                 last[levels[i]] = i
                 edges.append((last[levels[i] - 1], i))
-            yield _tree_from_edges(n, edges)
+            # every edge joins two adjacent levels, and vertex 0 is at level 0
+            yield _tree(n, [MINUS if level % 2 else PLUS for level in levels], edges)
         return
     for seq in itertools.product(range(n), repeat=n - 2):
         yield _tree_from_edges(n, _prufer_edges(seq, n))

@@ -112,6 +112,7 @@ class _SturmChain:
         for q, m, g, p in _remainder_steps(a, b):
             self.steps.append((q, m, g, a.degree - p.degree))
             a, b = b, p
+        self.last = b  # the sequence's last entry, a multiple of gcd(sf, sf')
         self.depth = _halving_depth(sf)
         self._memo: dict[tuple[int, int], tuple[int, bool]] = {}
 
@@ -141,6 +142,32 @@ class _SturmChain:
         if lo[0] * hi[1] >= hi[0] * lo[1]:
             return 0
         return self._reading(lo)[0] - self._reading(hi)[0]
+
+
+def _sf_chain(q: IntPolynomial) -> _SturmChain:
+    """The _SturmChain of squarefree_part(q), from one signed remainder
+    sequence when q is squarefree, and from two otherwise.
+
+    Proof.  Let f = q.primitive() and L the last entry of the sequence of
+    (f, f') that f's chain runs: it stops at a constant or where the next
+    remainder is 0, so L is gcd(f, f') up to a constant factor.  If deg L
+    <= 0, f is squarefree and equals squarefree_part(q), primitive with
+    positive leading coefficient, so f's chain is the chain wanted.  Else
+    L.primitive() = poly_gcd(f, f'): poly_gcd runs the sequence of (f,
+    f'.primitive()), and a positive multiple c f' of f' leaves the next
+    entry as it is, since the pseudo-remainders by f' and by c f' are both
+    positive multiples of the one true remainder, and each entry is the
+    negated remainder over its content.  From there on both sequences
+    agree.  So squarefree_part(q) = (f / L.primitive()).primitive(), and
+    without .primitive() the division is inexact when L = f' has content,
+    as f' = 3(y - 1)^2 for f = (y - 1)^3.
+    """
+    if q.is_zero:
+        raise ValueError("zero polynomial has no squarefree part")
+    chain = _SturmChain(q.primitive())
+    if chain.last.degree <= 0:
+        return chain
+    return _SturmChain(poly_divexact(chain.poly, chain.last.primitive()).primitive())
 
 
 def _check_width(chain: _SturmChain | _GramChain | _Roots, w: int, d: int) -> None:
@@ -258,11 +285,11 @@ class _GramChain:
     top = 2^k for k the _fujiwara_exponent of r.
     """
 
-    def __init__(self, r: IntPolynomial, e: bool, m: IntPolynomial):
+    def __init__(self, gram: _SturmChain, e: bool, m: IntPolynomial):
         self.poly = m
         self.depth = _halving_depth(m)
-        self.gram = _SturmChain(r)
-        self.k = _fujiwara_exponent(r)
+        self.gram = gram
+        self.k = _fujiwara_exponent(gram.poly)
         self.top = 1 << self.k, 1
         self.e = e
         self._places: dict[tuple[int, int], tuple[int, int, bool]] = {}
@@ -333,7 +360,8 @@ class _Roots:
         prod_(r'(mu) = 0) (t^2 + (2 + mu) t + 1).  Times t - 1 iff r(-4) =
         0, it is squarefree with c's roots: sf, once primitive.
         """
-        r = rest = squarefree_part(q)
+        gram = _sf_chain(q)
+        r = rest = gram.poly
         e = r.coeffs[0] == 0 or n > 2 * q.degree
         if r.coeffs[0] == 0:
             rest = IntPolynomial(r.coeffs[1:])
@@ -343,7 +371,7 @@ class _Roots:
         sf = _coxeter_from_gram(rest, 2 * rest.degree + e)
         roots = cls.__new__(cls)
         roots.poly = sf = (sf * IntPolynomial([-1, 1]) if four else sf).primitive()
-        roots.chain = _GramChain(r, e, sf.mirror())
+        roots.chain = _GramChain(gram, e, sf.mirror())
         roots.bound = cauchy_bound(sf)
         roots.depth = roots.chain.depth
         return roots
@@ -574,5 +602,5 @@ def mu_max_cell(q: IntPolynomial) -> tuple[IntPolynomial, RationalInterval]:
     root of r at its ends, but for the lower end 0 when r(0) = 0, which f
     does not vanish at.  ValueError when q has no positive root.
     """
-    r = squarefree_part(q)
-    return _mu_max_cell(_SturmChain(r), _fujiwara_exponent(r))
+    chain = _sf_chain(q)
+    return _mu_max_cell(chain, _fujiwara_exponent(chain.poly))

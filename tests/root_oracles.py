@@ -1,12 +1,14 @@
 """Test-only root oracles: a Sturm chain read entry by entry with
 Horner's rule, full isolation with multiplicities and Yun's squarefree
 decomposition, independent of the one-chain routes the package takes to
-each root question."""
+each root question; and a spy on the signed remainder sequences that
+those routes run."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
+from coxlinks import exact, spectra
 from coxlinks.exact import (IntPolynomial, _signed_remainders, poly_divexact, poly_gcd,
                             squarefree_part)
 from coxlinks.spectra import (DEFAULT_EPSILON, RationalInterval, _check_width, _halving_depth,
@@ -265,3 +267,28 @@ def compare_by_fractions(p_sf: IntPolynomial, ip: RationalInterval,
                                "a cell holds no root of its polynomial")
         ip = refine_by_fractions(p_sf, ip, ip.width / 2)
         iq = refine_by_fractions(q_sf, iq, iq.width / 2)
+
+
+def spy_on_remainder_sequences(monkeypatch) -> list[IntPolynomial]:
+    """The first entry of every signed remainder sequence run from now on:
+    one per Sturm chain built, and one per gcd, so per squarefree part,
+    interlacing check or root comparison that takes one."""
+    heads = []
+    real = exact._remainder_steps
+
+    def counting(a, b, *args, **kwargs):
+        heads.append(a)
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(exact, "_remainder_steps", counting)
+    monkeypatch.setattr(spectra, "_remainder_steps", counting)
+    return heads
+
+
+def gram_sequence_heads(q: IntPolynomial) -> list[IntPolynomial]:
+    """The heads of the remainder sequences that one graph with Gram
+    polynomial q runs for all its root questions: the chain of
+    q.primitive(), which is the chain of sf(q) when q is squarefree, and
+    else the chain of sf(q) as well."""
+    f, r = q.primitive(), squarefree_part(q)
+    return [f] if f == r else [f, r]

@@ -1,6 +1,8 @@
 """Reports, coefficient certifications, sweeps, minimum search."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from coxlinks.analysis import (
 )
 from coxlinks.coxeter import (
     CertificationError,
+    _gram_polynomial,
     alexander_polynomial,
     bipartite_factors,
     coxeter_polynomial,
@@ -23,13 +26,14 @@ from coxlinks.coxeter import (
 )
 from coxlinks.exact import IntMatrix, IntPolynomial
 from coxlinks.fixtures import fixture_graph, fixture_names
-from coxlinks.graphs import enumerate_alternating_trees, is_alternating_sign, parse_graph
+from coxlinks.graphs import (enumerate_alternating_trees, is_alternating_sign, parse_graph,
+                             remove_vertex)
 from coxlinks.spectra import (RationalInterval, cauchy_bound, is_real_stable, max_real_root,
                               spectral_radius_enclosure)
 
 from graph_strategies import connected_alternating_graphs, connected_random_sign_graphs
 from matrix_oracles import identity
-from root_oracles import sturm_count
+from root_oracles import gram_sequence_heads, spy_on_remainder_sequences, sturm_count
 
 F = Fraction
 
@@ -328,22 +332,15 @@ class TestOneChainPerAnalyze:
 
     @pytest.mark.parametrize("name", fixture_names())
     def test_one_squarefree_part_and_one_chain(self, monkeypatch, name):
-        parts, chains = [], []
-        real_part = spectra.squarefree_part
-
-        def counting(p):
-            parts.append(p)
-            return real_part(p)
-
-        class SpyChain(spectra._SturmChain):
-            def __init__(self, sf):
-                chains.append(sf)
-                super().__init__(sf)
-
-        monkeypatch.setattr(spectra, "squarefree_part", counting)
-        monkeypatch.setattr(spectra, "_SturmChain", SpyChain)
-        analyze(fixture_graph(name))
-        assert (len(parts), len(chains)) == (1, 1)
+        # sf(q) and its chain take one remainder sequence when q is
+        # squarefree (all fixtures but k33) and two otherwise, so a second
+        # chain or squarefree part shows as one sequence too many
+        g = fixture_graph(name)
+        expected = gram_sequence_heads(_gram_polynomial(g))
+        heads = spy_on_remainder_sequences(monkeypatch)
+        analyze(g)
+        assert heads == expected
+        assert len(heads) == (2 if name == "k33" else 1)
 
     @given(connected_random_sign_graphs())
     @settings(max_examples=100, deadline=None)
@@ -422,22 +419,33 @@ class TestMinSearch:
 
     @pytest.mark.parametrize("dedup", [False, True])
     def test_one_squarefree_part_per_tree(self, monkeypatch, dedup):
-        # every examined tree, and every leaf-removal subtree of the
-        # spot checks, takes one squarefree part, not one per step
-        calls = []
-        real_part = spectra.squarefree_part
+        # every examined tree, and every leaf-removal subtree of the spot
+        # checks, takes sf(q) and its chain once, not once per step: one
+        # remainder sequence when q is squarefree and two otherwise.  The
+        # dedup sweep goes to 8 vertices, where three trees have a q that
+        # is not squarefree.  The gcds of root comparisons are not counted.
+        n_max = 8 if dedup else 6
+        heads = spy_on_remainder_sequences(monkeypatch)
 
-        def counting(p):
-            calls.append(p)
-            return real_part(p)
+        def uncounted(*args, real=analysis.compare_isolated_roots):
+            start = len(heads)
+            try:
+                return real(*args)
+            finally:
+                del heads[start:]
 
-        monkeypatch.setattr(spectra, "squarefree_part", counting)
-        monkeypatch.setattr(analysis, "squarefree_part", counting, raising=False)
-        r = min_dilatation_search(6, dedup=dedup)
-        spot_subtrees = sum(min(5, sum(1 for _ in enumerate_alternating_trees(n, dedup=dedup)))
-                            for n in range(3, 7))
-        assert r.trees_pruned > 0
-        assert len(calls) == r.trees_examined + spot_subtrees
+        monkeypatch.setattr(analysis, "compare_isolated_roots", uncounted)
+        r = min_dilatation_search(n_max, dedup=dedup)
+        seen = Counter(heads)
+        trees = [g for n in range(2, n_max + 1) for g in enumerate_alternating_trees(n, dedup=dedup)]
+        spot_subtrees = [remove_vertex(g, next(i for i in range(g.n) if len(g.neighbors[i]) == 1))
+                         for n in range(3, n_max + 1)
+                         for g in islice(enumerate_alternating_trees(n, dedup=dedup), 5)]
+        expected = [h for g in trees + spot_subtrees for h in gram_sequence_heads(_gram_polynomial(g))]
+        assert r.trees_pruned > 0 and r.trees_examined == len(trees)
+        if dedup:
+            assert len(expected) > len(trees) + len(spot_subtrees)
+        assert seen == Counter(expected)
         assert not hasattr(analysis, "_radius_at_least")
 
     @pytest.mark.parametrize("eps", [F(8), F(1, 10**9)])

@@ -25,7 +25,8 @@ from coxlinks.spectra import (_Roots, cauchy_bound, compare_isolated_roots, inte
                               mu_max_cell)
 
 from graph_strategies import connected_alternating_graphs, connected_random_sign_graphs
-from root_oracles import HornerChain, point, sign
+from root_oracles import (HornerChain, gram_sequence_heads, point, sign,
+                          spy_on_remainder_sequences)
 
 F = Fraction
 
@@ -168,6 +169,72 @@ class TestOneReadingPerPoint:
         far = cauchy_bound(roots.poly * roots.chain.poly)
         assert spectra._top_cell(roots.chain, 0, far.numerator, far.denominator) is not None
         assert degrees and max(degrees) <= d
+
+
+def assert_fused_chain_matches(q: IntPolynomial) -> None:
+    """_sf_chain(q) against the two-step route that it replaces."""
+    fused, ref = spectra._sf_chain(q), spectra._SturmChain(squarefree_part(q))
+    assert (fused.poly, fused.steps, fused.depth) == (ref.poly, ref.steps, ref.depth), q
+
+
+Y = IntPolynomial([0, 1])
+
+
+def linear(root: int) -> IntPolynomial:
+    return IntPolynomial([-root, 1])
+
+
+class TestSquarefreeChainFromOneSequence:
+    """_sf_chain(q) builds the chain of sf(q) from the remainder sequence
+    of q.primitive() and its derivative, and runs a second sequence only
+    when q is not squarefree."""
+
+    def test_every_tree_class_up_to_ten_vertices(self):
+        qs = [_gram_polynomial(g) for n in range(2, 11) for g in enumerate_alternating_trees(n, dedup=True)]
+        for q in qs:
+            assert_fused_chain_matches(q)
+        # both routes: 24 of the 200 Gram polynomials are not squarefree
+        assert len(qs) == 200 and sum(squarefree_part(q) != q.primitive() for q in qs) == 24
+
+    @given(connected_random_sign_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_random_sign_graphs(self, g):
+        assert_fused_chain_matches(_gram_polynomial(g))
+
+    def test_synthetic_polynomials(self, monkeypatch):
+        cube = linear(1) * linear(1) * linear(1)
+        # (y - 1)^3: the sequence stops at q' = 3 (y - 1)^2, whose content 3
+        # the division must drop
+        chain = spectra._SturmChain(cube)
+        assert chain.steps == [] and chain.last == 3 * linear(1) * linear(1)
+        assert spectra._sf_chain(cube).poly == linear(1)
+        paper5 = _gram_polynomial(named_graph("paper-5"))
+        heads = spy_on_remainder_sequences(monkeypatch)
+        for q in (cube, Y * Y * linear(2), 6 * paper5, -6 * paper5, 6 * cube * linear(-4),
+                  IntPolynomial([5]), IntPolynomial([-3]), 2 * Y, linear(7) * linear(7)):
+            expected = gram_sequence_heads(q)
+            del heads[:]
+            spectra._sf_chain(q)
+            assert heads == expected, q
+            assert_fused_chain_matches(q)
+
+    def test_zero_polynomial_raises(self):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            spectra._sf_chain(IntPolynomial())
+
+    def test_mu_max_cell_on_a_non_primitive_q(self):
+        # 6 y (y - 2)^2 (y - 5): content 6, a double root and a root at 0
+        for q in (6 * Y * linear(2) * linear(2) * linear(5), -6 * Y * linear(2) * linear(2) * linear(5)):
+            r = squarefree_part(q)
+            f, cell = mu_max_cell(q)
+            assert (f, cell) == spectra._mu_max_cell(spectra._SturmChain(r), spectra._fujiwara_exponent(r))
+            assert f == linear(2) * linear(5) and cell.contains(F(5))
+
+    @pytest.mark.parametrize("q", [IntPolynomial(), Y * Y, linear(-1) * linear(-2) * linear(-2),
+                                   IntPolynomial([7])], ids=["zero", "y^2", "negative-roots", "constant"])
+    def test_mu_max_cell_without_a_positive_root_raises(self, q):
+        with pytest.raises(ValueError):
+            mu_max_cell(q)
 
 
 def spy_on_degrees(monkeypatch) -> list[int]:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from coxlinks import graphs
+from coxlinks import coxeter, graphs
 from coxlinks.graphs import (
     MINUS,
     PLUS,
@@ -179,6 +179,53 @@ class TestBipartitions:
     def test_adjacency_matrix(self):
         g = parse_graph(P3)
         assert adjacency_matrix(g).rows == ((0, 1, 0), (1, 0, 1), (0, 1, 0))
+
+
+class TestOneColoringWalkPerGraph:
+    """A graph is 2-coloured by one _bipartite_signs walk, made by its
+    constructor and kept for two_coloring and the Gram polynomial."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch) -> list[int]:
+        calls = []
+        real = graphs._bipartite_signs
+
+        def counting(n, edges):
+            calls.append(n)
+            return real(n, edges)
+
+        monkeypatch.setattr(graphs, "_bipartite_signs", counting)
+        return calls
+
+    @pytest.mark.parametrize("text", [A2, P3, "vertex a +\nvertex b +\nvertex c +\nedge a b\nedge b c\n",
+                                      "vertex a +\nvertex b -\nvertex c +\nvertex d -\n"
+                                      "edge a b\nedge b c\nedge c d\nedge a d\n"],
+                             ids=["a2", "p3", "classical-path", "cycle-4"])
+    def test_build_two_coloring_and_gram_polynomial_walk_once(self, walks, text):
+        g = parse_graph(text)
+        two_coloring(g)
+        coxeter._gram_polynomial(g)
+        coxeter.bipartite_factors(g)
+        assert walks == [g.n]
+
+    def test_dedup_trees_are_walked_once(self, walks):
+        for n in range(1, 11):
+            del walks[:]
+            trees = list(enumerate_alternating_trees(n, dedup=True))
+            # the constructor's connectivity walk, and none for the signs
+            assert walks == [n] * len(trees)
+
+    def test_dedup_trees_take_their_signs_from_the_levels(self):
+        # the signs by level parity are the walk's, vertex 0 positive
+        for n in range(1, 11):
+            for g in enumerate_alternating_trees(n, dedup=True):
+                assert g.signs == graphs._bipartite_signs(n, g.edges) == g._coloring
+
+    def test_odd_cycle_raises_on_the_kept_coloring(self):
+        g = parse_graph(TRIANGLE)
+        for route in (two_coloring, coxeter._gram_polynomial, coxeter.coxeter_polynomial):
+            with pytest.raises(NotBipartiteError, match="odd cycle"):
+                route(g)
 
 
 class TestExtensions:
