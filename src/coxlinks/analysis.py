@@ -78,10 +78,10 @@ def log_concavity_check(p: IntPolynomial) -> bool:
     return all(m[i] * m[i] > m[i - 1] * m[i + 1] for i in range(1, len(m) - 1))
 
 
-def _graph_spectrum(g: MixedSignCoxeterGraph) -> tuple[IntPolynomial, _Roots]:
-    """c and its _Roots, both from one Gram polynomial q of g."""
-    q = _gram_polynomial(g)
-    return _coxeter_from_gram(q, g.n), _Roots.of_gram(q, g.n)
+def _graph_spectrum(q: IntPolynomial, n: int) -> tuple[IntPolynomial, _Roots]:
+    """c and its _Roots, both from the Gram polynomial q of a graph with n
+    vertices."""
+    return _coxeter_from_gram(q, n), _Roots.of_gram(q, n)
 
 
 def _interval_json(iv: RationalInterval | None) -> dict | None:
@@ -199,7 +199,7 @@ def analyze(g: MixedSignCoxeterGraph,
     if eps <= 0:
         raise ValueError("epsilon must be positive")
 
-    c, roots = _graph_spectrum(g)
+    c, roots = _graph_spectrum(_gram_polynomial(g), g.n)
     mrr = roots.max_root_cell(eps)
     if not is_alternating_sign(g):
         return AnalysisReport(
@@ -313,6 +313,25 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
     The pairs are decided on their Gram polynomials, at half c's degree:
     interlacing by gram_interlacing_pair, radius order by mu_max_cell.
 
+    What runs per tree, and what once per polynomial.  c =
+    _coxeter_from_gram(q, n) and _Roots.of_gram(q, n) are pure functions
+    of (q, n), and so are the five verdicts read off them: all roots of c
+    negative (real-negative-spectrum and real-stability), reciprocality,
+    and the sign alternation, trapezoid shape and log-concavity of Delta.
+    Within one size n is fixed, and on a tree q fixes it anyway, as
+    -q_(s-1) = trace G = n - 1.  So c and the verdicts are computed for
+    the first tree of each q and looked up by q's coefficients for every
+    later one.  The interlacing verdict is a pure function of the pair
+    (f, Q) of gram_interlacing_pair, and the radius order of the two Gram
+    polynomials, and they are looked up the same way.  What depends on
+    the labeling still runs on every tree: q, the factorization, the
+    symmetry check, the matrix certificate, and the Berkowitz run on
+    C+-, which is compared against the c of its q.  So every labeled
+    matrix is checked, every check is recorded once per tree or pair in
+    enumeration order, and the counters and the first counterexample
+    are those that computing everything per tree would give.  The
+    lookups are local to the call and start empty for each size.
+
     dedup generates one tree per isomorphism class directly (Wright,
     Richmond, Odlyzko and McKay) instead of walking every labeled tree;
     every check depends only on the isomorphism class, so the verdict is
@@ -337,15 +356,26 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
 
     rng = random.Random(seed)
     for n in range(2, n_max + 1):
+        # verdicts that are pure functions of polynomials, by input (see above)
+        battery: dict[tuple[int, ...], tuple[IntPolynomial, bool, bool, bool, bool, bool]] = {}
+        interlacing: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
+        radius_order: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         for g in enumerate_alternating_trees(n, dedup=dedup):
             graphs += 1
             c_plus, c_minus = bipartite_factors(g)
             c_bipartite = c_plus @ c_minus
-            c, roots = _graph_spectrum(g)
-            delta = _alexander_from_coxeter(c)
-            # Delta = +-c(-t): every root of c real and negative iff Delta
-            # is real stable, so one count serves both checks
-            real_stable = roots.all_negative
+            q = _gram_polynomial(g)
+            verdicts = battery.get(q.coeffs)
+            if verdicts is None:
+                c, roots = _graph_spectrum(q, n)
+                delta = _alexander_from_coxeter(c)
+                # Delta = +-c(-t): every root of c real and negative iff
+                # Delta is real stable, so one count serves both checks
+                verdicts = battery[q.coeffs] = (
+                    c, roots.all_negative, c.coeffs == tuple(reversed(c.coeffs)),
+                    sign_alternation_check(delta), trapezoidal_check(delta)[0],
+                    log_concavity_check(delta))
+            c, real_stable, reciprocal, sign_alt, trap, log_conc = verdicts
             record("symmetry", c_bipartite.is_symmetric(), g)
             record("real-negative-spectrum", real_stable, g)
             record("proof-identities", bool(_proof_identities(g, c_plus, c_minus)), g)
@@ -353,11 +383,11 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
             # C+ C+ = I and M^T M = -C- C+, so the monodromy is C+ (-C+-) C+,
             # of characteristic polynomial det(tI + C+-) = (-1)^n c(-t) = Delta
             record("monodromy-charpoly", c_bipartite.charpoly() == c, g)
-            record("reciprocality", c.coeffs == tuple(reversed(c.coeffs)), g)
+            record("reciprocality", reciprocal, g)
             record("real-stability", real_stable, g)
-            record("sign-alternation", sign_alternation_check(delta), g)
-            record("trapezoidality", trapezoidal_check(delta)[0], g)
-            record("log-concavity", log_concavity_check(delta), g)
+            record("sign-alternation", sign_alt, g)
+            record("trapezoidality", trap, g)
+            record("log-concavity", log_conc, g)
 
         for _ in range(extension_trials):
             base = random_alternating_tree(n, rng)
@@ -366,7 +396,12 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
             # Delta = +-c(-t), so the Coxeter verdict is also the
             # Alexander one (see interlace_check)
             pair = gram_interlacing_pair(base, ext)
-            interlaced = pair is not None and interlace_check(*pair)
+            interlaced = False
+            if pair is not None:
+                key = pair[0].coeffs, pair[1].coeffs
+                interlaced = interlacing.get(key)
+                if interlaced is None:
+                    interlaced = interlacing[key] = interlace_check(*pair)
             record("coxeter-interlacing", interlaced, ext)
             record("alexander-interlacing", interlaced, ext)
 
@@ -375,11 +410,14 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
             if large.edge_count == small.edge_count:
                 large = random_vertex_extension(small, rng)
             graphs += 2
-            # the radii are ordered as the mu_max of q are (mu_max_cell)
-            record("radius-monotonicity",
-                   compare_isolated_roots(*mu_max_cell(_gram_polynomial(small)),
-                                          *mu_max_cell(_gram_polynomial(large))) <= 0,
-                   large)
+            q_small, q_large = _gram_polynomial(small), _gram_polynomial(large)
+            key = q_small.coeffs, q_large.coeffs
+            ordered = radius_order.get(key)
+            if ordered is None:
+                # the radii are ordered as the mu_max of q are (mu_max_cell)
+                ordered = radius_order[key] = compare_isolated_roots(
+                    *mu_max_cell(q_small), *mu_max_cell(q_large)) <= 0
+            record("radius-monotonicity", ordered, large)
 
     counters = tuple((name, counts[name][0], counts[name][1])
                      for name in _TREE_CHECKS + _PAIR_CHECKS)

@@ -300,7 +300,14 @@ def _tree(n: int, signs: Sequence[Sign], edges: Sequence[tuple[int, int]]) -> Mi
 
 
 def _tree_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> MixedSignCoxeterGraph:
-    return _tree(n, _bipartite_signs(n, edges), edges)
+    # the signs are the colouring that the constructor's connectivity check
+    # reads, so it is cached before the constructor runs and the edges are
+    # walked once
+    signs = _bipartite_signs(n, edges)
+    g = object.__new__(MixedSignCoxeterGraph)
+    g.__dict__["_coloring"] = signs
+    g.__init__(tuple(f"v{i}" for i in range(n)), signs, tuple(edges))
+    return g
 
 
 def _free_tree_level_sequences(n: int) -> Iterator[list[int]]:

@@ -1,5 +1,6 @@
 """Reports, coefficient certifications, sweeps, minimum search."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
@@ -26,8 +27,9 @@ from coxlinks.coxeter import (
 )
 from coxlinks.exact import IntMatrix, IntPolynomial
 from coxlinks.fixtures import fixture_graph, fixture_names
-from coxlinks.graphs import (enumerate_alternating_trees, is_alternating_sign, parse_graph,
-                             remove_vertex)
+from coxlinks.graphs import (enumerate_alternating_trees, graph_to_text, is_alternating_sign,
+                             parse_graph, random_alternating_tree, random_edge_augmentation,
+                             random_vertex_extension, remove_vertex)
 from coxlinks.spectra import (RationalInterval, cauchy_bound, is_real_stable, max_real_root,
                               spectral_radius_enclosure)
 
@@ -190,16 +192,27 @@ class TestVerifyTheorems:
         assert a.render_text() == b.render_text()
         assert a.graphs_examined == b.graphs_examined
 
-    def test_one_interlacing_per_extension_trial(self, monkeypatch):
-        calls = []
+    def test_one_interlacing_per_distinct_pair(self, monkeypatch):
+        # within one size each (f, Q) of gram_interlacing_pair is checked
+        # once, the first time it is drawn, and the rest are looked up
+        drawn, checked = [], []
+        real_pair = coxeter.gram_interlacing_pair
+
+        def drawing(small, large):
+            pair = real_pair(small, large)
+            drawn.append((small.n, pair[0].coeffs, pair[1].coeffs))
+            return pair
 
         def counting(p, q):
-            calls.append((p, q))
+            checked.append((p.coeffs, q.coeffs))
             return spectra.interlace_check(p, q)
 
+        monkeypatch.setattr(analysis, "gram_interlacing_pair", drawing)
         monkeypatch.setattr(analysis, "interlace_check", counting)
         s = verify_theorems(4, extension_trials=3, seed=5)
-        assert len(calls) == 3 * 3
+        assert len(drawn) == 3 * 3
+        firsts = [key[1:] for key in dict.fromkeys(drawn)]
+        assert checked == firsts and len(checked) == 1 + 2 + 2
         counters = dict((name, (p, f)) for name, p, f in s.counters)
         assert counters["coxeter-interlacing"] == counters["alexander-interlacing"] == (9, 0)
 
@@ -238,8 +251,8 @@ class TestVerifyTheorems:
         if fault == "fast c":
             real = analysis._graph_spectrum
 
-            def wrong(g):
-                c, roots = real(g)
+            def wrong(q, n):
+                c, roots = real(q, n)
                 return c + P(0, 1), roots
 
             monkeypatch.setattr(analysis, "_graph_spectrum", wrong)
@@ -271,6 +284,115 @@ class TestVerifyTheorems:
             verify_theorems(1)
         with pytest.raises(ValueError):
             verify_theorems(3, extension_trials=-1)
+
+
+class TestVerifyLookups:
+    """Inside one verify_theorems call, each verdict that is a function of
+    polynomials alone is computed once per distinct input of one size and
+    recorded for every tree or pair with that input."""
+
+    @pytest.fixture
+    def spectra_built(self, monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+        calls = []
+        real = spectra._Roots.of_gram
+
+        def counting(cls, q, n):
+            calls.append((q.coeffs, n))
+            return real(q, n)
+
+        monkeypatch.setattr(spectra._Roots, "of_gram", classmethod(counting))
+        return calls
+
+    def test_one_spectrum_per_distinct_gram_polynomial(self, spectra_built):
+        # the 1 + 3 + 16 + 125 labeled trees have 1 + 1 + 2 + 3 distinct q
+        verify_theorems(5, extension_trials=0)
+        assert len(spectra_built) == len(set(spectra_built)) == 1 + 1 + 2 + 3
+
+    def test_one_spectrum_per_dedup_tree(self, spectra_built):
+        # isomorphism classes have distinct q here, so every lookup misses
+        verify_theorems(8, extension_trials=0, dedup=True)
+        assert len(spectra_built) == 47
+
+    def test_no_lookup_outlives_a_call(self, spectra_built):
+        verify_theorems(5, extension_trials=4, seed=2)
+        first = list(spectra_built)
+        del spectra_built[:]
+        verify_theorems(5, extension_trials=4, seed=2)
+        assert spectra_built == first and len(first) == 1 + 1 + 2 + 3
+
+    def test_a_failing_verdict_counts_every_tree_with_its_polynomial(self, monkeypatch):
+        # log-concavity made to fail on the Alexander polynomial of the fork
+        # on 5 vertices, whose q has the degree of the path's
+        fork = next(g for g in enumerate_alternating_trees(5, dedup=True)
+                    if sorted(map(len, g.neighbors)) == [1, 1, 1, 2, 3])
+        target = alexander_polynomial(fork)
+        real = analysis.log_concavity_check
+        monkeypatch.setattr(analysis, "log_concavity_check",
+                            lambda delta: delta != target and real(delta))
+        q = _gram_polynomial(fork)
+        hits = [g for n in range(2, 6) for g in enumerate_alternating_trees(n)
+                if _gram_polynomial(g) == q]
+        assert 0 < len(hits) < 125
+        s = verify_theorems(5, extension_trials=3, seed=1)
+        trees = 1 + 3 + 16 + 125
+        for name, passed, failed in s.counters:
+            if name == "log-concavity":
+                assert (passed, failed) == (trees - len(hits), len(hits))
+            else:
+                assert failed == 0
+        assert s.counterexample == "# failed check: log-concavity\n" + graph_to_text(hits[0])
+
+    def test_a_failing_interlacing_counts_every_trial_with_its_pair(self, monkeypatch):
+        # the fault is on one (f, Q) whose f another pair of its size shares
+        drawn = []
+        real_pair = coxeter.gram_interlacing_pair
+
+        def drawing(small, large):
+            pair = real_pair(small, large)
+            drawn.append(((small.n, pair[0].coeffs, pair[1].coeffs), large))
+            return pair
+
+        monkeypatch.setattr(analysis, "gram_interlacing_pair", drawing)
+        verify_theorems(5, extension_trials=10, seed=1)
+        keys = list(dict.fromkeys(key for key, _ in drawn))
+        target = next(k for k in keys if any(j[:2] == k[:2] and j != k for j in keys))
+        hits = [large for key, large in drawn if key == target]
+        real = spectra.interlace_check
+        monkeypatch.setattr(analysis, "interlace_check",
+                            lambda f, q: (f.coeffs, q.coeffs) != target[1:] and real(f, q))
+        del drawn[:]
+        s = verify_theorems(5, extension_trials=10, seed=1)
+        counters = dict((name, (p, f)) for name, p, f in s.counters)
+        for name in ("coxeter-interlacing", "alexander-interlacing"):
+            assert counters[name] == (4 * 10 - len(hits), len(hits))
+        assert s.counterexample == "# failed check: coxeter-interlacing\n" + graph_to_text(hits[0])
+
+    def test_one_radius_order_per_distinct_pair(self, monkeypatch):
+        # the seeded draws of verify_theorems, replayed: per size and trial
+        # an extension pair, then a radius pair (small, large)
+        rng = random.Random(4)
+        drawn = []
+        for n in range(2, 6):
+            for _ in range(10):
+                random_vertex_extension(random_alternating_tree(n, rng), rng)
+                small = random_alternating_tree(n, rng)
+                large = random_edge_augmentation(small, rng)
+                if large.edge_count == small.edge_count:
+                    large = random_vertex_extension(small, rng)
+                drawn.append((n, _gram_polynomial(small).coeffs, _gram_polynomial(large).coeffs))
+        cells = []
+        real = spectra.mu_max_cell
+
+        def counting(q):
+            cells.append(q.coeffs)
+            return real(q)
+
+        monkeypatch.setattr(analysis, "mu_max_cell", counting)
+        s = verify_theorems(5, extension_trials=10, seed=4)
+        firsts = [key[1:] for key in dict.fromkeys(drawn)]
+        assert list(zip(cells[::2], cells[1::2])) == firsts and len(cells) == 2 * len(firsts)
+        assert len(firsts) < len(drawn)
+        assert ("radius-monotonicity", 4 * 10, 0) in s.counters
 
 
 class TestMonodromyCertificate:

@@ -221,6 +221,27 @@ class TestOneColoringWalkPerGraph:
             for g in enumerate_alternating_trees(n, dedup=True):
                 assert g.signs == graphs._bipartite_signs(n, g.edges) == g._coloring
 
+    def test_labeled_trees_are_walked_once(self, walks):
+        # the walk that signs a Pruefer tree is the constructor's colouring
+        for n in range(1, 7):
+            del walks[:]
+            trees = list(enumerate_alternating_trees(n))
+            assert walks == [n] * len(trees)
+        del walks[:]
+        rng = random.Random(1)
+        for n in range(2, 12):
+            random_alternating_tree(n, rng)
+        assert walks == list(range(2, 12))
+
+    def test_labeled_trees_take_their_signs_from_the_walk(self):
+        # the signs the walk gives on the sorted edges, vertex 0 positive,
+        # are the ones kept as the colouring
+        rng = random.Random(2)
+        trees = [g for n in range(1, 7) for g in enumerate_alternating_trees(n)]
+        trees += [random_alternating_tree(n, rng) for n in range(2, 30)]
+        for g in trees:
+            assert g.signs == graphs._bipartite_signs(g.n, g.edges) == g._coloring
+
     def test_odd_cycle_raises_on_the_kept_coloring(self):
         g = parse_graph(TRIANGLE)
         for route in (two_coloring, coxeter._gram_polynomial, coxeter.coxeter_polynomial):
