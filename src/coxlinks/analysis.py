@@ -190,9 +190,11 @@ def analyze(g: MixedSignCoxeterGraph,
 
     verify_proof_identities is the one matrix certificate: it certifies
     the monodromy M^T M = -C- C+, whose characteristic polynomial is
-    therefore Delta.  c comes from the Gram polynomial q, so no graph runs
-    an n x n characteristic polynomial, and every root answer from the
-    spectra._Roots.of_gram of q, which counts on the Sturm chain of sf(q).
+    therefore Delta.  c comes from the Gram polynomial q, read off one
+    integer at a Kronecker point (the matching recursion on a tree, one
+    sparse determinant otherwise), so no graph runs Berkowitz, and every
+    root answer from the spectra._Roots.of_gram of q, which counts on the
+    Sturm chain of sf(q).
     """
     if g.n < 2:
         raise ValueError("analysis needs at least 2 vertices")
@@ -307,9 +309,10 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
     n_max vertices, plus seeded random extension and inclusion pairs.
     As in analyze, each tree takes c and Delta from one Gram polynomial q
     and real stability from the spectra._Roots.of_gram of q; one n x n
-    Berkowitz run on C+- = C+ C- is the slow check.  Each tree certifies
-    one factorization (C+, C-) as verify_proof_identities does, which
-    makes the monodromy C+ (-C+-) C+, so that one run covers it too.
+    Berkowitz run on C+- = C+ C-, the only one in the package, is the
+    slow check.  Each tree certifies one factorization (C+, C-) as
+    verify_proof_identities does, which makes the monodromy C+ (-C+-)
+    C+, so that one run covers it too.
     The pairs are decided on their Gram polynomials, at half c's degree:
     interlacing by gram_interlacing_pair, radius order by mu_max_cell.
 
@@ -466,14 +469,18 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
     """Exhaustive minimum of the spectral radius over alternating trees
     with 2..n_max vertices.
 
-    Ties keep the earliest tree in enumeration order.  Each tree gets one
-    spectra._Roots.of_gram.  A tree with a root of modulus at least hi, the
-    upper end of the best enclosure, cannot beat the best and is pruned
-    by its count of roots r >= hi or r < -hi.  A root at exactly -hi is
-    missed, which only skips the shortcut: such a tree at best ties, and
-    a tie never replaces the best.  Survivors descend on the same chain
-    and are compared exactly, so overlapping enclosures never misrank
-    candidates.  Along the way a few leaf-removal pairs per size
+    Ties keep the earliest tree in enumeration order.  Each distinct Gram
+    polynomial q of a size gets one spectra._Roots.of_gram: it, and the
+    prune count, descent and spot check read off it, are pure in (q, n),
+    with n fixed per size, so later trees with that q look it up by q's
+    coefficients, in a dict local to the call that starts empty for each
+    size, as in verify_theorems.  A tree with a root of modulus at least
+    hi, the upper end of the best enclosure, cannot beat the best and is
+    pruned by its count of roots r >= hi or r < -hi.  A root at exactly
+    -hi is missed, which only skips the shortcut: such a tree at best
+    ties, and a tie never replaces the best.  Survivors descend on the
+    same chain and are compared exactly, so overlapping enclosures never
+    misrank candidates.  Along the way a few leaf-removal pairs per size
     spot-check radius monotonicity on the largest roots of their Gram
     polynomials (spectra.mu_max_cell), the tree's on the chain its
     _Roots holds, and raise on any violation.
@@ -488,9 +495,13 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
     examined = pruned = 0
     for n in range(2, n_max + 1):
         spot_left = _SPOT_ASSERTS_PER_SIZE if n > 2 else 0
+        spectra: dict[tuple[int, ...], _Roots] = {}  # by q, see above
         for g in enumerate_alternating_trees(n, dedup=dedup):
             examined += 1
-            roots = _Roots.of_gram(_gram_polynomial(g), g.n)
+            q = _gram_polynomial(g)
+            roots = spectra.get(q.coeffs)
+            if roots is None:
+                roots = spectra[q.coeffs] = _Roots.of_gram(q, n)
             if best is not None and roots.outside(best[1].hi) >= 1:
                 pruned += 1
             else:

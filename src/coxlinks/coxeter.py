@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import dropwhile
 from operator import not_
 
-from .exact import IntMatrix, IntPolynomial, _coxeter_from_gram, _kronecker_digits
+from .exact import IntMatrix, IntPolynomial, _coxeter_from_gram, _kronecker_digits, _sparse_det
 from .graphs import (MixedSignCoxeterGraph, NotAlternatingError, adjacency_matrix,
                      graph_to_text, is_alternating_sign, sign_bipartition,
                      two_coloring)
@@ -84,24 +84,41 @@ def _tree_gram(g: MixedSignCoxeterGraph, s: int) -> IntPolynomial:
 
 def _gram_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
     """q = det(yI - G) for S the smaller class of two_coloring (which
-    raises NotBipartiteError on an odd cycle); see coxeter_polynomial."""
+    raises NotBipartiteError on an odd cycle); see coxeter_polynomial.
+
+    Off a tree, q(2^b) = det(2^b I - G) by _sparse_det, decoded by
+    _kronecker_digits.  Bound.  G = -D_S B D_R B^T with D_S orthogonal,
+    and B D_R B^T sums s_w b_w b_w^T over the columns b_w of B, of nuclear
+    norm |b_w|^2 = deg w each.  So by Weyl's inequality (the moduli of
+    the eigenvalues sum to at most the singular values), then the
+    triangle inequality, sum_i |lam_i| <= |G|_* <= sum_(w in R) deg w = m,
+    the edge count.  Then sum_k |q_k| <= prod_i (1 + |lam_i|) <= (1 +
+    m/s)^s by AM-GM, and that is < 2^(b-1).  A principal submatrix of G
+    is G for a subset of S, so its eigenvalues too have modulus <= m <
+    2^b: every principal minor of 2^b I - G, a product of 2^b - lam over
+    them, is nonzero, as _sparse_det needs, classical graphs included.
+    """
     bip = two_coloring(g)
     small = sorted(min(bip.part_plus, bip.part_minus, key=len))
     n, s, signs = g.n, len(small), g.signs
     if g.edge_count == n - 1:
         return _tree_gram(g, s)
-    # G_ij adds -s_i s_w for every common neighbour w of i and j in S
+    # (1 + m/s)^s < 2^(L((s+m)^s) - L(s^s) + 1), L the bit length; entry
+    # ij of 2^b I - G adds s_i s_w for every common neighbour w of i and j
+    m = g.edge_count
+    b = (((s + m) ** s).bit_length() - (s ** s).bit_length() + 9) // 8 * 8
     index = {v: k for k, v in enumerate(small)}
-    gram: list[dict[int, int]] = [{} for _ in range(s)]
+    rows = [{i: 1 << b} for i in range(s)]
     for w in range(n):
         if w not in index:
             around = [index[u] for u in g.neighbors[w]]
             for i in around:
-                row = gram[i]
-                weight = -signs[small[i]] * signs[w]
+                row = rows[i]
+                weight = signs[small[i]] * signs[w]
                 for j in around:
                     row[j] = row.get(j, 0) + weight
-    return IntMatrix._of([{j: a for j, a in row.items() if a} for row in gram]).charpoly()
+    det = _sparse_det([{j: a for j, a in row.items() if a} for row in rows])
+    return IntPolynomial(_kronecker_digits(det, b, s + 1))
 
 
 def coxeter_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
@@ -137,9 +154,12 @@ def coxeter_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
     recursion at z = 2^b on integers and reads q off the base-2^b digits,
     2^(b-1) > 2^(7n/10) >= |q_j|; _coxeter_from_gram runs the substitution
     at t = 2^b, 2^(b-1) > 2^n sum_k |q_k| >= |c_i|.  A graph with a cycle
-    runs Berkowitz on the s x s matrix G, built from common neighbours.
-    correspondence_check in tests/matrix_oracles.py tests both routes
-    against the n x n ones.
+    reads q off q(2^b) = det(2^b I - G) the same way, by one sparse
+    fraction-free determinant over the rows of G, built from common
+    neighbours (see _gram_polynomial for its b).  So no route to c runs
+    Berkowitz; IntMatrix.charpoly remains for verify's n x n check on
+    C+-.  correspondence_check in tests/matrix_oracles.py tests both
+    routes against the n x n ones.
     """
     return _coxeter_from_gram(_gram_polynomial(g), g.n)
 

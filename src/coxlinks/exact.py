@@ -279,6 +279,47 @@ def _coxeter_from_gram(q: IntPolynomial, n: int) -> IntPolynomial:
     return IntPolynomial(_kronecker_digits(-acc if s % 2 else acc, b, n + 1))
 
 
+def _sparse_det(rows: list[dict[int, int]]) -> int:
+    """det A of a matrix given by the nonzero entries of its rows, by
+    fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on the
+    diagonal, for an A whose principal minors are all nonzero.  The row
+    maps are consumed.
+
+    The next pivot is the remaining row with the fewest nonzeros, ties
+    broken by index, so the pivots are the leading principal minors p_k
+    of A with rows and columns in pivot order, and step k sets a_ij to
+    (p_k a_ij - a_ik a_kj) / p_(k-1).  By Sylvester's identity that is
+    the minor on the k pivots and i, j, an integer, so the division is
+    exact.  A row that the pivot column misses would only be scaled by
+    p_k / p_(k-1), and over steps these telescope: such a row is not
+    rewritten but keeps the pivot P_i of its last writing as a stamp, and
+    its true entries are the stored v_ij times p_(k-1) / P_i.  So the
+    pivot row is brought up to date that way, and a row that the pivot
+    column touches is rewritten as (p_k v_ij - v_ik a_kj) / P_i, which is
+    the update of its true entries, exact as well.
+    """
+    live = dict(enumerate(rows))
+    stamp = [1] * len(rows)
+    prev = 1
+    while live:
+        k = min(live, key=lambda i: (len(live[i]), i))
+        top, st = live.pop(k), stamp[k]
+        if st != prev:
+            top = {j: a * prev // st for j, a in top.items()}
+        p = top.pop(k)
+        for i, row in live.items():
+            a = row.pop(k, 0)
+            if a:
+                new = {j: v * p for j, v in row.items()}
+                for j, v in top.items():
+                    new[j] = new.get(j, 0) - a * v
+                st = stamp[i]
+                live[i] = {j: v // st for j, v in new.items() if v}
+                stamp[i] = p
+        prev = p
+    return prev
+
+
 class IntMatrix:
     """Immutable square matrix over the integers; a float or Fraction
     entry raises TypeError.  Each row is held as one {column: value} map

@@ -157,6 +157,19 @@ def tree_gram(g: MixedSignCoxeterGraph) -> IntPolynomial:
     return IntPolynomial(tree_charpoly(g).coeffs[g.n - 2 * s::2])
 
 
+def gram_matrix(g: MixedSignCoxeterGraph) -> IntMatrix:
+    """G = -D_S B D_R B^T of coxeter.coxeter_polynomial, entry by entry
+    from the biadjacency matrix B between the smaller colour class S and
+    the other one R, so that G.charpoly(), by Berkowitz, is the oracle for
+    the Gram polynomial of a graph with a cycle."""
+    bip = two_coloring(g)
+    small, other = sorted((sorted(bip.part_plus), sorted(bip.part_minus)), key=len)
+    b = [[int(g.has_edge(i, w)) for w in other] for i in small]
+    d_r = [g.signs[w] for w in other]
+    return IntMatrix([[-g.signs[i] * sum(x * d * y for x, d, y in zip(bi, d_r, bj))
+                       for bj in b] for i, bi in zip(small, b)])
+
+
 def coxeter_from_gram(q: IntPolynomial, n: int) -> IntPolynomial:
     """A'Campo's substitution (-1)^s (t+1)^(n-2s) sum_k q_k (-(t+1)^2)^k
     t^(s-k), s = deg q, by the homogeneous Horner rule in IntPolynomial

@@ -17,6 +17,7 @@ from coxlinks.analysis import (
     trapezoidal_check,
     verify_theorems,
 )
+from coxlinks.cli import main
 from coxlinks.coxeter import (
     CertificationError,
     _gram_polynomial,
@@ -396,10 +397,11 @@ class TestVerifyLookups:
 
 
 class TestMonodromyCertificate:
-    @pytest.mark.parametrize("name", ["paper-5", "k33", "e10-classical"])
+    @pytest.mark.parametrize("name", fixture_names())
     def test_one_characteristic_polynomial_per_analyze(self, monkeypatch, name):
-        # a graph with a cycle runs Berkowitz on its s x s Gram matrix;
-        # a tree, classical or not, runs none
+        # no graph runs Berkowitz: a tree reads q off the matching
+        # recursion and a graph with a cycle (paper-5, k33) off one sparse
+        # determinant, both at a Kronecker point
         sizes = []
         real_charpoly = IntMatrix.charpoly
 
@@ -409,7 +411,7 @@ class TestMonodromyCertificate:
 
         monkeypatch.setattr(IntMatrix, "charpoly", counting)
         analyze(fixture_graph(name))
-        assert sizes == {"paper-5": [2], "k33": [3], "e10-classical": []}[name]
+        assert sizes == []
 
     def test_no_characteristic_polynomial_on_a_tree(self, monkeypatch):
         def forbidden(_):
@@ -563,12 +565,72 @@ class TestMinSearch:
         spot_subtrees = [remove_vertex(g, next(i for i in range(g.n) if len(g.neighbors[i]) == 1))
                          for n in range(3, n_max + 1)
                          for g in islice(enumerate_alternating_trees(n, dedup=dedup), 5)]
-        expected = [h for g in trees + spot_subtrees for h in gram_sequence_heads(_gram_polynomial(g))]
+        # one chain per distinct q of a size (q fixes the size, as -q_(s-1)
+        # = n - 1), looked up for every later tree with that q
+        distinct = {_gram_polynomial(g).coeffs: g for g in reversed(trees)}.values()
+        expected = [h for g in [*distinct, *spot_subtrees]
+                    for h in gram_sequence_heads(_gram_polynomial(g))]
         assert r.trees_pruned > 0 and r.trees_examined == len(trees)
         if dedup:
             assert len(expected) > len(trees) + len(spot_subtrees)
+        else:
+            assert len(distinct) == 1 + 1 + 2 + 3 + 6
         assert seen == Counter(expected)
         assert not hasattr(analysis, "_radius_at_least")
+
+    @pytest.fixture
+    def spectra_built(self, monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+        calls = []
+        real = spectra._Roots.of_gram
+
+        def counting(cls, q, n):
+            calls.append((q.coeffs, n))
+            return real(q, n)
+
+        monkeypatch.setattr(spectra._Roots, "of_gram", classmethod(counting))
+        return calls
+
+    @pytest.mark.parametrize("n_max,dedup", [(6, False), (8, True)])
+    def test_one_spectrum_per_distinct_gram_polynomial(self, spectra_built, n_max, dedup):
+        min_dilatation_search(n_max, dedup=dedup)
+        expected = [(q, n) for n in range(2, n_max + 1)
+                    for q in dict.fromkeys(_gram_polynomial(g).coeffs
+                                           for g in enumerate_alternating_trees(n, dedup=dedup))]
+        assert spectra_built == expected
+        if not dedup:
+            assert len(expected) == 1 + 1 + 2 + 3 + 6
+
+    @pytest.mark.parametrize("n_max", range(2, 7))
+    def test_labeled_stdout_equals_the_per_tree_route(self, monkeypatch, capsys, spectra_built,
+                                                      n_max):
+        # the per-tree route: a key equal only to itself makes every lookup
+        # miss, so that each labeled tree builds its own _Roots
+        class Unshared(tuple):
+            __hash__ = object.__hash__
+
+        def unshared(g, real=analysis._gram_polynomial):
+            q = object.__new__(IntPolynomial)
+            q.coeffs = Unshared(real(g).coeffs)
+            return q
+
+        def stdout(*argv):
+            assert main(["min-search", "--nmax", str(n_max), *argv]) == 0
+            return capsys.readouterr().out
+
+        shared = [stdout(), stdout("--json")]
+        del spectra_built[:]
+        monkeypatch.setattr(analysis, "_gram_polynomial", unshared)
+        assert [stdout(), stdout("--json")] == shared
+        assert len(spectra_built) == 2 * sum(n ** (n - 2) for n in range(2, n_max + 1))
+
+    def test_no_lookup_outlives_a_call(self, spectra_built):
+        min_dilatation_search(5)
+        first = list(spectra_built)
+        del spectra_built[:]
+        min_dilatation_search(5)
+        assert spectra_built == first and len(first) == 1 + 1 + 2 + 3
+        assert not [name for name, v in vars(analysis).items()
+                    if isinstance(v, dict) and not name.startswith("__")]
 
     @pytest.mark.parametrize("eps", [F(8), F(1, 10**9)])
     def test_prunes_exactly_the_trees_that_cannot_win(self, eps):

@@ -23,7 +23,7 @@ from coxlinks.coxeter import (
     seifert_matrix,
     verify_proof_identities,
 )
-from coxlinks.exact import IntMatrix, IntPolynomial, _coxeter_from_gram
+from coxlinks.exact import IntMatrix, IntPolynomial, _coxeter_from_gram, _sparse_det
 from coxlinks.fixtures import fixture_graph, fixture_names
 from coxlinks.graphs import (
     MINUS,
@@ -45,7 +45,8 @@ from coxlinks.graphs import (
 from graph_strategies import (connected_alternating_graphs, connected_random_sign_graphs,
                               signed_trees)
 from matrix_oracles import (correspondence_check, coxeter_from_gram, dense_add, dense_matmul,
-                            dense_neg, identity, inverse_unimodular, reflection, tree_gram)
+                            dense_neg, gram_matrix, identity, inverse_unimodular, reflection,
+                            tree_gram)
 
 # printed matrices for the 5-vertex fixture, vertex order p1 p2 p3 n1 n2
 C_PLUS_5 = IntMatrix([
@@ -432,6 +433,125 @@ class TestKroneckerKernels:
         q = IntPolynomial(low + [sign << bits])
         n = 2 * q.degree + extra
         assert _coxeter_from_gram(q, n) == coxeter_from_gram(q, n)
+
+
+def bipartite_graph(s, t, edges, signs):
+    """The graph on S = 0..s-1 and R = s..s+t-1 with the edges (i, w) of
+    S x R given as (i, w - s)."""
+    return MixedSignCoxeterGraph(tuple(f"v{i}" for i in range(s + t)), tuple(signs),
+                                 tuple((i, s + w) for i, w in edges))
+
+
+def relabelled(g, perm):
+    """g with vertex i renamed perm[i], names and signs moved along."""
+    names, signs = [None] * g.n, [None] * g.n
+    for i, k in enumerate(perm):
+        names[k], signs[k] = g.names[i], g.signs[i]
+    return MixedSignCoxeterGraph(tuple(names), tuple(signs),
+                                 tuple(tuple(sorted((perm[i], perm[j]))) for i, j in g.edges))
+
+
+def dense_bipartite_graphs(seed: int = 27):
+    """Complete K_(s,t) for 2 <= s, t <= 8, and connected random subgraphs
+    of them with at least half the edges, each with alternating, all-plus
+    and random signs, so mixed signs inside a colour class too."""
+    rng = random.Random(seed)
+    out = []
+    for s in range(2, 9):
+        for t in range(2, 9):
+            complete = [(i, w) for i in range(s) for w in range(t)]
+            subsets = [complete]
+            while len(subsets) < 3:
+                edges = [e for e in complete if rng.random() < rng.uniform(0.5, 0.9)]
+                if len(edges) >= s + t and len({i for i, _ in edges}) == s \
+                        and len({w for _, w in edges}) == t:
+                    subsets.append(edges)
+            for edges in subsets:
+                for signs in ([PLUS] * s + [MINUS] * t, [PLUS] * (s + t),
+                              [rng.choice((PLUS, MINUS)) for _ in range(s + t)]):
+                    try:
+                        out.append(bipartite_graph(s, t, edges, signs))
+                    except ValueError:  # not connected
+                        pass
+    return out
+
+
+class TestGramDeterminant:
+    """The Gram polynomial of a graph with a cycle, q(2^b) = det(2^b I - G)
+    by the sparse fraction-free elimination _sparse_det, against Berkowitz
+    on the explicitly built G of tests/matrix_oracles.py."""
+
+    @staticmethod
+    def assert_matches_oracle(g):
+        assert g.edge_count >= g.n, "a tree takes the matching route"
+        assert _gram_polynomial(g) == gram_matrix(g).charpoly(), g
+
+    def test_seeded_graphs_with_cycles(self):
+        for g in seeded_graphs_with_cycles() + signed_graphs_with_cycles():
+            self.assert_matches_oracle(g)
+
+    @pytest.mark.parametrize("name", ["k33", "paper-5"])
+    def test_fixtures(self, name):
+        self.assert_matches_oracle(fixture_graph(name))
+
+    def test_complete_and_dense_bipartite_graphs(self):
+        graphs = dense_bipartite_graphs()
+        assert len(graphs) > 3 * 49
+        for g in graphs:
+            self.assert_matches_oracle(g)
+
+    def test_mixed_signs_inside_a_colour_class(self):
+        # K_(2,2) with R signed + and -: the two vertices of S share both
+        # neighbours and every entry of G cancels to 0; K_(3,3) and a
+        # 6-cycle with a chord have mixed signs in both classes
+        cases = [bipartite_graph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)], [PLUS, PLUS, PLUS, MINUS]),
+                 bipartite_graph(3, 3, [(i, w) for i in range(3) for w in range(3)],
+                                 [PLUS, MINUS, PLUS, PLUS, PLUS, MINUS]),
+                 bipartite_graph(3, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2), (0, 1)],
+                                 [MINUS, PLUS, PLUS, MINUS, MINUS, PLUS])]
+        assert gram_matrix(cases[0]).rows == ((0, 0), (0, 0))
+        for g in cases:
+            assert not is_alternating_sign(g)
+            self.assert_matches_oracle(g)
+
+    @given(st.one_of(connected_alternating_graphs(), connected_random_sign_graphs())
+           .filter(lambda g: g.edge_count >= g.n))
+    @settings(max_examples=200, deadline=None)
+    def test_random_graphs_with_cycles(self, g):
+        self.assert_matches_oracle(g)
+
+    def test_relabelling_invariance(self):
+        # relabelling reorders the rows, and with them the pivot order:
+        # ties in the count of nonzeros go to the lower index
+        rng = random.Random(27)
+        for g in seeded_graphs_with_cycles() + dense_bipartite_graphs()[::7]:
+            q = _gram_polynomial(g)
+            perms = [list(range(g.n))[::-1]] + [rng.sample(range(g.n), g.n) for _ in range(3)]
+            for perm in perms:
+                assert _gram_polynomial(relabelled(g, perm)) == q, (g, perm)
+
+    @given(st.integers(1, 9).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from((0, 0, 0, 1, -1, 3, -7)), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_det_on_diagonally_dominant_matrices(self, rows):
+        # strict diagonal dominance makes every principal minor nonzero, as
+        # _sparse_det needs; these rows need not share a pattern
+        n = len(rows)
+        for i, row in enumerate(rows):
+            row[i] = sum(map(abs, row)) - abs(row[i]) + 1 + i % 2
+        a = IntMatrix(rows)
+        expected = (-1) ** n * a.charpoly().coefficient(0)
+        assert _sparse_det([{j: x for j, x in enumerate(row) if x} for row in rows]) == expected
+
+    def test_no_matrix_and_no_berkowitz(self, monkeypatch):
+        def forbidden(*_):
+            raise AssertionError("Berkowitz on the Gram route")
+
+        monkeypatch.setattr(IntMatrix, "charpoly", forbidden)
+        monkeypatch.setattr(IntMatrix, "_of", forbidden)
+        for g in seeded_graphs_with_cycles():
+            _gram_polynomial(g)
 
 
 def resigned(g, signs):
