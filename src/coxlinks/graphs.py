@@ -295,10 +295,6 @@ def _bipartite_signs(n: int, edges: Sequence[tuple[int, int]]) -> tuple[Sign, ..
     return tuple(signs)
 
 
-def _tree(n: int, signs: Sequence[Sign], edges: Sequence[tuple[int, int]]) -> MixedSignCoxeterGraph:
-    return MixedSignCoxeterGraph(tuple(f"v{i}" for i in range(n)), tuple(signs), tuple(edges))
-
-
 def _tree_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> MixedSignCoxeterGraph:
     # the signs are the colouring that the constructor's connectivity check
     # reads, so it is cached before the constructor runs and the edges are
@@ -378,8 +374,9 @@ def enumerate_alternating_trees(n: int, dedup: bool = False) -> Iterator[MixedSi
             for i in range(1, n):
                 last[levels[i]] = i
                 edges.append((last[levels[i] - 1], i))
-            # every edge joins two adjacent levels, and vertex 0 is at level 0
-            yield _tree(n, [MINUS if level % 2 else PLUS for level in levels], edges)
+            # every edge joins two adjacent levels and vertex 0 is at level
+            # 0, so the 2-colouring is the level parity
+            yield _tree_from_edges(n, edges)
         return
     for seq in itertools.product(range(n), repeat=n - 2):
         yield _tree_from_edges(n, _prufer_edges(seq, n))

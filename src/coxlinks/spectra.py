@@ -14,7 +14,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .exact import (IntPolynomial, _coxeter_from_gram, _remainder_steps, _signed_remainders,
-                    poly_divexact, poly_gcd, squarefree_part)
+                    poly_divexact, poly_gcd)
 
 _ZERO = Fraction(0)
 DEFAULT_EPSILON = Fraction(1, 10 ** 9)
@@ -90,9 +90,25 @@ def _point(num: int, den: int) -> tuple[int, int]:
 
 
 class _SturmChain:
-    """Sturm chain p_0 = sf, p_1 = sf', ... of a squarefree polynomial,
-    read once per point (a, b): the reading, memoized, holds the chain's
-    sign variations at a / b and whether sf vanishes there.
+    """Sturm chain p_0 = sf, p_1 = sf', ... of sf = squarefree_part(p), for
+    any nonzero p, read once per point (a, b): the reading, memoized, holds
+    the chain's sign variations at a / b and whether sf vanishes there.
+
+    One remainder sequence for a squarefree p, two otherwise.  Let f =
+    p.primitive() and L the last entry of the sequence of (f, f'): it
+    stops at a constant or where the next remainder is 0, so L is gcd(f,
+    f') up to a constant factor.  If deg L <= 0, f is squarefree and equals
+    squarefree_part(p), primitive with positive leading coefficient, so
+    that sequence is the chain wanted.  Else L.primitive() = poly_gcd(f,
+    f'): poly_gcd runs the sequence of (f, f'.primitive()), and a positive
+    multiple c f' of f' leaves the next entry as it is, since the
+    pseudo-remainders by f' and by c f' are both positive multiples of the
+    one true remainder, and each entry is the negated remainder over its
+    content.  From there on both sequences agree.  So squarefree_part(p) =
+    f / L.primitive(), primitive with positive leading coefficient by
+    Gauss's lemma, and a second sequence builds its chain.  Without
+    .primitive() the division is inexact when L = f' has content, as f' =
+    3(y - 1)^2 for f = (y - 1)^3.
 
     Quotient recurrence.  For delta_i = deg p_(i-1) - deg p_i, M_i =
     |lc(p_i)|^(delta_i + 1) and Q_i the pseudo-quotient of p_(i-1) by p_i
@@ -105,14 +121,20 @@ class _SturmChain:
     O(delta_i) products and one division, exact as V_(i+1) is an integer:
     a remainder means a corrupt chain, and raises."""
 
-    def __init__(self, sf: IntPolynomial):
+    def __init__(self, p: IntPolynomial):
+        if p.is_zero:
+            raise ValueError("zero polynomial has no squarefree part")
+        sf = p.primitive()
+        while True:
+            self.head = a, b = sf, sf.derivative()
+            self.steps = []
+            for q, m, g, r in _remainder_steps(a, b):
+                self.steps.append((q, m, g, a.degree - r.degree))
+                a, b = b, r
+            if b.degree <= 0:  # b, the sequence's last entry, is gcd(sf, sf') up to a constant
+                break
+            sf = poly_divexact(sf, b.primitive())
         self.poly = sf
-        self.head = a, b = sf, sf.derivative()
-        self.steps = []
-        for q, m, g, p in _remainder_steps(a, b):
-            self.steps.append((q, m, g, a.degree - p.degree))
-            a, b = b, p
-        self.last = b  # the sequence's last entry, a multiple of gcd(sf, sf')
         self.depth = _halving_depth(sf)
         self._memo: dict[tuple[int, int], tuple[int, bool]] = {}
 
@@ -142,32 +164,6 @@ class _SturmChain:
         if lo[0] * hi[1] >= hi[0] * lo[1]:
             return 0
         return self._reading(lo)[0] - self._reading(hi)[0]
-
-
-def _sf_chain(q: IntPolynomial) -> _SturmChain:
-    """The _SturmChain of squarefree_part(q), from one signed remainder
-    sequence when q is squarefree, and from two otherwise.
-
-    Proof.  Let f = q.primitive() and L the last entry of the sequence of
-    (f, f') that f's chain runs: it stops at a constant or where the next
-    remainder is 0, so L is gcd(f, f') up to a constant factor.  If deg L
-    <= 0, f is squarefree and equals squarefree_part(q), primitive with
-    positive leading coefficient, so f's chain is the chain wanted.  Else
-    L.primitive() = poly_gcd(f, f'): poly_gcd runs the sequence of (f,
-    f'.primitive()), and a positive multiple c f' of f' leaves the next
-    entry as it is, since the pseudo-remainders by f' and by c f' are both
-    positive multiples of the one true remainder, and each entry is the
-    negated remainder over its content.  From there on both sequences
-    agree.  So squarefree_part(q) = (f / L.primitive()).primitive(), and
-    without .primitive() the division is inexact when L = f' has content,
-    as f' = 3(y - 1)^2 for f = (y - 1)^3.
-    """
-    if q.is_zero:
-        raise ValueError("zero polynomial has no squarefree part")
-    chain = _SturmChain(q.primitive())
-    if chain.last.degree <= 0:
-        return chain
-    return _SturmChain(poly_divexact(chain.poly, chain.last.primitive()).primitive())
 
 
 def _check_width(chain: _SturmChain | _GramChain | _Roots, w: int, d: int) -> None:
@@ -342,8 +338,8 @@ class _Roots:
     as a chain of sf, so _top_cell and _root_gap take a _Roots for one."""
 
     def __init__(self, p: IntPolynomial):
-        self.poly = sf = squarefree_part(p)
-        self.chain = _SturmChain(sf.mirror())
+        self.chain = _SturmChain(p.mirror())
+        self.poly = sf = self.chain.poly.mirror().primitive()
         self.bound = cauchy_bound(sf)  # m's as well
         self.depth = self.chain.depth
 
@@ -360,7 +356,7 @@ class _Roots:
         prod_(r'(mu) = 0) (t^2 + (2 + mu) t + 1).  Times t - 1 iff r(-4) =
         0, it is squarefree with c's roots: sf, once primitive.
         """
-        gram = _sf_chain(q)
+        gram = _SturmChain(q)
         r = rest = gram.poly
         e = r.coeffs[0] == 0 or n > 2 * q.degree
         if r.coeffs[0] == 0:
@@ -371,7 +367,7 @@ class _Roots:
         sf = _coxeter_from_gram(rest, 2 * rest.degree + e)
         roots = cls.__new__(cls)
         roots.poly = sf = (sf * IntPolynomial([-1, 1]) if four else sf).primitive()
-        roots.chain = _GramChain(gram, e, sf.mirror())
+        roots.chain = _GramChain(gram, e, sf.mirror().primitive())
         roots.bound = cauchy_bound(sf)
         roots.depth = roots.chain.depth
         return roots
@@ -448,6 +444,8 @@ def is_real_stable(p: IntPolynomial) -> bool:
 
 def max_real_root(p: IntPolynomial, eps: Fraction = DEFAULT_EPSILON) -> RationalInterval:
     """Enclosure of the largest real root, width <= eps."""
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
     cell = _Roots(p).max_root_cell(eps)
     if cell is None:
         raise ValueError("polynomial has no real roots")
@@ -462,6 +460,8 @@ def spectral_radius_enclosure(p: IntPolynomial,
     sidesteps any need to break ties between the extreme roots of p;
     when every root is negative it is found on sf(-t) alone.
     """
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
     if p.is_zero or p.degree < 1:
         raise ValueError("spectral radius needs a nonconstant polynomial")
     roots = _Roots(p)
@@ -602,5 +602,5 @@ def mu_max_cell(q: IntPolynomial) -> tuple[IntPolynomial, RationalInterval]:
     root of r at its ends, but for the lower end 0 when r(0) = 0, which f
     does not vanish at.  ValueError when q has no positive root.
     """
-    chain = _sf_chain(q)
+    chain = _SturmChain(q)
     return _mu_max_cell(chain, _fujiwara_exponent(chain.poly))

@@ -172,9 +172,9 @@ class TestOneReadingPerPoint:
 
 
 def assert_fused_chain_matches(q: IntPolynomial) -> None:
-    """_sf_chain(q) against the two-step route that it replaces."""
-    fused, ref = spectra._sf_chain(q), spectra._SturmChain(squarefree_part(q))
-    assert (fused.poly, fused.steps, fused.depth) == (ref.poly, ref.steps, ref.depth), q
+    """_SturmChain(q) against the chain of squarefree_part(q)."""
+    fused, ref = spectra._SturmChain(q), spectra._SturmChain(squarefree_part(q))
+    assert (fused.poly, fused.head, fused.steps, fused.depth) == (ref.poly, ref.head, ref.steps, ref.depth), q
 
 
 Y = IntPolynomial([0, 1])
@@ -185,7 +185,7 @@ def linear(root: int) -> IntPolynomial:
 
 
 class TestSquarefreeChainFromOneSequence:
-    """_sf_chain(q) builds the chain of sf(q) from the remainder sequence
+    """_SturmChain(q) builds the chain of sf(q) from the remainder sequence
     of q.primitive() and its derivative, and runs a second sequence only
     when q is not squarefree."""
 
@@ -204,23 +204,22 @@ class TestSquarefreeChainFromOneSequence:
     def test_synthetic_polynomials(self, monkeypatch):
         cube = linear(1) * linear(1) * linear(1)
         # (y - 1)^3: the sequence stops at q' = 3 (y - 1)^2, whose content 3
-        # the division must drop
-        chain = spectra._SturmChain(cube)
-        assert chain.steps == [] and chain.last == 3 * linear(1) * linear(1)
-        assert spectra._sf_chain(cube).poly == linear(1)
-        paper5 = _gram_polynomial(named_graph("paper-5"))
+        # the division must drop, and a second sequence builds the chain
         heads = spy_on_remainder_sequences(monkeypatch)
+        chain = spectra._SturmChain(cube)
+        assert heads == [cube, linear(1)] and chain.poly == linear(1) and chain.steps == []
+        paper5 = _gram_polynomial(named_graph("paper-5"))
         for q in (cube, Y * Y * linear(2), 6 * paper5, -6 * paper5, 6 * cube * linear(-4),
                   IntPolynomial([5]), IntPolynomial([-3]), 2 * Y, linear(7) * linear(7)):
             expected = gram_sequence_heads(q)
             del heads[:]
-            spectra._sf_chain(q)
+            spectra._SturmChain(q)
             assert heads == expected, q
             assert_fused_chain_matches(q)
 
     def test_zero_polynomial_raises(self):
         with pytest.raises(ValueError, match="zero polynomial"):
-            spectra._sf_chain(IntPolynomial())
+            spectra._SturmChain(IntPolynomial())
 
     def test_mu_max_cell_on_a_non_primitive_q(self):
         # 6 y (y - 2)^2 (y - 5): content 6, a double root and a root at 0
@@ -238,21 +237,15 @@ class TestSquarefreeChainFromOneSequence:
 
 
 def spy_on_degrees(monkeypatch) -> list[int]:
-    """Degrees of every squarefree part taken and every Sturm chain built
-    in spectra from now on."""
+    """Degrees of the polynomials that every Sturm chain built in spectra
+    from now on takes its squarefree part of."""
     degrees = []
-    real_part = spectra.squarefree_part
-
-    def counting(p):
-        degrees.append(p.degree)
-        return real_part(p)
 
     class SpyChain(spectra._SturmChain):
-        def __init__(self, sf):
-            degrees.append(sf.degree)
-            super().__init__(sf)
+        def __init__(self, p):
+            degrees.append(p.degree)
+            super().__init__(p)
 
-    monkeypatch.setattr(spectra, "squarefree_part", counting)
     monkeypatch.setattr(spectra, "_SturmChain", SpyChain)
     return degrees
 

@@ -225,6 +225,7 @@ ALLOWED_WITHOUT_CALLER = {
     "spectra.RationalInterval.is_point": "value type: is an enclosure one rational",
     "exact.IntPolynomial.eval": "value type: exact value at an int or Fraction",
     "exact.IntPolynomial.coefficient": "value type: the coefficient of t^k, 0 past the degree",
+    "exact.squarefree_part": "README Library entry point and test reference",
 }
 
 

@@ -5,6 +5,7 @@ import signal
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, isqrt, prod
 
 import pytest
@@ -34,8 +35,9 @@ from coxlinks.spectra import (
 )
 
 from root_oracles import (HornerChain, as_cell, as_interval, compare_by_fractions,
-                          isolate_real_roots, isolate_squarefree, point, refine_by_fractions,
-                          root_in, separate, sign, squarefree_decomposition, sturm_count)
+                          gram_sequence_heads, isolate_real_roots, isolate_squarefree, point,
+                          refine_by_fractions, root_in, separate, sign, spy_on_remainder_sequences,
+                          squarefree_decomposition, sturm_count)
 from test_coxeter import seeded_graphs_with_cycles
 
 F = Fraction
@@ -316,11 +318,12 @@ class TestMaxRootAndRadius:
     def test_fold_route_takes_one_squarefree_part_of_the_fold(self, monkeypatch):
         degrees = []
 
-        def counting(p):
-            degrees.append(p.degree)
-            return squarefree_part(p)
+        class SpyChain(spectra._SturmChain):
+            def __init__(self, p):
+                degrees.append(p.degree)
+                super().__init__(p)
 
-        monkeypatch.setattr(spectra, "squarefree_part", counting)
+        monkeypatch.setattr(spectra, "_SturmChain", SpyChain)
         # (t - 3)(t + 5)(t + 2) has a root >= 0, so the radius folds
         r = spectral_radius_enclosure(P(-30, -11, 4, 1))
         assert degrees == [3, 6]
@@ -330,6 +333,17 @@ class TestMaxRootAndRadius:
     def test_radius_needs_real_rooted_input(self):
         with pytest.raises(ValueError):
             spectral_radius_enclosure(P(1, 0, 1))
+
+    def test_epsilon_must_be_positive(self):
+        # checked before any other work: t^2 + 1 has no real root and 7 no
+        # root at all, but the width is what is refused
+        for eps in (F(0), F(-1)):
+            for p in (P(-2, 1), P(1, 0, 1)):
+                with pytest.raises(ValueError, match="epsilon must be positive"):
+                    max_real_root(p, eps)
+            for p in (P(-2, 1), P(7)):
+                with pytest.raises(ValueError, match="epsilon must be positive"):
+                    spectral_radius_enclosure(p, eps)
 
     def test_min_root_interval(self):
         iv, _ = isolate_real_roots(P(1, 3, 1), F(1, 10**6)).roots[0]
@@ -483,6 +497,65 @@ class TestFastPathsAgainstOracles:
             assert degrees and max(degrees) <= c.degree
 
 
+SMALL_POLYS = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(IntPolynomial)
+
+
+@st.composite
+def products_with_squares(draw):
+    """k f g^2 for nonzero f, g of degree <= 4 and a content k of either
+    sign: repeated roots, negative leading coefficients, odd and even
+    degrees and constants."""
+    f = draw(SMALL_POLYS.filter(lambda p: not p.is_zero))
+    g = draw(SMALL_POLYS.filter(lambda p: not p.is_zero))
+    return draw(st.sampled_from([1, -1, 2, -6, 12])) * f * g * g
+
+
+def outcome(f, *args):
+    """f(*args), or ValueError when it raises one."""
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+def assert_roots_match_two_step_route(p, points, eps):
+    """_Roots(p) against squarefree_part(p) followed by a chain: the same
+    squarefree part, counts and enclosures, from one remainder sequence
+    when p is squarefree and two otherwise."""
+    with pytest.MonkeyPatch.context() as mp:
+        heads = spy_on_remainder_sequences(mp)
+        roots = _Roots(p)
+    assert heads == gram_sequence_heads(p.mirror()), p
+    sf = squarefree_part(p)
+    assert roots.poly == sf and roots.chain.poly == sf.mirror().primitive(), p
+    ref = HornerChain(sf.mirror())
+    for x in points:
+        assert roots.chain.is_root(point(x)) == ref.is_root(x), (p, x)
+    for lo, hi in combinations(sorted(points), 2):
+        assert roots.chain.count(point(lo), point(hi)) == ref.count(lo, hi), (p, lo, hi)
+    assert outcome(max_real_root, p, eps) == outcome(full_isolation_max_root, p, eps), p
+    if p.degree > 0:
+        assert outcome(spectral_radius_enclosure, p, eps) == outcome(fold_radius_enclosure, p, eps), p
+
+
+class TestRootsOfAnyPolynomial:
+    """_Roots(p) builds the chain of sf(p(-t)) straight from p, with no
+    squarefree part taken first."""
+
+    @given(products_with_squares(), st.lists(st.fractions(-12, 12, max_denominator=12), max_size=6),
+           EPSILONS)
+    @settings(max_examples=150, deadline=None)
+    def test_products_with_squares(self, p, points, eps):
+        bound = cauchy_bound(p)
+        assert_roots_match_two_step_route(p, READ_POINTS + points + [bound, -bound], eps)
+
+    def test_synthetic_polynomials(self):
+        cube = P(-1, 1) * P(-1, 1) * P(-1, 1)
+        for p in (cube, -6 * cube, 6 * cube * P(4, 1), P(-2, 0, 1) * P(3, 1) * P(3, 1),
+                  -3 * P(0, 1) * P(1, 0, 1) * P(1, 0, 1), P(-30, -11, 4, 1), P(5), P(-3), -2 * P(0, 1)):
+            assert_roots_match_two_step_route(p, READ_POINTS + [F(1), F(3), F(-3), F(4)], F(1, 1 << 10))
+
+
 def yun_loop_real_rooted(p):
     """Reference for is_real_rooted: one Sturm chain per Yun factor."""
     for f, _ in squarefree_decomposition(p):
@@ -591,9 +664,9 @@ class TestOneDecisionPerRootQuestion:
         chains = []
 
         class SpyChain(spectra._SturmChain):
-            def __init__(self, sf):
-                chains.append(sf)
-                super().__init__(sf)
+            def __init__(self, p):
+                super().__init__(p)
+                chains.append(self.poly)
 
         monkeypatch.setattr(spectra, "_SturmChain", SpyChain)
         # the isolation routes live in tests/root_oracles.py, out of reach
@@ -609,8 +682,8 @@ class TestOneDecisionPerRootQuestion:
             chains.clear()
             outcomes.append(interlace_outcome(p, q))
             if outcomes[-1] is True:
-                # at most one chain, on the mirrored squarefree part of the gcd
-                assert chains in ([], [squarefree_part(poly_gcd(p, q)).mirror()])
+                # at most one chain, of the mirrored squarefree part of the gcd
+                assert chains in ([], [squarefree_part(poly_gcd(p, q)).mirror().primitive()])
         assert outcomes == [True, False, True,
                             "interlacing is defined for real-rooted polynomials"]
 
