@@ -469,21 +469,32 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
     """Exhaustive minimum of the spectral radius over alternating trees
     with 2..n_max vertices.
 
-    Ties keep the earliest tree in enumeration order.  Each distinct Gram
-    polynomial q of a size gets one spectra._Roots.of_gram: it, and the
-    prune count, descent and spot check read off it, are pure in (q, n),
-    with n fixed per size, so later trees with that q look it up by q's
-    coefficients, in a dict local to the call that starts empty for each
-    size, as in verify_theorems.  A tree with a root of modulus at least
-    hi, the upper end of the best enclosure, cannot beat the best and is
-    pruned by its count of roots r >= hi or r < -hi.  A root at exactly
-    -hi is missed, which only skips the shortcut: such a tree at best
-    ties, and a tie never replaces the best.  Survivors descend on the
-    same chain and are compared exactly, so overlapping enclosures never
-    misrank candidates.  Along the way a few leaf-removal pairs per size
-    spot-check radius monotonicity on the largest roots of their Gram
-    polynomials (spectra.mu_max_cell), the tree's on the chain its
-    _Roots holds, and raise on any violation.
+    Ties keep the earliest tree in enumeration order.  Each tree is first
+    asked for the cell of mu_max, the largest root of its Gram polynomial
+    q (spectra.mu_max_cell), which is pure in q: later trees with that q
+    look it up by q's coefficients, in a dict local to the call that
+    starts empty for each size, as in verify_theorems.
+
+    Prune.  A tree with radius x_max > hi, the upper end of the best
+    enclosure, cannot beat the best.  G = B B^T is positive semidefinite,
+    so q's roots are mu >= 0, and by spectra._GramChain's factorization
+    c's roots are -1 and -x, -1/x for each mu, with x >= 1 and phi(x) =
+    (x - 1)^2 / x = mu.  So c has a root r >= hi or r < -hi iff x_max >
+    hi, and as mu_max > 0 puts every radius, so hi, above 1 and phi rises
+    on [1, inf), iff mu_max > phi(hi).  When the best changes, bar becomes
+    the point cell [phi(hi), phi(hi)] of D y - N, phi(hi) = N / D, and
+    compare_isolated_roots decides the prune exactly against it.  A tie,
+    mu_max = phi(hi), is not pruned, as a count of r < -hi misses a root
+    at -hi: such a tree at best ties, and a tie never replaces the best.
+    Nor does one occur: q is monic, so a rational mu_max is an integer,
+    and then x_max, a root of x^2 - (mu_max + 2) x + 1, is rational only
+    if it is 1, by the rational root theorem.
+
+    Only survivors build the spectra._Roots.of_gram of q, c's side, and
+    their radius cells are compared exactly with the best, so overlapping
+    enclosures never misrank candidates.  A few leaf-removal pairs per
+    size spot-check radius monotonicity, the subtree's mu_max cell against
+    the tree's stored one, and raise on any violation.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -492,29 +503,31 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
 
     t0 = time.perf_counter()
     best: tuple[IntPolynomial, RationalInterval, MixedSignCoxeterGraph] | None = None
+    bar: tuple[IntPolynomial, RationalInterval] | None = None  # phi(hi), see above
     examined = pruned = 0
     for n in range(2, n_max + 1):
         spot_left = _SPOT_ASSERTS_PER_SIZE if n > 2 else 0
-        spectra: dict[tuple[int, ...], _Roots] = {}  # by q, see above
+        tops: dict[tuple[int, ...], tuple[IntPolynomial, RationalInterval]] = {}  # by q
         for g in enumerate_alternating_trees(n, dedup=dedup):
             examined += 1
             q = _gram_polynomial(g)
-            roots = spectra.get(q.coeffs)
-            if roots is None:
-                roots = spectra[q.coeffs] = _Roots.of_gram(q, n)
-            if best is not None and roots.outside(best[1].hi) >= 1:
+            top = tops.get(q.coeffs)
+            if top is None:
+                top = tops[q.coeffs] = mu_max_cell(q)
+            if bar is not None and compare_isolated_roots(*top, *bar) > 0:
                 pruned += 1
             else:
-                folded, iv = roots.radius_cell(eps)
+                folded, iv = _Roots.of_gram(q, n).radius_cell(eps)
                 if best is None or compare_isolated_roots(
                         folded, iv, best[0], best[1]) < 0:
                     best = (folded, iv, g)
+                    phi = (iv.hi - 1) ** 2 / iv.hi
+                    bar = IntPolynomial([-phi.numerator, phi.denominator]), RationalInterval(phi, phi)
             if spot_left > 0:
                 spot_left -= 1
                 leaf = next(i for i in range(g.n) if len(g.neighbors[i]) == 1)
                 sub = remove_vertex(g, leaf)
-                if compare_isolated_roots(*mu_max_cell(_gram_polynomial(sub)),
-                                          *roots.mu_max_cell()) > 0:
+                if compare_isolated_roots(*mu_max_cell(_gram_polynomial(sub)), *top) > 0:
                     raise CertificationError(
                         "radius monotonicity violated by leaf removal\n"
                         + graph_to_text(g))

@@ -372,11 +372,6 @@ class _Roots:
         roots.depth = roots.chain.depth
         return roots
 
-    def mu_max_cell(self) -> tuple[IntPolynomial, RationalInterval]:
-        """mu_max_cell of q, for the _Roots of_gram(q, n), on the chain of
-        sf(q) that it holds."""
-        return _mu_max_cell(self.chain.gram, self.chain.k)
-
     def count(self, lo: tuple[int, int], hi: tuple[int, int]) -> int:
         """sf's distinct roots in [lo, hi), m's in (-hi, -lo]: those in
         (lo, hi] when neither end is a root, which _top_cell and _root_gap
@@ -397,10 +392,6 @@ class _Roots:
     def all_negative(self) -> bool:
         """Every root real and in [-bound, 0), so a root at 0 fails."""
         return self._between(-self.bound, _ZERO) == self.poly.degree
-
-    def outside(self, h: Fraction) -> int:
-        """For h > 0, the distinct real roots r with r >= h or r < -h."""
-        return self._between(h, self.bound) + self._between(-self.bound, -h)
 
     def max_root_cell(self, eps: Fraction) -> RationalInterval | None:
         """The cell, width <= eps, of the largest real root, or None."""
@@ -574,17 +565,6 @@ def compare_isolated_roots(p_sf: IntPolynomial, ip: RationalInterval,
         (a, b), (c, e), d = _halve(p_sf, a, b, d, sp), _halve(q_sf, c, e, d, sq), 2 * d
 
 
-def _mu_max_cell(chain: _SturmChain, k: int) -> tuple[IntPolynomial, RationalInterval]:
-    """mu_max_cell on the chain of r = sf(q) and its _fujiwara_exponent k."""
-    r = chain.poly
-    cell = _top_cell(chain, 0, 1 << k, 1)
-    if cell is None:
-        raise ValueError("Gram polynomial has no positive root")
-    a, b, d = cell
-    return (IntPolynomial(r.coeffs[1:]) if r.coeffs[0] == 0 else r,
-            RationalInterval(Fraction(a, d), Fraction(b, d)))
-
-
 def mu_max_cell(q: IntPolynomial) -> tuple[IntPolynomial, RationalInterval]:
     """(f, cell), f = r / y^[r(0) = 0] for r = sf(q) and cell isolating
     f's largest root mu_max, for the Gram polynomial q of an alternating
@@ -603,4 +583,10 @@ def mu_max_cell(q: IntPolynomial) -> tuple[IntPolynomial, RationalInterval]:
     does not vanish at.  ValueError when q has no positive root.
     """
     chain = _SturmChain(q)
-    return _mu_max_cell(chain, _fujiwara_exponent(chain.poly))
+    r = chain.poly
+    cell = _top_cell(chain, 0, 1 << _fujiwara_exponent(r), 1)
+    if cell is None:
+        raise ValueError("Gram polynomial has no positive root")
+    a, b, d = cell
+    return (IntPolynomial(r.coeffs[1:]) if r.coeffs[0] == 0 else r,
+            RationalInterval(Fraction(a, d), Fraction(b, d)))

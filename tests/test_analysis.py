@@ -566,11 +566,13 @@ class TestMinSearch:
                          for n in range(3, n_max + 1)
                          for g in islice(enumerate_alternating_trees(n, dedup=dedup), 5)]
         # one chain per distinct q of a size (q fixes the size, as -q_(s-1)
-        # = n - 1), looked up for every later tree with that q
+        # = n - 1), looked up for every later tree with that q, and one
+        # more per survivor, whose _Roots.of_gram builds its own: at this
+        # eps the 2-vertex tree, the first, is the only one
         distinct = {_gram_polynomial(g).coeffs: g for g in reversed(trees)}.values()
-        expected = [h for g in [*distinct, *spot_subtrees]
+        expected = [h for g in [*distinct, *spot_subtrees, trees[0]]
                     for h in gram_sequence_heads(_gram_polynomial(g))]
-        assert r.trees_pruned > 0 and r.trees_examined == len(trees)
+        assert r.trees_pruned == len(trees) - 1 and r.trees_examined == len(trees)
         if dedup:
             assert len(expected) > len(trees) + len(spot_subtrees)
         else:
@@ -590,21 +592,56 @@ class TestMinSearch:
         monkeypatch.setattr(spectra._Roots, "of_gram", classmethod(counting))
         return calls
 
+    @pytest.fixture
+    def cells_built(self, monkeypatch) -> list[tuple[int, ...]]:
+        calls = []
+        real = spectra.mu_max_cell
+
+        def counting(q):
+            calls.append(q.coeffs)
+            return real(q)
+
+        monkeypatch.setattr(analysis, "mu_max_cell", counting)
+        return calls
+
+    @staticmethod
+    def cell_queries(n_max: int, dedup: bool) -> tuple[list[tuple[int, ...]], int]:
+        """The q that min-search asks mu_max_cell about, in order: each
+        distinct q of a size at its first tree, and the q of the
+        leaf-removal subtree of each of the first five trees of every size
+        from 3 on; and the number of distinct q."""
+        queries, distinct = [], 0
+        for n in range(2, n_max + 1):
+            seen = set()
+            for i, g in enumerate(enumerate_alternating_trees(n, dedup=dedup)):
+                q = _gram_polynomial(g).coeffs
+                if q not in seen:
+                    seen.add(q)
+                    queries.append(q)
+                if n > 2 and i < 5:
+                    leaf = next(v for v in range(g.n) if len(g.neighbors[v]) == 1)
+                    queries.append(_gram_polynomial(remove_vertex(g, leaf)).coeffs)
+            distinct += len(seen)
+        return queries, distinct
+
+    # the only survivor, at the default eps, and so the only _Roots.of_gram
+    A2 = ((-1, 1), 2)
+
     @pytest.mark.parametrize("n_max,dedup", [(6, False), (8, True)])
-    def test_one_spectrum_per_distinct_gram_polynomial(self, spectra_built, n_max, dedup):
+    def test_one_spectrum_per_distinct_gram_polynomial(self, spectra_built, cells_built, n_max,
+                                                        dedup):
         min_dilatation_search(n_max, dedup=dedup)
-        expected = [(q, n) for n in range(2, n_max + 1)
-                    for q in dict.fromkeys(_gram_polynomial(g).coeffs
-                                           for g in enumerate_alternating_trees(n, dedup=dedup))]
-        assert spectra_built == expected
+        queries, distinct = self.cell_queries(n_max, dedup)
+        assert cells_built == queries
+        assert spectra_built == [self.A2]
         if not dedup:
-            assert len(expected) == 1 + 1 + 2 + 3 + 6
+            assert distinct == 1 + 1 + 2 + 3 + 6
 
     @pytest.mark.parametrize("n_max", range(2, 7))
     def test_labeled_stdout_equals_the_per_tree_route(self, monkeypatch, capsys, spectra_built,
-                                                      n_max):
+                                                      cells_built, n_max):
         # the per-tree route: a key equal only to itself makes every lookup
-        # miss, so that each labeled tree builds its own _Roots
+        # miss, so that each labeled tree takes its own mu_max cell
         class Unshared(tuple):
             __hash__ = object.__hash__
 
@@ -618,25 +655,30 @@ class TestMinSearch:
             return capsys.readouterr().out
 
         shared = [stdout(), stdout("--json")]
-        del spectra_built[:]
+        del spectra_built[:], cells_built[:]
         monkeypatch.setattr(analysis, "_gram_polynomial", unshared)
         assert [stdout(), stdout("--json")] == shared
-        assert len(spectra_built) == 2 * sum(n ** (n - 2) for n in range(2, n_max + 1))
+        trees = sum(n ** (n - 2) for n in range(2, n_max + 1))
+        spots = sum(min(5, n ** (n - 2)) for n in range(3, n_max + 1))
+        assert len(cells_built) == 2 * (trees + spots)
+        assert spectra_built == [self.A2] * 2
 
-    def test_no_lookup_outlives_a_call(self, spectra_built):
+    def test_no_lookup_outlives_a_call(self, spectra_built, cells_built):
         min_dilatation_search(5)
-        first = list(spectra_built)
-        del spectra_built[:]
+        first = list(cells_built)
+        del cells_built[:]
         min_dilatation_search(5)
-        assert spectra_built == first and len(first) == 1 + 1 + 2 + 3
+        queries, distinct = self.cell_queries(5, False)
+        assert cells_built == first == queries and distinct == 1 + 1 + 2 + 3
+        assert spectra_built == [self.A2] * 2
         assert not [name for name, v in vars(analysis).items()
                     if isinstance(v, dict) and not name.startswith("__")]
 
-    @pytest.mark.parametrize("eps", [F(8), F(1, 10**9)])
+    @pytest.mark.parametrize("eps", [F(8), F(1, 10**9), F(3), F(1, 3)])
     def test_prunes_exactly_the_trees_that_cannot_win(self, eps):
         # the 2-vertex tree is the minimum and comes first, so hi is fixed;
-        # at eps = 8 it is 4, above the radius of a few trees, which must
-        # then be kept
+        # at eps = 8 and 3 it is 4, above the radius of a few trees, which
+        # must then be kept
         r = min_dilatation_search(5, eps=eps)
         hi = r.enclosure.hi
         expected = 0
@@ -650,6 +692,20 @@ class TestMinSearch:
         assert r.trees_pruned == expected
         if eps > 1:
             assert expected < len(trees) - 1
+
+    def test_spot_check_reads_the_tree_s_own_cell(self, monkeypatch):
+        # the path on 4 vertices made to report mu_max = 1, below the 2 of
+        # its leaf-removal subtree, the path on 3: the spot check compares
+        # against the tree's stored cell, so it raises on that tree
+        p4 = next(g for g in enumerate_alternating_trees(4, dedup=True)
+                  if max(map(len, g.neighbors)) == 2)
+        target = _gram_polynomial(p4).coeffs
+        real = spectra.mu_max_cell
+        monkeypatch.setattr(analysis, "mu_max_cell", lambda q: (
+            (P(-1, 1), RationalInterval(F(1), F(1))) if q.coeffs == target else real(q)))
+        with pytest.raises(CertificationError) as info:
+            min_dilatation_search(4, dedup=True)
+        assert str(info.value) == "radius monotonicity violated by leaf removal\n" + graph_to_text(p4)
 
     def test_n2_baseline(self):
         r = min_dilatation_search(2)

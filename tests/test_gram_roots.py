@@ -25,7 +25,7 @@ from coxlinks.spectra import (_Roots, cauchy_bound, compare_isolated_roots, inte
                               mu_max_cell)
 
 from graph_strategies import connected_alternating_graphs, connected_random_sign_graphs
-from root_oracles import (HornerChain, gram_sequence_heads, point, sign,
+from root_oracles import (HornerChain, gram_sequence_heads, isolate_real_roots, point, sign,
                           spy_on_remainder_sequences)
 
 F = Fraction
@@ -224,9 +224,11 @@ class TestSquarefreeChainFromOneSequence:
     def test_mu_max_cell_on_a_non_primitive_q(self):
         # 6 y (y - 2)^2 (y - 5): content 6, a double root and a root at 0
         for q in (6 * Y * linear(2) * linear(2) * linear(5), -6 * Y * linear(2) * linear(2) * linear(5)):
-            r = squarefree_part(q)
             f, cell = mu_max_cell(q)
-            assert (f, cell) == spectra._mu_max_cell(spectra._SturmChain(r), spectra._fujiwara_exponent(r))
+            # the cell holds the full isolation's largest root and meets no other
+            roots = [iv for iv, _ in isolate_real_roots(q).roots]
+            assert cell.lo <= roots[-1].lo and roots[-1].hi <= cell.hi
+            assert all(iv.hi < cell.lo or cell.hi < iv.lo for iv in roots[:-1])
             assert f == linear(2) * linear(5) and cell.contains(F(5))
 
     @pytest.mark.parametrize("q", [IntPolynomial(), Y * Y, linear(-1) * linear(-2) * linear(-2),

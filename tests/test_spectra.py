@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from coxlinks import exact, spectra
 from coxlinks.analysis import analyze, min_dilatation_search
-from coxlinks.coxeter import alexander_polynomial, coxeter_polynomial
+from coxlinks.coxeter import _gram_polynomial, alexander_polynomial, coxeter_polynomial
 from coxlinks.exact import (IntPolynomial, _pseudo_division, poly_divexact, poly_gcd,
                             squarefree_part)
 from coxlinks.fixtures import fixture_graph, fixture_names
@@ -31,6 +31,7 @@ from coxlinks.spectra import (
     is_real_rooted,
     is_real_stable,
     max_real_root,
+    mu_max_cell,
     spectral_radius_enclosure,
 )
 
@@ -689,8 +690,8 @@ class TestOneDecisionPerRootQuestion:
 
 
 def roots_outside(p, h):
-    """Reference for _Roots.outside: the distinct real roots r of p with
-    r >= h or r < -h, read off the full isolation."""
+    """The distinct real roots r of p with r >= h or r < -h, read off the
+    full isolation: the count min-search once pruned by."""
     iso = isolate_real_roots(p)
     sf = iso.squarefree
 
@@ -706,36 +707,53 @@ def roots_outside(p, h):
     return sum(at_least(iv, h) or not at_least(iv, -h) for iv, _ in iso.roots)
 
 
-class TestPruneCount:
-    """The min-search prune count, _Roots(p).outside(h), against the
-    full isolation."""
+def phi(x):
+    return (x - 1) ** 2 / x
 
-    def test_prune_count_at_and_between_roots(self):
-        p = P(-1, 1) * P(2, 1) * P(-3, 2) * P(5, 4) * P(1, 0, 1)  # 1, -2, 3/2, -5/4
-        cases = {F(1): 4, F(2): 0, F(3, 2): 2, F(5, 4): 2, F(9, 8): 3,
-                 F(7, 4): 1, F(5, 2): 0, F(1, 2): 4}
-        for h, expected in cases.items():
-            assert _Roots(p).outside(h) == roots_outside(p, h) == expected
 
-    @given(DYADIC_FACTORS, st.sampled_from(EXTRA_FACTORS))
-    @settings(max_examples=100, deadline=None)
-    def test_prune_count_on_dyadic_products(self, factors, extra):
-        # h at a root, at the negative of one, between their moduli and
-        # past them all
-        p = dyadic_product(factors) * extra
-        moduli = sorted({abs(F(a, 1 << k)) for a, k in factors} - {0}) or [F(1)]
-        hs = moduli + [(x + y) / 2 for x, y in zip(moduli, moduli[1:])]
-        for h in hs + [F(1, 3), moduli[-1] + 1]:
-            assert _Roots(p).outside(h) == roots_outside(p, h)
+def h_with_phi_inside(cell):
+    """A rational h > 1 with phi(h) strictly inside the non-point cell
+    [lo, hi], lo >= 0, by bisection: phi rises on [1, inf)."""
+    lo, hi = F(1), F(2)
+    while phi(hi) <= cell.hi:
+        hi *= 2
+    while True:
+        h = (lo + hi) / 2
+        if phi(h) <= cell.lo:
+            lo = h
+        elif phi(h) >= cell.hi:
+            hi = h
+        else:
+            return h
 
-    def test_prune_count_on_fixtures(self):
-        # c has negative roots, among them -1 when n > 2s, and its mirror
-        # positive ones
-        for name in fixture_names():
-            c = coxeter_polynomial(fixture_graph(name))
-            for q in (c, c.mirror()):
-                for h in (F(1, 2), F(1), F(2), F(2618, 1000), F(2619, 1000), F(3), F(4)):
-                    assert _Roots(q).outside(h) == roots_outside(q, h)
+
+class TestPruneVerdict:
+    """min-search prunes a tree iff the cell of mu_max, its Gram
+    polynomial's largest root, compares above the point cell of phi(hi)
+    of D y - N, phi(hi) = N / D: the same verdict as a positive count of
+    c's roots r >= hi or r < -hi on the full isolation."""
+
+    def test_every_tree_class_from_three_to_ten_vertices(self):
+        fixed = [F(1), F(2), F(2618, 1000), F(2619, 1000), F(3), F(4)]
+        inside = 0
+        for n in range(3, 11):
+            for g in enumerate_alternating_trees(n, dedup=True):
+                c = coxeter_polynomial(g)
+                top = mu_max_cell(_gram_polynomial(g))
+                radius = spectral_radius_enclosure(c)
+                hs = fixed + [radius.lo, radius.hi]
+                # a point cell is a rational mu_max > 0, an integer as q is
+                # monic, and phi(h) = mu_max has no rational root h: by the
+                # rational root theorem only h = 1 or -1 could be one, where
+                # phi is 0 or -4.  8 of the 199 classes have one
+                if not top[1].is_point:
+                    hs.append(h_with_phi_inside(top[1]))
+                    inside += 1
+                for h in hs:
+                    mu = phi(h)
+                    bar = P(-mu.numerator, mu.denominator), RationalInterval(mu, mu)
+                    assert (compare_isolated_roots(*top, *bar) > 0) == (roots_outside(c, h) >= 1), (g, h)
+        assert inside == 199 - 8
 
 
 def merged_isolation_interlace(p, q):
