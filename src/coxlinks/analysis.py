@@ -78,12 +78,6 @@ def log_concavity_check(p: IntPolynomial) -> bool:
     return all(m[i] * m[i] > m[i - 1] * m[i + 1] for i in range(1, len(m) - 1))
 
 
-def _graph_spectrum(q: IntPolynomial, n: int) -> tuple[IntPolynomial, _Roots]:
-    """c and its _Roots, both from the Gram polynomial q of a graph with n
-    vertices."""
-    return _coxeter_from_gram(q, n), _Roots.of_gram(q, n)
-
-
 def _interval_json(iv: RationalInterval | None) -> dict | None:
     if iv is None:
         return None
@@ -201,7 +195,8 @@ def analyze(g: MixedSignCoxeterGraph,
     if eps <= 0:
         raise ValueError("epsilon must be positive")
 
-    c, roots = _graph_spectrum(_gram_polynomial(g), g.n)
+    q = _gram_polynomial(g)
+    c, roots = _coxeter_from_gram(q, g.n), _Roots.of_gram(q, g.n)
     mrr = roots.max_root_cell(eps)
     if not is_alternating_sign(g):
         return AnalysisReport(
@@ -370,12 +365,12 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
             q = _gram_polynomial(g)
             verdicts = battery.get(q.coeffs)
             if verdicts is None:
-                c, roots = _graph_spectrum(q, n)
+                c = _coxeter_from_gram(q, n)
                 delta = _alexander_from_coxeter(c)
                 # Delta = +-c(-t): every root of c real and negative iff
                 # Delta is real stable, so one count serves both checks
                 verdicts = battery[q.coeffs] = (
-                    c, roots.all_negative, c.coeffs == tuple(reversed(c.coeffs)),
+                    c, _Roots.of_gram(q, n).all_negative, c.coeffs == tuple(reversed(c.coeffs)),
                     sign_alternation_check(delta), trapezoidal_check(delta)[0],
                     log_concavity_check(delta))
             c, real_stable, reciprocal, sign_alt, trap, log_conc = verdicts
@@ -469,32 +464,38 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
     """Exhaustive minimum of the spectral radius over alternating trees
     with 2..n_max vertices.
 
-    Ties keep the earliest tree in enumeration order.  Each tree is first
-    asked for the cell of mu_max, the largest root of its Gram polynomial
-    q (spectra.mu_max_cell), which is pure in q: later trees with that q
-    look it up by q's coefficients, in a dict local to the call that
-    starts empty for each size, as in verify_theorems.
+    Every order question is asked of the cell of mu_max, the largest root
+    of a tree's Gram polynomial q (spectra.mu_max_cell), pure in q.  On a
+    tree q fixes the size, as -q_(s-1) = trace G = n - 1, so one dict
+    local to the call, keyed by q's coefficients, isolates each distinct
+    q once for the whole search.
 
-    Prune.  A tree with radius x_max > hi, the upper end of the best
-    enclosure, cannot beat the best.  G = B B^T is positive semidefinite,
-    so q's roots are mu >= 0, and by spectra._GramChain's factorization
-    c's roots are -1 and -x, -1/x for each mu, with x >= 1 and phi(x) =
-    (x - 1)^2 / x = mu.  So c has a root r >= hi or r < -hi iff x_max >
-    hi, and as mu_max > 0 puts every radius, so hi, above 1 and phi rises
-    on [1, inf), iff mu_max > phi(hi).  When the best changes, bar becomes
-    the point cell [phi(hi), phi(hi)] of D y - N, phi(hi) = N / D, and
-    compare_isolated_roots decides the prune exactly against it.  A tie,
-    mu_max = phi(hi), is not pruned, as a count of r < -hi misses a root
-    at -hi: such a tree at best ties, and a tie never replaces the best.
+    Order.  G = B B^T is positive semidefinite, so q's roots are mu >= 0,
+    and by spectra._GramChain's factorization c's roots are -1 and -x,
+    -1/x for each mu, with x >= 1 and phi(x) = (x - 1)^2 / x = mu.  So the
+    radius x_max > 1 has phi(x_max) = mu_max > 0, and as phi rises on
+    [1, inf), radii are ordered exactly as their mu_max are, ties
+    included.  A tree becomes the best iff its cell compares below the
+    best's: a tie never replaces the best, so ties keep the earliest tree
+    in enumeration order.  Only a new best builds the _Roots.of_gram of
+    q, c's side, for the radius enclosure it prints, of upper end hi.
+
+    Prune.  A tree with x_max > hi cannot beat the best, and c has a root
+    r >= hi or r < -hi iff x_max > hi, iff mu_max > phi(hi), as hi > 1.
+    When the best changes, bar becomes the point cell [phi(hi), phi(hi)]
+    of D y - N, phi(hi) = N / D, and compare_isolated_roots decides the
+    prune exactly against it.  A tie, mu_max = phi(hi), is not pruned, as
+    a count of r < -hi misses a root at -hi: such a tree at best ties.
     Nor does one occur: q is monic, so a rational mu_max is an integer,
     and then x_max, a root of x^2 - (mu_max + 2) x + 1, is rational only
     if it is 1, by the rational root theorem.
 
-    Only survivors build the spectra._Roots.of_gram of q, c's side, and
-    their radius cells are compared exactly with the best, so overlapping
-    enclosures never misrank candidates.  A few leaf-removal pairs per
-    size spot-check radius monotonicity, the subtree's mu_max cell against
-    the tree's stored one, and raise on any violation.
+    Spot check.  A few leaf-removal pairs per size compare the subtree's
+    cell against the tree's and raise on a violation of radius
+    monotonicity.  The dict holds the subtree's cell: the size before
+    walked every tree class with n - 1 vertices, and q is an isomorphism
+    invariant, as when both colour classes have s vertices, B B^T and
+    B^T B share their characteristic polynomial.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -502,12 +503,12 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
         raise ValueError("epsilon must be positive")
 
     t0 = time.perf_counter()
-    best: tuple[IntPolynomial, RationalInterval, MixedSignCoxeterGraph] | None = None
+    tops: dict[tuple[int, ...], tuple[IntPolynomial, RationalInterval]] = {}  # by q
+    best: tuple[tuple[IntPolynomial, RationalInterval], RationalInterval, MixedSignCoxeterGraph] | None = None
     bar: tuple[IntPolynomial, RationalInterval] | None = None  # phi(hi), see above
     examined = pruned = 0
     for n in range(2, n_max + 1):
         spot_left = _SPOT_ASSERTS_PER_SIZE if n > 2 else 0
-        tops: dict[tuple[int, ...], tuple[IntPolynomial, RationalInterval]] = {}  # by q
         for g in enumerate_alternating_trees(n, dedup=dedup):
             examined += 1
             q = _gram_polynomial(g)
@@ -516,18 +517,16 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
                 top = tops[q.coeffs] = mu_max_cell(q)
             if bar is not None and compare_isolated_roots(*top, *bar) > 0:
                 pruned += 1
-            else:
-                folded, iv = _Roots.of_gram(q, n).radius_cell(eps)
-                if best is None or compare_isolated_roots(
-                        folded, iv, best[0], best[1]) < 0:
-                    best = (folded, iv, g)
-                    phi = (iv.hi - 1) ** 2 / iv.hi
-                    bar = IntPolynomial([-phi.numerator, phi.denominator]), RationalInterval(phi, phi)
+            elif best is None or compare_isolated_roots(*top, *best[0]) < 0:
+                iv = _Roots.of_gram(q, g.n).radius_cell(eps)[1]
+                best = top, iv, g
+                phi = (iv.hi - 1) ** 2 / iv.hi
+                bar = IntPolynomial([-phi.numerator, phi.denominator]), RationalInterval(phi, phi)
             if spot_left > 0:
                 spot_left -= 1
                 leaf = next(i for i in range(g.n) if len(g.neighbors[i]) == 1)
                 sub = remove_vertex(g, leaf)
-                if compare_isolated_roots(*mu_max_cell(_gram_polynomial(sub)), *top) > 0:
+                if compare_isolated_roots(*tops[_gram_polynomial(sub).coeffs], *top) > 0:
                     raise CertificationError(
                         "radius monotonicity violated by leaf removal\n"
                         + graph_to_text(g))

@@ -1,15 +1,16 @@
 """Reports, coefficient certifications, sweeps, minimum search."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 
 from coxlinks import analysis, coxeter, spectra
 from coxlinks.analysis import (
+    MinSearchResult,
     analyze,
     log_concavity_check,
     min_dilatation_search,
@@ -28,10 +29,11 @@ from coxlinks.coxeter import (
 )
 from coxlinks.exact import IntMatrix, IntPolynomial
 from coxlinks.fixtures import fixture_graph, fixture_names
-from coxlinks.graphs import (enumerate_alternating_trees, graph_to_text, is_alternating_sign,
-                             parse_graph, random_alternating_tree, random_edge_augmentation,
-                             random_vertex_extension, remove_vertex)
-from coxlinks.spectra import (RationalInterval, cauchy_bound, is_real_stable, max_real_root,
+from coxlinks.graphs import (MixedSignCoxeterGraph, enumerate_alternating_trees, graph_to_text,
+                             is_alternating_sign, parse_graph, random_alternating_tree,
+                             random_edge_augmentation, random_vertex_extension)
+from coxlinks.spectra import (DEFAULT_EPSILON, RationalInterval, cauchy_bound,
+                              compare_isolated_roots, is_real_stable, max_real_root,
                               spectral_radius_enclosure)
 
 from graph_strategies import connected_alternating_graphs, connected_random_sign_graphs
@@ -250,13 +252,8 @@ class TestVerifyTheorems:
         # c from the Gram route with a t term added, or a Berkowitz result
         # off by one: either way every tree fails monodromy-charpoly first
         if fault == "fast c":
-            real = analysis._graph_spectrum
-
-            def wrong(q, n):
-                c, roots = real(q, n)
-                return c + P(0, 1), roots
-
-            monkeypatch.setattr(analysis, "_graph_spectrum", wrong)
+            real = analysis._coxeter_from_gram
+            monkeypatch.setattr(analysis, "_coxeter_from_gram", lambda q, n: real(q, n) + P(0, 1))
         else:
             real_charpoly = IntMatrix.charpoly
             monkeypatch.setattr(IntMatrix, "charpoly", lambda m: real_charpoly(m) + P(1))
@@ -543,8 +540,8 @@ class TestMinSearch:
 
     @pytest.mark.parametrize("dedup", [False, True])
     def test_one_squarefree_part_per_tree(self, monkeypatch, dedup):
-        # every examined tree, and every leaf-removal subtree of the spot
-        # checks, takes sf(q) and its chain once, not once per step: one
+        # every examined tree takes sf(q) and its chain once, not once per
+        # step, and a leaf-removal subtree of the spot checks none: one
         # remainder sequence when q is squarefree and two otherwise.  The
         # dedup sweep goes to 8 vertices, where three trees have a q that
         # is not squarefree.  The gcds of root comparisons are not counted.
@@ -562,19 +559,17 @@ class TestMinSearch:
         r = min_dilatation_search(n_max, dedup=dedup)
         seen = Counter(heads)
         trees = [g for n in range(2, n_max + 1) for g in enumerate_alternating_trees(n, dedup=dedup)]
-        spot_subtrees = [remove_vertex(g, next(i for i in range(g.n) if len(g.neighbors[i]) == 1))
-                         for n in range(3, n_max + 1)
-                         for g in islice(enumerate_alternating_trees(n, dedup=dedup), 5)]
-        # one chain per distinct q of a size (q fixes the size, as -q_(s-1)
-        # = n - 1), looked up for every later tree with that q, and one
-        # more per survivor, whose _Roots.of_gram builds its own: at this
-        # eps the 2-vertex tree, the first, is the only one
+        # one chain per distinct q of the search (q fixes the size, as
+        # -q_(s-1) = n - 1), looked up for every later tree with that q
+        # and for the spot checks' subtrees, and one more per new best,
+        # whose _Roots.of_gram builds its own: at this eps the 2-vertex
+        # tree, the first, is the only one
         distinct = {_gram_polynomial(g).coeffs: g for g in reversed(trees)}.values()
-        expected = [h for g in [*distinct, *spot_subtrees, trees[0]]
+        expected = [h for g in [*distinct, trees[0]]
                     for h in gram_sequence_heads(_gram_polynomial(g))]
         assert r.trees_pruned == len(trees) - 1 and r.trees_examined == len(trees)
         if dedup:
-            assert len(expected) > len(trees) + len(spot_subtrees)
+            assert len(expected) > len(distinct) + 1
         else:
             assert len(distinct) == 1 + 1 + 2 + 3 + 6
         assert seen == Counter(expected)
@@ -605,71 +600,80 @@ class TestMinSearch:
         return calls
 
     @staticmethod
-    def cell_queries(n_max: int, dedup: bool) -> tuple[list[tuple[int, ...]], int]:
+    def cell_queries(n_max: int, dedup: bool) -> list[tuple[int, ...]]:
         """The q that min-search asks mu_max_cell about, in order: each
-        distinct q of a size at its first tree, and the q of the
-        leaf-removal subtree of each of the first five trees of every size
-        from 3 on; and the number of distinct q."""
-        queries, distinct = [], 0
-        for n in range(2, n_max + 1):
-            seen = set()
-            for i, g in enumerate(enumerate_alternating_trees(n, dedup=dedup)):
-                q = _gram_polynomial(g).coeffs
-                if q not in seen:
-                    seen.add(q)
-                    queries.append(q)
-                if n > 2 and i < 5:
-                    leaf = next(v for v in range(g.n) if len(g.neighbors[v]) == 1)
-                    queries.append(_gram_polynomial(remove_vertex(g, leaf)).coeffs)
-            distinct += len(seen)
-        return queries, distinct
+        distinct q of the whole search at its first tree, and none for a
+        leaf-removal subtree of the spot checks, whose q came before."""
+        return list(dict.fromkeys(_gram_polynomial(g).coeffs for n in range(2, n_max + 1)
+                                  for g in enumerate_alternating_trees(n, dedup=dedup)))
 
-    # the only survivor, at the default eps, and so the only _Roots.of_gram
+    @staticmethod
+    def reference(trees: list[MixedSignCoxeterGraph], eps: Fraction) -> tuple:
+        """(enclosure, graph, examined, pruned) of min-search over trees in
+        the given order, by the route it replaced: every tree ranked by its
+        radius cell on c's side, exactly, the earliest of a tie kept, and
+        counted as pruned iff c has a root outside [-hi, hi) for the hi of
+        the best before it."""
+        best, pruned = None, 0
+        for g in trees:
+            if best is not None:
+                hi, c = best[1].hi, coxeter_polynomial(g)
+                assert c.eval(hi) != 0 and c.eval(-hi) != 0
+                b = cauchy_bound(c)
+                pruned += (sturm_count(c, RationalInterval(-b, -hi))
+                           + sturm_count(c, RationalInterval(hi, b))) > 0
+            witness, cell = spectra._Roots.of_gram(_gram_polynomial(g), g.n).radius_cell(eps)
+            if best is None or compare_isolated_roots(witness, cell, *best[:2]) < 0:
+                best = witness, cell, g
+        return best[1], best[2], len(trees), pruned
+
+    @pytest.mark.parametrize("n_max,dedup,pruned", [(6, False, (974, 8, 8, 965)),
+                                                    (9, True, (86, 47, 50, 86))])
+    def test_largest_trees_first_rank_as_radius_cells(self, monkeypatch, n_max, dedup, pruned):
+        # the sizes walked from n_max down, so the best is replaced and hi
+        # moves; the spot checks are off, as a subtree's size now comes
+        # after its tree's
+        real = analysis.enumerate_alternating_trees
+        monkeypatch.setattr(analysis, "enumerate_alternating_trees",
+                            lambda n, dedup: real(n_max + 2 - n, dedup=dedup))
+        monkeypatch.setattr(analysis, "_SPOT_ASSERTS_PER_SIZE", 0)
+        trees = [g for n in range(n_max, 1, -1) for g in real(n, dedup=dedup)]
+        for eps, expected in zip([DEFAULT_EPSILON, F(8), F(3), F(1, 3)], pruned):
+            r = min_dilatation_search(n_max, eps=eps, dedup=dedup)
+            got = r.enclosure, r.graph, r.trees_examined, r.trees_pruned
+            assert got == self.reference(trees, eps)
+            assert r.graph.n == 2 and r.trees_pruned == expected
+
+    # the only new best, at the default eps, and so the only _Roots.of_gram
     A2 = ((-1, 1), 2)
 
     @pytest.mark.parametrize("n_max,dedup", [(6, False), (8, True)])
     def test_one_spectrum_per_distinct_gram_polynomial(self, spectra_built, cells_built, n_max,
                                                         dedup):
         min_dilatation_search(n_max, dedup=dedup)
-        queries, distinct = self.cell_queries(n_max, dedup)
+        queries = self.cell_queries(n_max, dedup)
         assert cells_built == queries
         assert spectra_built == [self.A2]
         if not dedup:
-            assert distinct == 1 + 1 + 2 + 3 + 6
+            assert len(queries) == 1 + 1 + 2 + 3 + 6
 
     @pytest.mark.parametrize("n_max", range(2, 7))
-    def test_labeled_stdout_equals_the_per_tree_route(self, monkeypatch, capsys, spectra_built,
-                                                      cells_built, n_max):
-        # the per-tree route: a key equal only to itself makes every lookup
-        # miss, so that each labeled tree takes its own mu_max cell
-        class Unshared(tuple):
-            __hash__ = object.__hash__
-
-        def unshared(g, real=analysis._gram_polynomial):
-            q = object.__new__(IntPolynomial)
-            q.coeffs = Unshared(real(g).coeffs)
-            return q
-
-        def stdout(*argv):
-            assert main(["min-search", "--nmax", str(n_max), *argv]) == 0
-            return capsys.readouterr().out
-
-        shared = [stdout(), stdout("--json")]
-        del spectra_built[:], cells_built[:]
-        monkeypatch.setattr(analysis, "_gram_polynomial", unshared)
-        assert [stdout(), stdout("--json")] == shared
-        trees = sum(n ** (n - 2) for n in range(2, n_max + 1))
-        spots = sum(min(5, n ** (n - 2)) for n in range(3, n_max + 1))
-        assert len(cells_built) == 2 * (trees + spots)
-        assert spectra_built == [self.A2] * 2
+    def test_labeled_stdout_equals_the_per_tree_route(self, capsys, n_max):
+        # the per-tree route is the reference above, in enumeration order
+        trees = [g for n in range(2, n_max + 1) for g in enumerate_alternating_trees(n)]
+        expected = MinSearchResult(n_max, *self.reference(trees, DEFAULT_EPSILON), 0.0)
+        for flags, out in [((), expected.render_text()),
+                           (("--json",), json.dumps(expected.to_json_dict()))]:
+            assert main(["min-search", "--nmax", str(n_max), *flags]) == 0
+            assert capsys.readouterr().out == out + "\n"
 
     def test_no_lookup_outlives_a_call(self, spectra_built, cells_built):
         min_dilatation_search(5)
         first = list(cells_built)
         del cells_built[:]
         min_dilatation_search(5)
-        queries, distinct = self.cell_queries(5, False)
-        assert cells_built == first == queries and distinct == 1 + 1 + 2 + 3
+        queries = self.cell_queries(5, False)
+        assert cells_built == first == queries and len(queries) == 1 + 1 + 2 + 3
         assert spectra_built == [self.A2] * 2
         assert not [name for name, v in vars(analysis).items()
                     if isinstance(v, dict) and not name.startswith("__")]

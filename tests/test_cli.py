@@ -325,12 +325,13 @@ class TestExitCodes:
         assert err == "error: internal error: inexact Sturm-chain recurrence: inconsistent Sturm chain\n"
 
     def test_rootless_comparison_cell_exits_4(self, capsys, monkeypatch):
-        # every radius cell moved to [100, 101], where no Coxeter
-        # polynomial has a root: min-search compares two of them
-        real = spectra._Roots.radius_cell
+        # every mu_max cell moved to [100, 101], where no Gram polynomial of
+        # a small tree has a root: min-search ranks the path on 3 vertices
+        # against the best, both cells halving towards 101.  One such cell
+        # would part from a true one before the halving bound
+        real = spectra.mu_max_cell
         rootless = spectra.RationalInterval(Fraction(100), Fraction(101))
-        monkeypatch.setattr(spectra._Roots, "radius_cell",
-                            lambda roots, eps: (real(roots, eps)[0], rootless))
+        monkeypatch.setattr(analysis, "mu_max_cell", lambda q: (real(q)[0], rootless))
         code, out, err = run_cli(capsys, "min-search", "--nmax", "4")
         assert (code, out) == (4, "")
         assert err == ("error: internal error: root comparison exceeded its halving bound: "

@@ -2,6 +2,9 @@
 the front ends reach the lower layers through their public names."""
 
 import ast
+import importlib
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -273,3 +276,46 @@ def test_caller_finder_sees_every_form(tmp_path):
         "def caller(box):\n    return box.method()\n")
     assert definitions_without_caller([tmp_path / "a.py", tmp_path / "b.py"]) == {
         "a.exported", "a.Box", "a.Box.read_me", "b.Unused", "b.caller"}
+
+
+WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def inline_python_blocks(text: str) -> list[str]:
+    """The source, dedented, of every `python -c '...'` in a workflow; the
+    shell ends a block at its first single quote, so none holds one."""
+    return [textwrap.dedent(m.group(1)) for m in re.finditer(r"python3? -c '([^']*)'", text)]
+
+
+def missing_coxlinks_names(source: str) -> set[str]:
+    """module.name for every `from coxlinks... import name` in source that
+    the package does not define, once source compiles."""
+    compile(source, "<inline>", "exec")
+    missing = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.ImportFrom) and node.level == 0
+                and (node.module or "").split(".")[0] == "coxlinks"):
+            module = importlib.import_module(node.module)
+            missing.update(f"{node.module}.{a.name}" for a in node.names
+                           if not hasattr(module, a.name))
+    return missing
+
+
+def test_workflow_python_blocks_import_only_existing_names():
+    # the record-only steps are continue-on-error, so a renamed private
+    # name would fail there unseen
+    blocks = inline_python_blocks(WORKFLOW.read_text(encoding="utf-8"))
+    assert len(blocks) >= 7
+    assert set().union(*map(missing_coxlinks_names, blocks)) == set()
+
+
+def test_workflow_block_finder_sees_every_form():
+    text = ("run: python -c 'import coxlinks'\n"
+            "run: |\n  PYTHONPATH=src python3 -c '\n  from coxlinks import analyze\n"
+            "  from coxlinks.spectra import _gone, mu_max_cell\n  ' >> out\n")
+    blocks = inline_python_blocks(text)
+    assert blocks == ["import coxlinks",
+                      "\nfrom coxlinks import analyze\nfrom coxlinks.spectra import _gone, mu_max_cell\n"]
+    assert missing_coxlinks_names(blocks[1]) == {"coxlinks.spectra._gone"}
+    with pytest.raises(SyntaxError):
+        missing_coxlinks_names("f(\n")
