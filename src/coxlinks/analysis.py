@@ -16,6 +16,7 @@ from fractions import Fraction
 from .coxeter import (
     CertificationError,
     _alexander_from_coxeter,
+    _factor_charpoly,
     _gram_polynomial,
     _proof_identities,
     bipartite_factors,
@@ -186,9 +187,9 @@ def analyze(g: MixedSignCoxeterGraph,
     the monodromy M^T M = -C- C+, whose characteristic polynomial is
     therefore Delta.  c comes from the Gram polynomial q, read off one
     integer at a Kronecker point (the matching recursion on a tree, one
-    sparse determinant otherwise), so no graph runs Berkowitz, and every
-    root answer from the spectra._Roots.of_gram of q, which counts on the
-    Sturm chain of sf(q).
+    sparse determinant otherwise), and every root answer from the
+    spectra._Roots.of_gram of q, which counts on the Sturm chain of sf(q):
+    real stability is two readings of it (_Roots.stable).
     """
     if g.n < 2:
         raise ValueError("analysis needs at least 2 vertices")
@@ -207,7 +208,7 @@ def analyze(g: MixedSignCoxeterGraph,
 
     delta = _alexander_from_coxeter(c)
     # Delta = +-c(-t) is real stable iff every root of c is negative
-    real_stable = roots.all_negative
+    real_stable = roots.stable
     sign_alt = sign_alternation_check(delta)
     trap, plateau_k = trapezoidal_check(delta)
     log_conc = log_concavity_check(delta)
@@ -302,20 +303,20 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
                     dedup: bool = False) -> VerificationSummary:
     """Run every certified check over all alternating trees with at most
     n_max vertices, plus seeded random extension and inclusion pairs.
-    As in analyze, each tree takes c and Delta from one Gram polynomial q
-    and real stability from the spectra._Roots.of_gram of q; one n x n
-    Berkowitz run on C+- = C+ C-, the only one in the package, is the
-    slow check.  Each tree certifies one factorization (C+, C-) as
-    verify_proof_identities does, which makes the monodromy C+ (-C+-)
-    C+, so that one run covers it too.
+    As in analyze, each tree takes c and Delta from one Gram polynomial q,
+    and real stability from two readings of q's chain (_Roots.stable_of).
+    The slow check is det(tI - C+-), one sparse determinant of the factors
+    (_factor_charpoly).  Each tree certifies one factorization (C+, C-)
+    as verify_proof_identities does, which makes the monodromy C+ (-C+-)
+    C+, so that one determinant covers it too.
     The pairs are decided on their Gram polynomials, at half c's degree:
     interlacing by gram_interlacing_pair, radius order by mu_max_cell.
 
     What runs per tree, and what once per polynomial.  c =
-    _coxeter_from_gram(q, n) and _Roots.of_gram(q, n) are pure functions
-    of (q, n), and so are the five verdicts read off them: all roots of c
-    negative (real-negative-spectrum and real-stability), reciprocality,
-    and the sign alternation, trapezoid shape and log-concavity of Delta.
+    _coxeter_from_gram(q, n) is a pure function of (q, n), and so are the
+    five verdicts read off c and q: all roots of c negative
+    (real-negative-spectrum and real-stability), reciprocality, and the
+    sign alternation, trapezoid shape and log-concavity of Delta.
     Within one size n is fixed, and on a tree q fixes it anyway, as
     -q_(s-1) = trace G = n - 1.  So c and the verdicts are computed for
     the first tree of each q and looked up by q's coefficients for every
@@ -323,12 +324,13 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
     (f, Q) of gram_interlacing_pair, and the radius order of the two Gram
     polynomials, and they are looked up the same way.  What depends on
     the labeling still runs on every tree: q, the factorization, the
-    symmetry check, the matrix certificate, and the Berkowitz run on
-    C+-, which is compared against the c of its q.  So every labeled
+    symmetry check, the matrix certificate, and the determinant of its
+    factors, which is compared against the c of its q.  So every labeled
     matrix is checked, every check is recorded once per tree or pair in
     enumeration order, and the counters and the first counterexample
     are those that computing everything per tree would give.  The
-    lookups are local to the call and start empty for each size.
+    lookups are local to the call and start empty for each size, but for
+    mu_max_cell, pure in q, kept for the whole call.
 
     dedup generates one tree per isomorphism class directly (Wright,
     Richmond, Odlyzko and McKay) instead of walking every labeled tree;
@@ -353,6 +355,7 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
             counterexample = f"# failed check: {name}\n{graph_to_text(g)}"
 
     rng = random.Random(seed)
+    tops: dict[tuple[int, ...], tuple[IntPolynomial, RationalInterval]] = {}  # mu_max_cell by q
     for n in range(2, n_max + 1):
         # verdicts that are pure functions of polynomials, by input (see above)
         battery: dict[tuple[int, ...], tuple[IntPolynomial, bool, bool, bool, bool, bool]] = {}
@@ -361,7 +364,6 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
         for g in enumerate_alternating_trees(n, dedup=dedup):
             graphs += 1
             c_plus, c_minus = bipartite_factors(g)
-            c_bipartite = c_plus @ c_minus
             q = _gram_polynomial(g)
             verdicts = battery.get(q.coeffs)
             if verdicts is None:
@@ -370,17 +372,17 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
                 # Delta = +-c(-t): every root of c real and negative iff
                 # Delta is real stable, so one count serves both checks
                 verdicts = battery[q.coeffs] = (
-                    c, _Roots.of_gram(q, n).all_negative, c.coeffs == tuple(reversed(c.coeffs)),
+                    c, _Roots.stable_of(q), c.coeffs == tuple(reversed(c.coeffs)),
                     sign_alternation_check(delta), trapezoidal_check(delta)[0],
                     log_concavity_check(delta))
             c, real_stable, reciprocal, sign_alt, trap, log_conc = verdicts
-            record("symmetry", c_bipartite.is_symmetric(), g)
+            record("symmetry", (c_plus @ c_minus).is_symmetric(), g)
             record("real-negative-spectrum", real_stable, g)
             record("proof-identities", bool(_proof_identities(g, c_plus, c_minus)), g)
             # c = det(tI - C+-) is the claim.  _proof_identities raised unless
-            # C+ C+ = I and M^T M = -C- C+, so the monodromy is C+ (-C+-) C+,
-            # of characteristic polynomial det(tI + C+-) = (-1)^n c(-t) = Delta
-            record("monodromy-charpoly", c_bipartite.charpoly() == c, g)
+            # C+ C+ = I, which _factor_charpoly needs, and M^T M = -C- C+: the
+            # monodromy C+ (-C+-) C+ has det(tI + C+-) = (-1)^n c(-t) = Delta
+            record("monodromy-charpoly", _factor_charpoly(c_plus, c_minus) == c, g)
             record("reciprocality", reciprocal, g)
             record("real-stability", real_stable, g)
             record("sign-alternation", sign_alt, g)
@@ -412,9 +414,11 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
             key = q_small.coeffs, q_large.coeffs
             ordered = radius_order.get(key)
             if ordered is None:
+                for q in (q_small, q_large):
+                    if q.coeffs not in tops:
+                        tops[q.coeffs] = mu_max_cell(q)
                 # the radii are ordered as the mu_max of q are (mu_max_cell)
-                ordered = radius_order[key] = compare_isolated_roots(
-                    *mu_max_cell(q_small), *mu_max_cell(q_large)) <= 0
+                ordered = radius_order[key] = compare_isolated_roots(*tops[key[0]], *tops[key[1]]) <= 0
             record("radius-monotonicity", ordered, large)
 
     counters = tuple((name, counts[name][0], counts[name][1])

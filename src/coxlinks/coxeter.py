@@ -54,6 +54,44 @@ def coxeter_transformation(g: MixedSignCoxeterGraph) -> IntMatrix:
     return c_plus @ c_minus
 
 
+def _factor_charpoly(c_plus: IntMatrix, c_minus: IntMatrix) -> IntPolynomial:
+    """det(tI - C+ C-) for the factors of bipartite_factors, read off the
+    n + 1 digits of one sparse determinant of tC+ - C- at t = 2^b.
+
+    As C+ C+ = I, tI - C+ C- = C+ (tC+ - C-).  verify has _proof_identities
+    check C+ C+ = I on the same factors first, which raises when it fails.
+    C+ is a _part_product over an independent set: [[-I, X], [0, I]] with
+    the set first, so det C+ = (-1)^k, k the -1s on its diagonal.  tC+ -
+    C- is nonzero only on the diagonal and at the edges, so on a tree
+    _sparse_det takes leaves first and fills in nothing.
+
+    Bound.  Row i of tC+ - C- is t A_i - B_i, A_i and B_i rows of C+ and
+    C-.  Expanded along its rows, a principal minor m(t) on the rows J sums
+    t^|I| det(A_i for i in I, -B_i else) over I in J, so by Hadamard's
+    inequality sum_j |m_j| <= prod_(i in J) (|A_i| + |B_i|), 2-norms of the
+    rows cut to J.  Cutting shrinks a row, and each factor is >= 1 as A_ii
+    = +-1, so sum_j |m_j| <= sqrt(P) < 2^(b-1) for P = prod_i 2 (|A_i|^2 +
+    |B_i|^2), by (x + y)^2 <= 2 (x^2 + y^2).  For J all rows, c's digits
+    read back.  Pivots.  (C+)_J is again [[-I, X'], [0, I]], so m(t) =
+    +-t^|J| + lower terms, and |m(2^b)| > 2^(b|J|) - 2^(b(|J|-1)) 2^(b-1) >
+    0: every principal minor is nonzero, as _sparse_det needs.
+    """
+    plus, minus = c_plus._entries, c_minus._entries
+    p = 1
+    for a, m in zip(plus, minus):
+        p *= 2 * (sum(x * x for x in a.values()) + sum(x * x for x in m.values()))
+    b = (p.bit_length() // 2 + 9) // 8 * 8
+    rows = []
+    for a, m in zip(plus, minus):
+        row = {j: x << b for j, x in a.items()}
+        for j, x in m.items():
+            row[j] = row.get(j, 0) - x
+        rows.append(row)
+    det = _sparse_det(rows)
+    k = sum(a[i] == -1 for i, a in enumerate(plus))
+    return IntPolynomial(_kronecker_digits(-det if k % 2 else det, b, len(rows) + 1))
+
+
 def _tree_gram(g: MixedSignCoxeterGraph, s: int) -> IntPolynomial:
     """q of a tree (see coxeter_polynomial), q_j = M_(s-j), from the
     matching polynomial M(z) = sum_k z^k sum_(k-edge matchings) prod s_u s_v
@@ -157,9 +195,8 @@ def coxeter_polynomial(g: MixedSignCoxeterGraph) -> IntPolynomial:
     reads q off q(2^b) = det(2^b I - G) the same way, by one sparse
     fraction-free determinant over the rows of G, built from common
     neighbours (see _gram_polynomial for its b).  So no route to c runs
-    Berkowitz; IntMatrix.charpoly remains for verify's n x n check on
-    C+-.  correspondence_check in tests/matrix_oracles.py tests both
-    routes against the n x n ones.
+    Berkowitz, which is the test oracle in tests/matrix_oracles.py, where
+    correspondence_check tests both routes against the n x n ones.
     """
     return _coxeter_from_gram(_gram_polynomial(g), g.n)
 

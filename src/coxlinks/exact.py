@@ -395,40 +395,6 @@ class IntMatrix:
     def is_symmetric(self) -> bool:
         return self.transpose() == self
 
-    def charpoly(self) -> IntPolynomial:
-        """Characteristic polynomial det(tI - A), monic, by the Berkowitz
-        vector recurrence.
-
-        Division-free: every intermediate value is an integer, which is
-        what makes the downstream Sturm certificates trustworthy.
-        """
-        n = self.n
-        if n == 0:
-            return IntPolynomial([1])
-        rows = self._entries
-        poly = [1]
-        for k in range(1, n + 1):
-            q = [1, -rows[k - 1].get(k - 1, 0)]
-            if k > 1:
-                # r A^m c over the nonzero (j, a_ij) of each row of the
-                # leading (k-1) x (k-1) block A, and of r
-                block = [[(j, a) for j, a in rows[i].items() if j < k - 1]
-                         for i in range(k - 1)]
-                r = [(j, a) for j, a in rows[k - 1].items() if j < k - 1]
-                v = [rows[i].get(k - 1, 0) for i in range(k - 1)]
-                q.append(-sum(a * v[j] for j, a in r))
-                for _ in range(k - 2):
-                    v = [sum(a * v[j] for j, a in entries) for entries in block]
-                    q.append(-sum(a * v[j] for j, a in r))
-            new = [0] * (k + 1)
-            for j, pj in enumerate(poly):
-                if pj:
-                    top = min(j + len(q), k + 1)
-                    for m in range(j, top):
-                        new[m] += q[m - j] * pj
-            poly = new
-        return IntPolynomial(reversed(poly))
-
     def __repr__(self) -> str:
         body = ", ".join(str(list(r)) for r in self.rows)
         return f"IntMatrix([{body}])"

@@ -331,6 +331,22 @@ class _GramChain:
         return upto - below + (self._offsets[j] - self._offsets[i] if i != j else 0)
 
 
+def _stable(gram: _SturmChain) -> bool:
+    """Whether every root of the Coxeter polynomial c of a graph is real
+    and negative, in two readings of the chain of its Gram polynomial q.
+
+    By _GramChain's factorization, c's roots are -1 and, for each root mu
+    of q, those of t^2 + (2 + mu) t + 1, of product 1, sum -(2 + mu) and
+    discriminant mu (mu + 4).  So mu > 0 gives -x and -1/x, x > 0; mu = 0
+    and (t+1)^(n-2s) give -1; mu = -4 gives 1, mu < -4 positive roots, and
+    mu in (-4, 0) non-real ones, as does a non-real mu, since a real root
+    t makes mu = -(t + 1/t) - 2 real.  So it is yes iff the deg r distinct
+    roots of r = sf(q) all lie in [0, 2^k), k the _fujiwara_exponent of r.
+    """
+    r = gram.poly
+    return gram.count((0, 1), (1 << _fujiwara_exponent(r), 1)) + gram.is_root((0, 1)) == r.degree
+
+
 class _Roots:
     """Every root question about p, answered on one chain of m = sf(-t),
     for sf the squarefree part of p: its Sturm chain, or the _GramChain
@@ -392,6 +408,16 @@ class _Roots:
     def all_negative(self) -> bool:
         """Every root real and in [-bound, 0), so a root at 0 fails."""
         return self._between(-self.bound, _ZERO) == self.poly.degree
+
+    @property
+    def stable(self) -> bool:
+        """all_negative of an of_gram _Roots, on its chain of q (_stable)."""
+        return _stable(self.chain.gram)
+
+    @staticmethod
+    def stable_of(q: IntPolynomial) -> bool:
+        """stable on a new chain of q, with no sf(c) or _GramChain."""
+        return _stable(_SturmChain(q))
 
     def max_root_cell(self, eps: Fraction) -> RationalInterval | None:
         """The cell, width <= eps, of the largest real root, or None."""

@@ -79,9 +79,42 @@ def dense_is_symmetric(m: IntMatrix) -> bool:
     return all(rows[i][j] == rows[j][i] for i in range(m.n) for j in range(m.n))
 
 
+def berkowitz(m: IntMatrix) -> IntPolynomial:
+    """Characteristic polynomial det(tI - A), monic, by the Berkowitz
+    vector recurrence over the nonzero entries of each row: division-free,
+    every intermediate value an integer.  The oracle for every
+    characteristic polynomial the package reads off a determinant."""
+    n = m.n
+    if n == 0:
+        return IntPolynomial([1])
+    rows = [{j: a for j, a in enumerate(r) if a} for r in m.rows]
+    poly = [1]
+    for k in range(1, n + 1):
+        q = [1, -rows[k - 1].get(k - 1, 0)]
+        if k > 1:
+            # r A^m c over the nonzero (j, a_ij) of each row of the
+            # leading (k-1) x (k-1) block A, and of r
+            block = [[(j, a) for j, a in rows[i].items() if j < k - 1]
+                     for i in range(k - 1)]
+            r = [(j, a) for j, a in rows[k - 1].items() if j < k - 1]
+            v = [rows[i].get(k - 1, 0) for i in range(k - 1)]
+            q.append(-sum(a * v[j] for j, a in r))
+            for _ in range(k - 2):
+                v = [sum(a * v[j] for j, a in entries) for entries in block]
+                q.append(-sum(a * v[j] for j, a in r))
+        new = [0] * (k + 1)
+        for j, pj in enumerate(poly):
+            if pj:
+                top = min(j + len(q), k + 1)
+                for i in range(j, top):
+                    new[i] += q[i - j] * pj
+        poly = new
+    return IntPolynomial(reversed(poly))
+
+
 def det(m: IntMatrix) -> int:
     """Determinant by fraction-free Bareiss elimination, algorithmically
-    independent of IntMatrix.charpoly so the two can cross-check."""
+    independent of berkowitz so the two can cross-check."""
     n = m.n
     if n == 0:
         return 1
@@ -160,8 +193,8 @@ def tree_gram(g: MixedSignCoxeterGraph) -> IntPolynomial:
 def gram_matrix(g: MixedSignCoxeterGraph) -> IntMatrix:
     """G = -D_S B D_R B^T of coxeter.coxeter_polynomial, entry by entry
     from the biadjacency matrix B between the smaller colour class S and
-    the other one R, so that G.charpoly(), by Berkowitz, is the oracle for
-    the Gram polynomial of a graph with a cycle."""
+    the other one R, so that berkowitz(G) is the oracle for the Gram
+    polynomial of a graph with a cycle."""
     bip = two_coloring(g)
     small, other = sorted((sorted(bip.part_plus), sorted(bip.part_minus)), key=len)
     b = [[int(g.has_edge(i, w)) for w in other] for i in small]
@@ -199,5 +232,5 @@ def correspondence_check(g: MixedSignCoxeterGraph) -> bool:
     n, s = g.n, len(q) - 1
     chi = [0] * (n + 1)
     chi[n - 2 * s::2] = q
-    return (adjacency_matrix(g).charpoly() == IntPolynomial(chi)
-            and coxeter.coxeter_polynomial(g) == coxeter.coxeter_transformation(g).charpoly())
+    return (berkowitz(adjacency_matrix(g)) == IntPolynomial(chi)
+            and coxeter.coxeter_polynomial(g) == berkowitz(coxeter.coxeter_transformation(g)))

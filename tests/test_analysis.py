@@ -37,7 +37,7 @@ from coxlinks.spectra import (DEFAULT_EPSILON, RationalInterval, cauchy_bound,
                               spectral_radius_enclosure)
 
 from graph_strategies import connected_alternating_graphs, connected_random_sign_graphs
-from matrix_oracles import identity
+from matrix_oracles import berkowitz, identity
 from root_oracles import gram_sequence_heads, spy_on_remainder_sequences, sturm_count
 
 F = Fraction
@@ -221,18 +221,19 @@ class TestVerifyTheorems:
 
     def test_slow_route_on_every_tree(self, monkeypatch):
         # c comes from the fast route; the monodromy-charpoly check runs
-        # one n x n Berkowitz on each tree, of C+-, and the certified
+        # one n x n determinant of tC+ - C- on each tree, and the certified
         # conjugation carries it to the monodromy
         sizes = []
-        real_charpoly = IntMatrix.charpoly
+        real = coxeter._factor_charpoly
 
-        def counting(m):
-            sizes.append(m.n)
-            return real_charpoly(m)
+        def counting(c_plus, c_minus):
+            sizes.append(c_plus.n)
+            return real(c_plus, c_minus)
 
-        monkeypatch.setattr(IntMatrix, "charpoly", counting)
+        monkeypatch.setattr(analysis, "_factor_charpoly", counting)
         verify_theorems(5, extension_trials=0)
         assert sorted(sizes) == [2] + [3] * 3 + [4] * 16 + [5] * 125
+        assert not hasattr(IntMatrix, "charpoly")
 
     def test_four_products_per_tree(self, monkeypatch):
         # C+ C-, and C+ C+, (C+ + C-)^2 and A^2 of the certificate
@@ -249,14 +250,15 @@ class TestVerifyTheorems:
 
     @pytest.mark.parametrize("fault", ["fast c", "slow charpoly"])
     def test_slow_check_catches_either_side(self, monkeypatch, fault):
-        # c from the Gram route with a t term added, or a Berkowitz result
-        # off by one: either way every tree fails monodromy-charpoly first
+        # c from the Gram route with a t term added, or the determinant of
+        # the factors off by one: either way every tree fails
+        # monodromy-charpoly first
         if fault == "fast c":
             real = analysis._coxeter_from_gram
             monkeypatch.setattr(analysis, "_coxeter_from_gram", lambda q, n: real(q, n) + P(0, 1))
         else:
-            real_charpoly = IntMatrix.charpoly
-            monkeypatch.setattr(IntMatrix, "charpoly", lambda m: real_charpoly(m) + P(1))
+            real = analysis._factor_charpoly
+            monkeypatch.setattr(analysis, "_factor_charpoly", lambda a, b: real(a, b) + P(1))
         s = verify_theorems(5, extension_trials=0)
         counters = dict((name, (p, f)) for name, p, f in s.counters)
         assert counters["monodromy-charpoly"] == (0, 1 + 3 + 16 + 125)
@@ -286,19 +288,26 @@ class TestVerifyTheorems:
 
 class TestVerifyLookups:
     """Inside one verify_theorems call, each verdict that is a function of
-    polynomials alone is computed once per distinct input of one size and
-    recorded for every tree or pair with that input."""
+    polynomials alone is computed once per distinct input of one size, and
+    each mu_max cell once per distinct q of the call, and recorded for
+    every tree or pair with that input."""
 
     @pytest.fixture
-    def spectra_built(self, monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+    def spectra_built(self, monkeypatch) -> list[tuple[int, ...]]:
+        # the real-stability verdict of q, read on q's chain; verify builds
+        # no _Roots of c at all
         calls = []
-        real = spectra._Roots.of_gram
+        real = spectra._Roots.stable_of
 
-        def counting(cls, q, n):
-            calls.append((q.coeffs, n))
-            return real(q, n)
+        def counting(q):
+            calls.append(q.coeffs)
+            return real(q)
 
-        monkeypatch.setattr(spectra._Roots, "of_gram", classmethod(counting))
+        def forbidden(cls, q, n):
+            raise AssertionError("_Roots.of_gram in verify")
+
+        monkeypatch.setattr(spectra._Roots, "stable_of", staticmethod(counting))
+        monkeypatch.setattr(spectra._Roots, "of_gram", classmethod(forbidden))
         return calls
 
     def test_one_spectrum_per_distinct_gram_polynomial(self, spectra_built):
@@ -378,43 +387,56 @@ class TestVerifyLookups:
                 if large.edge_count == small.edge_count:
                     large = random_vertex_extension(small, rng)
                 drawn.append((n, _gram_polynomial(small).coeffs, _gram_polynomial(large).coeffs))
-        cells = []
-        real = spectra.mu_max_cell
+        cells, compared = [], []
+        real, real_compare = spectra.mu_max_cell, spectra.compare_isolated_roots
 
         def counting(q):
             cells.append(q.coeffs)
             return real(q)
 
+        def comparing(*args):
+            compared.append(args)
+            return real_compare(*args)
+
         monkeypatch.setattr(analysis, "mu_max_cell", counting)
+        monkeypatch.setattr(analysis, "compare_isolated_roots", comparing)
         s = verify_theorems(5, extension_trials=10, seed=4)
         firsts = [key[1:] for key in dict.fromkeys(drawn)]
-        assert list(zip(cells[::2], cells[1::2])) == firsts and len(cells) == 2 * len(firsts)
-        assert len(firsts) < len(drawn)
+        assert len(compared) == len(firsts) < len(drawn)
+        # one mu_max cell per distinct q of the whole call, in order of need:
+        # 12 here, against 19 with one table per size and 2 * 14 per pair
+        assert cells == list(dict.fromkeys(q for pair in firsts for q in pair))
+        assert (len(cells), len(firsts)) == (12, 14)
         assert ("radius-monotonicity", 4 * 10, 0) in s.counters
 
 
 class TestMonodromyCertificate:
     @pytest.mark.parametrize("name", fixture_names())
     def test_one_characteristic_polynomial_per_analyze(self, monkeypatch, name):
-        # no graph runs Berkowitz: a tree reads q off the matching
-        # recursion and a graph with a cycle (paper-5, k33) off one sparse
-        # determinant, both at a Kronecker point
+        # no graph runs Berkowitz, which only tests/matrix_oracles.py has: a
+        # tree reads q off the matching recursion and a graph with a cycle
+        # (paper-5, k33) off one sparse determinant of s = deg q rows, both
+        # at a Kronecker point
+        assert not hasattr(IntMatrix, "charpoly")
+        g = fixture_graph(name)
+        s = _gram_polynomial(g).degree
         sizes = []
-        real_charpoly = IntMatrix.charpoly
+        real_det = coxeter._sparse_det
 
-        def counting(m):
-            sizes.append(m.n)
-            return real_charpoly(m)
+        def counting(rows):
+            sizes.append(len(rows))
+            return real_det(rows)
 
-        monkeypatch.setattr(IntMatrix, "charpoly", counting)
-        analyze(fixture_graph(name))
-        assert sizes == []
+        monkeypatch.setattr(coxeter, "_sparse_det", counting)
+        analyze(g)
+        assert sizes == ([] if g.edge_count == g.n - 1 else [s])
 
     def test_no_characteristic_polynomial_on_a_tree(self, monkeypatch):
         def forbidden(_):
-            raise AssertionError("charpoly on a tree")
+            raise AssertionError("a determinant on a tree")
 
-        monkeypatch.setattr(IntMatrix, "charpoly", forbidden)
+        assert not hasattr(IntMatrix, "charpoly")
+        monkeypatch.setattr(coxeter, "_sparse_det", forbidden)
         for g in [fixture_graph("p5")] + list(enumerate_alternating_trees(8, dedup=True)):
             analyze(g)
 
@@ -440,7 +462,7 @@ class TestMonodromyCertificate:
         assert is_alternating_sign(g)
         c_plus, c_minus = bipartite_factors(g)
         monodromy = homological_monodromy(g)
-        slow = monodromy.charpoly()
+        slow = berkowitz(monodromy)
         rep = analyze(g)
         assert monodromy == -(c_minus @ c_plus)
         assert slow == rep.alexander == alexander_polynomial(g)

@@ -13,6 +13,7 @@ from coxlinks.cli import main
 from coxlinks.coxeter import (
     CertificationError,
     IdentityMismatch,
+    _factor_charpoly,
     _gram_polynomial,
     _require_involution,
     alexander_polynomial,
@@ -44,9 +45,9 @@ from coxlinks.graphs import (
 
 from graph_strategies import (connected_alternating_graphs, connected_random_sign_graphs,
                               signed_trees)
-from matrix_oracles import (correspondence_check, coxeter_from_gram, dense_add, dense_matmul,
-                            dense_neg, gram_matrix, identity, inverse_unimodular, reflection,
-                            tree_gram)
+from matrix_oracles import (berkowitz, correspondence_check, coxeter_from_gram, dense_add,
+                            dense_matmul, dense_neg, gram_matrix, identity, inverse_unimodular,
+                            reflection, tree_gram)
 
 # printed matrices for the 5-vertex fixture, vertex order p1 p2 p3 n1 n2
 C_PLUS_5 = IntMatrix([
@@ -193,7 +194,7 @@ class TestSeifertData:
     def test_monodromy_charpoly_is_alexander_polynomial(self):
         for name in ("a2", "p3-alt", "paper-5", "p5", "k33"):
             g = fixture_graph(name)
-            assert homological_monodromy(g).charpoly() == alexander_polynomial(g)
+            assert berkowitz(homological_monodromy(g)) == alexander_polynomial(g)
 
     def test_monodromy_agrees_with_gauss_jordan_inverse(self):
         # the monodromy is M^T M because C+ is an involution; check it
@@ -339,7 +340,7 @@ class TestFastCoxeterPolynomial:
     @staticmethod
     def assert_both_routes_agree(graphs):
         for g in graphs:
-            assert coxeter_polynomial(g) == coxeter_transformation(g).charpoly(), g
+            assert coxeter_polynomial(g) == berkowitz(coxeter_transformation(g)), g
 
     def test_every_tree_class_through_ten_vertices(self):
         self.assert_both_routes_agree(
@@ -357,7 +358,7 @@ class TestFastCoxeterPolynomial:
     def test_single_vertex(self):
         for sign in "+-":
             g = parse_graph(f"vertex a {sign}\n")
-            assert coxeter_polynomial(g) == coxeter_transformation(g).charpoly() == \
+            assert coxeter_polynomial(g) == berkowitz(coxeter_transformation(g)) == \
                 IntPolynomial([1, 1])
 
     def test_long_path_needs_no_recursion(self):
@@ -484,7 +485,7 @@ class TestGramDeterminant:
     @staticmethod
     def assert_matches_oracle(g):
         assert g.edge_count >= g.n, "a tree takes the matching route"
-        assert _gram_polynomial(g) == gram_matrix(g).charpoly(), g
+        assert _gram_polynomial(g) == berkowitz(gram_matrix(g)), g
 
     def test_seeded_graphs_with_cycles(self):
         for g in seeded_graphs_with_cycles() + signed_graphs_with_cycles():
@@ -541,17 +542,59 @@ class TestGramDeterminant:
         for i, row in enumerate(rows):
             row[i] = sum(map(abs, row)) - abs(row[i]) + 1 + i % 2
         a = IntMatrix(rows)
-        expected = (-1) ** n * a.charpoly().coefficient(0)
+        expected = (-1) ** n * berkowitz(a).coefficient(0)
         assert _sparse_det([{j: x for j, x in enumerate(row) if x} for row in rows]) == expected
 
     def test_no_matrix_and_no_berkowitz(self, monkeypatch):
         def forbidden(*_):
-            raise AssertionError("Berkowitz on the Gram route")
+            raise AssertionError("a matrix on the Gram route")
 
-        monkeypatch.setattr(IntMatrix, "charpoly", forbidden)
+        # Berkowitz lives in tests/matrix_oracles.py only
+        assert not hasattr(IntMatrix, "charpoly")
         monkeypatch.setattr(IntMatrix, "_of", forbidden)
         for g in seeded_graphs_with_cycles():
             _gram_polynomial(g)
+
+
+class TestFactorCharpoly:
+    """det(tI - C+ C-) from one sparse determinant of tC+ - C-, verify's
+    slow check on c, against Berkowitz on the product C+ C- in
+    tests/matrix_oracles.py."""
+
+    @staticmethod
+    def assert_matches_oracle(g):
+        c_plus, c_minus = bipartite_factors(g)
+        assert _factor_charpoly(c_plus, c_minus) == berkowitz(c_plus @ c_minus), g
+
+    def test_every_tree_class_through_ten_vertices(self):
+        trees = [g for n in range(2, 11) for g in enumerate_alternating_trees(n, dedup=True)]
+        assert len(trees) == 200
+        for g in trees:
+            self.assert_matches_oracle(g)
+
+    def test_labeled_trees_through_six_vertices(self):
+        # every labeling, so plus classes of each size and every vertex order
+        for n in range(2, 7):
+            for g in enumerate_alternating_trees(n):
+                self.assert_matches_oracle(g)
+
+    @pytest.mark.parametrize("n", [12, 20, 40, 80])
+    def test_random_trees(self, n):
+        self.assert_matches_oracle(random_alternating_tree(n, random.Random(n)))
+
+    def test_alternating_graphs_with_cycles(self):
+        # the bound and the pivot argument need no tree
+        for g in [fixture_graph(name) for name in ALTERNATING_FIXTURES] + seeded_graphs_with_cycles()[::3]:
+            assert is_alternating_sign(g)
+            self.assert_matches_oracle(g)
+
+    def test_sign_of_det_c_plus(self):
+        # the path on 3 vertices has one plus vertex or two, by its signs
+        for text in ("vertex a +\nvertex b -\nvertex c +\nedge a b\nedge b c\n",
+                     "vertex a -\nvertex b +\nvertex c -\nedge a b\nedge b c\n"):
+            g = parse_graph(text)
+            c_plus, c_minus = bipartite_factors(g)
+            assert _factor_charpoly(c_plus, c_minus) == coxeter_polynomial(g) == IntPolynomial([1, 5, 5, 1])
 
 
 def resigned(g, signs):
@@ -596,15 +639,16 @@ class TestSignedCoxeterPolynomial:
         def forbidden(_):
             raise AssertionError("coxeter_transformation inside coxeter_polynomial")
 
+        # the one determinant on the route, of 2^b I - G, has s <= n/2 rows
         sizes = []
-        real_charpoly = IntMatrix.charpoly
+        real_det = coxeter._sparse_det
 
-        def counting(m):
-            sizes.append(m.n)
-            return real_charpoly(m)
+        def counting(rows):
+            sizes.append(len(rows))
+            return real_det(rows)
 
         monkeypatch.setattr(coxeter, "coxeter_transformation", forbidden)
-        monkeypatch.setattr(IntMatrix, "charpoly", counting)
+        monkeypatch.setattr(coxeter, "_sparse_det", counting)
         g = fixture_graph(name)
         coxeter_polynomial(g)
         assert all(2 * k <= g.n for k in sizes)
@@ -637,4 +681,4 @@ class TestCharpolyAgainstSympy:
                       c_plus @ c_minus, homological_monodromy(g),
                       IntMatrix((b * b.T).tolist())):
                 expect = sympy.Matrix(m.rows).charpoly().all_coeffs()
-                assert m.charpoly().coeffs == tuple(int(x) for x in reversed(expect))
+                assert berkowitz(m).coeffs == tuple(int(x) for x in reversed(expect))

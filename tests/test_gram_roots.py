@@ -138,6 +138,85 @@ class TestGramCountsAgainstTheMirrorChain:
         assert_gram_counts_match(g)
 
 
+def poly_from_factors(*factors) -> IntPolynomial:
+    out = IntPolynomial([1])
+    for f in factors:
+        out = out * IntPolynomial(f)
+    return out
+
+
+class TestStabilityOnTheGramChain:
+    """_Roots.stable_of(q) and _Roots.stable, two readings on the chain of
+    sf(q), against _Roots.all_negative, the count on the chain of c's
+    squarefree part."""
+
+    @staticmethod
+    def assert_readings_agree(q: IntPolynomial, n: int) -> bool:
+        roots = _Roots.of_gram(q, n)
+        assert _Roots.stable_of(q) == roots.stable == roots.all_negative, (q, n)
+        return roots.all_negative
+
+    def test_every_tree_class_up_to_eleven_vertices(self):
+        # G = B B^T is positive semidefinite on a tree: all True
+        trees = [g for n in range(2, 12) for g in enumerate_alternating_trees(n, dedup=True)]
+        assert len(trees) == 435
+        for g in trees:
+            assert self.assert_readings_agree(_gram_polynomial(g), g.n)
+
+    def test_signed_graphs(self):
+        # other signs make G indefinite, with roots of q below 0 as well
+        trees = [g for n in range(2, 7) for g in enumerate_alternating_trees(n, dedup=True)]
+        graphs = [MixedSignCoxeterGraph(g.names, signs, g.edges) for g in trees
+                  for signs in ((PLUS,) * g.n, tuple(PLUS if i % 3 else MINUS for i in range(g.n)))]
+        graphs += atlas_graphs() + [named_graph(name) for name in fixture_names() + tuple(TEST_GRAPHS)]
+        verdicts = [self.assert_readings_agree(_gram_polynomial(g), g.n) for g in graphs]
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("factors,stable", [
+        ([(0, 1)], True),                      # mu = 0
+        ([(0, 1), (-2, 1)], True),
+        ([(0, 1), (0, 1), (-5, 1)], True),     # a double root at 0
+        ([(-1, 1), (-1, 1), (-3, 1)], True),
+        ([(-1, 3)], True),                     # mu = 1/3 in (0, 1)
+        ([(1, -5, 1)], True),                  # two irrational mu > 0
+        ([(4, 1)], False),                     # mu = -4: c has +1
+        ([(4, 1), (-1, 1)], False),
+        ([(1, 1)], False),                     # mu in (-4, 0)
+        ([(1, 2)], False),                     # mu = -1/2 in (-1, 0)
+        ([(0, 1), (3, 1)], False),
+        ([(6, 1)], False),                     # mu < -4: positive roots
+        ([(-2, 0, 1)], False),                 # mu = +-sqrt 2
+        ([(1, 0, 1)], False),                  # mu = +-i
+        ([(5, -2, 1), (-1, 1)], False),        # mu = 1 +- 2i
+    ], ids=["zero", "zero-two", "double-zero", "double-one", "third", "irrational", "minus-four",
+            "minus-four-one", "minus-one", "minus-half", "zero-minus-three", "minus-six",
+            "plus-minus-root-two", "plus-minus-i", "complex-pair"])
+    def test_constructed_gram_polynomials(self, factors, stable):
+        q = poly_from_factors(*factors)
+        assert _Roots.stable_of(q) is stable
+        for n in (2 * q.degree, 2 * q.degree + 1):
+            assert self.assert_readings_agree(q, n) is stable
+
+    def test_seeded_polynomials(self):
+        # products of y - mu over mu in a fixed set, some shifted by a
+        # constant and some with the complex pair 1 +- i
+        rng = random.Random(32)
+        seen = set()
+        for _ in range(600):
+            mus = [rng.choice((-6, -4, -3, -1, 0, 1, 2, 3, 5)) for _ in range(rng.randint(1, 5))]
+            q = poly_from_factors(*[(-mu, 1) for mu in mus])
+            kind = rng.choice(("roots", "roots", "shifted", "complex"))
+            if kind == "shifted":
+                q = q + IntPolynomial([rng.choice((-3, -2, -1, 1, 2, 3))])
+            elif kind == "complex":
+                q = q * IntPolynomial([2, -2, 1])
+            verdict = self.assert_readings_agree(q, 2 * q.degree + rng.randint(0, 2))
+            if kind != "shifted":
+                assert verdict is (kind == "roots" and min(mus) >= 0), mus
+            seen.add((kind, verdict))
+        assert {("roots", True), ("roots", False), ("shifted", True), ("shifted", False)} <= seen
+
+
 class TestOneReadingPerPoint:
     def test_dyadic_root_at_a_midpoint(self):
         sf = IntPolynomial([-1, 2]) * IntPolynomial([3, 1])  # (2t - 1)(t + 3)

@@ -35,6 +35,7 @@ from coxlinks.spectra import (
     spectral_radius_enclosure,
 )
 
+from matrix_oracles import berkowitz
 from root_oracles import (HornerChain, as_cell, as_interval, compare_by_fractions,
                           gram_sequence_heads, isolate_real_roots, isolate_squarefree, point,
                           refine_by_fractions, root_in, separate, sign, spy_on_remainder_sequences,
@@ -673,8 +674,8 @@ class TestOneDecisionPerRootQuestion:
         # the isolation routes live in tests/root_oracles.py, out of reach
         assert not hasattr(spectra, "squarefree_decomposition")
         assert not hasattr(spectra, "_isolate_squarefree")
-        p5 = adjacency_matrix(fixture_graph("p5")).charpoly()
-        k33 = adjacency_matrix(fixture_graph("k33")).charpoly()
+        p5 = berkowitz(adjacency_matrix(fixture_graph("p5")))
+        k33 = berkowitz(adjacency_matrix(fixture_graph("k33")))
         pairs = [(coxeter_polynomial(fixture_graph("a2")),
                   coxeter_polynomial(fixture_graph("p3-alt"))),
                  (p5, k33), (P(1, -2, 1), P(0, 1, -2, 1)), (P(1, 0, 1), P(1, 1, 0, 1))]
@@ -866,8 +867,8 @@ class TestInterlacing:
         assert interlace_check(alexander_polynomial(a2), alexander_polynomial(p3)) is True
 
     def test_adjacency_remark_pair_does_not_interlace(self):
-        p5 = adjacency_matrix(fixture_graph("p5")).charpoly()
-        k33 = adjacency_matrix(fixture_graph("k33")).charpoly()
+        p5 = berkowitz(adjacency_matrix(fixture_graph("p5")))
+        k33 = berkowitz(adjacency_matrix(fixture_graph("k33")))
         assert interlace_check(p5, k33) is False
 
     def test_shared_root_allowed(self):
