@@ -12,6 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .coxeter import (
     CertificationError,
@@ -312,25 +313,19 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
     The pairs are decided on their Gram polynomials, at half c's degree:
     interlacing by gram_interlacing_pair, radius order by mu_max_cell.
 
-    What runs per tree, and what once per polynomial.  c =
-    _coxeter_from_gram(q, n) is a pure function of (q, n), and so are the
-    five verdicts read off c and q: all roots of c negative
-    (real-negative-spectrum and real-stability), reciprocality, and the
-    sign alternation, trapezoid shape and log-concavity of Delta.
-    Within one size n is fixed, and on a tree q fixes it anyway, as
-    -q_(s-1) = trace G = n - 1.  So c and the verdicts are computed for
-    the first tree of each q and looked up by q's coefficients for every
-    later one.  The interlacing verdict is a pure function of the pair
-    (f, Q) of gram_interlacing_pair, and the radius order of the two Gram
-    polynomials, and they are looked up the same way.  What depends on
-    the labeling still runs on every tree: q, the factorization, the
-    symmetry check, the matrix certificate, and the determinant of its
-    factors, which is compared against the c of its q.  So every labeled
-    matrix is checked, every check is recorded once per tree or pair in
-    enumeration order, and the counters and the first counterexample
-    are those that computing everything per tree would give.  The
-    lookups are local to the call and start empty for each size, but for
-    mu_max_cell, pure in q, kept for the whole call.
+    Every verdict that is pure in polynomials is cached by its arguments
+    for the call: c = _coxeter_from_gram(q, n) with the five verdicts
+    read off c and q (all roots of c negative, for real-negative-spectrum
+    and real-stability, reciprocality, and the sign alternation, trapezoid
+    shape and log-concavity of Delta), the interlacing of each pair (f, Q)
+    of gram_interlacing_pair, each mu_max_cell, and the radius order of
+    each pair of Gram polynomials.  What depends on the labeling runs on
+    every tree: q, the factorization, the symmetry check, the matrix
+    certificate, and the determinant of its factors, which is compared
+    against the c of its q.  So every labeled matrix is checked, every
+    check is recorded once per tree or pair in enumeration order, and the
+    counters and the first counterexample are those that computing
+    everything per tree would give.
 
     dedup generates one tree per isomorphism class directly (Wright,
     Richmond, Odlyzko and McKay) instead of walking every labeled tree;
@@ -354,28 +349,30 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
         if not ok and counterexample is None:
             counterexample = f"# failed check: {name}\n{graph_to_text(g)}"
 
+    # the verdicts that are pure functions of polynomials (see above)
+    @cache
+    def battery(q: IntPolynomial, n: int) -> tuple[IntPolynomial, bool, bool, bool, bool, bool]:
+        c = _coxeter_from_gram(q, n)
+        delta = _alexander_from_coxeter(c)
+        # Delta = +-c(-t): every root of c real and negative iff Delta is
+        # real stable, so one count serves both checks
+        return (c, _Roots.stable_of(q), c.coeffs == tuple(reversed(c.coeffs)),
+                sign_alternation_check(delta), trapezoidal_check(delta)[0],
+                log_concavity_check(delta))
+
+    interlaces, top = cache(interlace_check), cache(mu_max_cell)
+
+    @cache
+    def ordered(q_small: IntPolynomial, q_large: IntPolynomial) -> bool:
+        # the radii are ordered as the mu_max of q are (mu_max_cell)
+        return compare_isolated_roots(*top(q_small), *top(q_large)) <= 0
+
     rng = random.Random(seed)
-    tops: dict[tuple[int, ...], tuple[IntPolynomial, RationalInterval]] = {}  # mu_max_cell by q
     for n in range(2, n_max + 1):
-        # verdicts that are pure functions of polynomials, by input (see above)
-        battery: dict[tuple[int, ...], tuple[IntPolynomial, bool, bool, bool, bool, bool]] = {}
-        interlacing: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
-        radius_order: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
         for g in enumerate_alternating_trees(n, dedup=dedup):
             graphs += 1
             c_plus, c_minus = bipartite_factors(g)
-            q = _gram_polynomial(g)
-            verdicts = battery.get(q.coeffs)
-            if verdicts is None:
-                c = _coxeter_from_gram(q, n)
-                delta = _alexander_from_coxeter(c)
-                # Delta = +-c(-t): every root of c real and negative iff
-                # Delta is real stable, so one count serves both checks
-                verdicts = battery[q.coeffs] = (
-                    c, _Roots.stable_of(q), c.coeffs == tuple(reversed(c.coeffs)),
-                    sign_alternation_check(delta), trapezoidal_check(delta)[0],
-                    log_concavity_check(delta))
-            c, real_stable, reciprocal, sign_alt, trap, log_conc = verdicts
+            c, real_stable, reciprocal, sign_alt, trap, log_conc = battery(_gram_polynomial(g), n)
             record("symmetry", (c_plus @ c_minus).is_symmetric(), g)
             record("real-negative-spectrum", real_stable, g)
             record("proof-identities", bool(_proof_identities(g, c_plus, c_minus)), g)
@@ -396,12 +393,7 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
             # Delta = +-c(-t), so the Coxeter verdict is also the
             # Alexander one (see interlace_check)
             pair = gram_interlacing_pair(base, ext)
-            interlaced = False
-            if pair is not None:
-                key = pair[0].coeffs, pair[1].coeffs
-                interlaced = interlacing.get(key)
-                if interlaced is None:
-                    interlaced = interlacing[key] = interlace_check(*pair)
+            interlaced = pair is not None and interlaces(*pair)
             record("coxeter-interlacing", interlaced, ext)
             record("alexander-interlacing", interlaced, ext)
 
@@ -410,16 +402,8 @@ def verify_theorems(n_max: int, extension_trials: int = 50, seed: int = 0,
             if large.edge_count == small.edge_count:
                 large = random_vertex_extension(small, rng)
             graphs += 2
-            q_small, q_large = _gram_polynomial(small), _gram_polynomial(large)
-            key = q_small.coeffs, q_large.coeffs
-            ordered = radius_order.get(key)
-            if ordered is None:
-                for q in (q_small, q_large):
-                    if q.coeffs not in tops:
-                        tops[q.coeffs] = mu_max_cell(q)
-                # the radii are ordered as the mu_max of q are (mu_max_cell)
-                ordered = radius_order[key] = compare_isolated_roots(*tops[key[0]], *tops[key[1]]) <= 0
-            record("radius-monotonicity", ordered, large)
+            record("radius-monotonicity",
+                   ordered(_gram_polynomial(small), _gram_polynomial(large)), large)
 
     counters = tuple((name, counts[name][0], counts[name][1])
                      for name in _TREE_CHECKS + _PAIR_CHECKS)
@@ -469,10 +453,8 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
     with 2..n_max vertices.
 
     Every order question is asked of the cell of mu_max, the largest root
-    of a tree's Gram polynomial q (spectra.mu_max_cell), pure in q.  On a
-    tree q fixes the size, as -q_(s-1) = trace G = n - 1, so one dict
-    local to the call, keyed by q's coefficients, isolates each distinct
-    q once for the whole search.
+    of a tree's Gram polynomial q (spectra.mu_max_cell), pure in q, and
+    cached by q for the call, so each distinct q is isolated once.
 
     Order.  G = B B^T is positive semidefinite, so q's roots are mu >= 0,
     and by spectra._GramChain's factorization c's roots are -1 and -x,
@@ -494,12 +476,13 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
     and then x_max, a root of x^2 - (mu_max + 2) x + 1, is rational only
     if it is 1, by the rational root theorem.
 
-    Spot check.  A few leaf-removal pairs per size compare the subtree's
-    cell against the tree's and raise on a violation of radius
-    monotonicity.  The dict holds the subtree's cell: the size before
-    walked every tree class with n - 1 vertices, and q is an isomorphism
-    invariant, as when both colour classes have s vertices, B B^T and
-    B^T B share their characteristic polynomial.
+    Spot check.  A few leaf-removal pairs per size, on trees with more
+    than two vertices, compare the subtree's cell against the tree's and
+    raise on a violation of radius monotonicity.  The subtree's cell is a
+    cache hit: the size before walked every tree class with n - 1
+    vertices, and q is an isomorphism invariant, as when both colour
+    classes have s vertices, B B^T and B^T B share their characteristic
+    polynomial.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -507,30 +490,28 @@ def min_dilatation_search(n_max: int, eps: Fraction = DEFAULT_EPSILON,
         raise ValueError("epsilon must be positive")
 
     t0 = time.perf_counter()
-    tops: dict[tuple[int, ...], tuple[IntPolynomial, RationalInterval]] = {}  # by q
+    top = cache(mu_max_cell)
     best: tuple[tuple[IntPolynomial, RationalInterval], RationalInterval, MixedSignCoxeterGraph] | None = None
     bar: tuple[IntPolynomial, RationalInterval] | None = None  # phi(hi), see above
     examined = pruned = 0
     for n in range(2, n_max + 1):
-        spot_left = _SPOT_ASSERTS_PER_SIZE if n > 2 else 0
+        spot_left = _SPOT_ASSERTS_PER_SIZE
         for g in enumerate_alternating_trees(n, dedup=dedup):
             examined += 1
             q = _gram_polynomial(g)
-            top = tops.get(q.coeffs)
-            if top is None:
-                top = tops[q.coeffs] = mu_max_cell(q)
-            if bar is not None and compare_isolated_roots(*top, *bar) > 0:
+            cell = top(q)
+            if bar is not None and compare_isolated_roots(*cell, *bar) > 0:
                 pruned += 1
-            elif best is None or compare_isolated_roots(*top, *best[0]) < 0:
+            elif best is None or compare_isolated_roots(*cell, *best[0]) < 0:
                 iv = _Roots.of_gram(q, g.n).radius_cell(eps)[1]
-                best = top, iv, g
+                best = cell, iv, g
                 phi = (iv.hi - 1) ** 2 / iv.hi
                 bar = IntPolynomial([-phi.numerator, phi.denominator]), RationalInterval(phi, phi)
-            if spot_left > 0:
+            if spot_left > 0 and g.n > 2:
                 spot_left -= 1
                 leaf = next(i for i in range(g.n) if len(g.neighbors[i]) == 1)
                 sub = remove_vertex(g, leaf)
-                if compare_isolated_roots(*tops[_gram_polynomial(sub).coeffs], *top) > 0:
+                if compare_isolated_roots(*top(_gram_polynomial(sub)), *cell) > 0:
                     raise CertificationError(
                         "radius monotonicity violated by leaf removal\n"
                         + graph_to_text(g))
